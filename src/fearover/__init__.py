@@ -42,19 +42,16 @@ from .fear import (
     compute_likelihood,
     compute_undesirability,
     fear_intensity,
-    fear_potential,
     normalize_distance,
     normalize_signal,
 )
 from .fuzzy import (
     AllZeroMembership,
     FuzzySystem,
-    InputOutOfUniverse,
     LinguisticVariable,
     MembershipFunction,
     RuleBase,
     defuzz_centroid,
-    membership,
     trap,
     tri,
 )

@@ -144,9 +144,6 @@ class SlotMap:
         except KeyError:
             raise UnmappedProvider(provider) from None
 
-    def mapped(self, provider: str) -> bool:
-        return provider in self._assignments
-
     def adopt(self, vacated: str, adopted: str) -> tuple["SlotMap", int, bool]:
         """Slot assignment after handing over ``vacated`` -> ``adopted``.
 
@@ -159,9 +156,6 @@ class SlotMap:
         del assignments[vacated]
         assignments[adopted] = slot
         return SlotMap(assignments), slot, True
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self._assignments)
 
 
 def initial_state(provider: str, slots: SlotMap) -> AutomatonState:

@@ -37,6 +37,11 @@ Scenario files are INI-style text with one section per subsystem::
     [output]
     dir = out
 
+Every key is optional.  The ``[sim]``, ``[fear]``, ``[pdfa]`` and ``[timing]``
+keys are the fields of ``SimConfig``, ``FearParams``, ``BandThresholds`` and
+``TimingModel``, whose defaults are shown, except that ``seed`` sets
+``SimConfig.start_seed``.  Unknown sections and keys are errors.
+
 Optional ``[fuzzy:likelihood]``, ``[fuzzy:undesirability]`` and
 ``[fuzzy:ig]`` sections replace a subsystem's membership functions and
 rule base; see ``parse_fuzzy_section``.
@@ -49,9 +54,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import logging
 import os
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,8 +67,9 @@ from .automaton import BandThresholds, UnmappedProvider
 from .crsite import TIMING_PRESETS, TimingModel
 from .fear import FearModel, FearParams
 from .fuzzy import FuzzySystem, LinguisticVariable, MembershipFunction, RuleBase
-from .route import RouteDb
+from .route import DEFAULT_BAD_THRESHOLD_DBM, RouteDb
 from .sim import (
+    REPLAY_DISTANCES_PATCHES,
     SimConfig,
     check_all_invariants,
     replay_attempts,
@@ -84,7 +92,7 @@ class Scenario:
     out_dir: Path
 
 
-def _get(parser: configparser.ConfigParser, section: str, key: str, cast, default):
+def _get(parser: configparser.ConfigParser, section: str, key: str, cast, default=None):
     if not parser.has_option(section, key):
         return default
     raw = parser.get(section, key)
@@ -95,12 +103,10 @@ def _get(parser: configparser.ConfigParser, section: str, key: str, cast, defaul
 
 
 def _bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
 def parse_membership(raw: str) -> MembershipFunction:
@@ -181,8 +187,47 @@ def parse_fuzzy_section(parser: configparser.ConfigParser, section: str,
         raise ScenarioError(f"[{section}]: {exc}") from None
 
 
-_SECTIONS = ("route", "sim", "fear", "pdfa", "timing", "output",
-             "fuzzy:likelihood", "fuzzy:undesirability", "fuzzy:ig")
+def _ini_fields(cls) -> dict[str, tuple[str, object]]:
+    """INI key -> (field name, cast) for each non-dataclass field of ``cls``."""
+    hints = typing.get_type_hints(cls)
+    keys = {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if dataclasses.is_dataclass(hint):
+            continue
+        # ``float | None`` casts as float; an absent key keeps the default.
+        cast = _bool if hint is bool else next(
+            t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+        # The one key that differs from its field name: ``seed`` sets ``start_seed``.
+        keys["seed" if f.name == "start_seed" else f.name] = (f.name, cast)
+    return keys
+
+
+_CONFIG_SECTIONS = {"sim": SimConfig, "fear": FearParams, "pdfa": BandThresholds,
+                    "timing": TimingModel}
+_FIELDS = {section: _ini_fields(cls) for section, cls in _CONFIG_SECTIONS.items()}
+_FUZZY_SECTIONS = {"fuzzy:likelihood": "likelihood_system",
+                   "fuzzy:undesirability": "undesirability_system",
+                   "fuzzy:ig": "global_intensity_system"}
+_KNOWN_KEYS = {
+    **{section: set(keys) for section, keys in _FIELDS.items()},
+    "timing": {"preset", *_FIELDS["timing"]},
+    "route": {"source", "bad_threshold_dbm"},
+    "output": {"dir"},
+    **dict.fromkeys(_FUZZY_SECTIONS, {"input1_terms", "input2_terms", "output_terms",
+                                      "rules", "grid_resolution", "monotone"}),
+}
+
+
+def _build(parser: configparser.ConfigParser, path: Path, section: str, **given):
+    """The section's config dataclass from the keys present; its constructor validates."""
+    kwargs = {name: _get(parser, section, key, cast)
+              for key, (name, cast) in _FIELDS[section].items()
+              if parser.has_option(section, key)}
+    try:
+        return _CONFIG_SECTIONS[section](**kwargs, **given)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: [{section}] {exc}") from None
 
 
 def load_scenario(path: str | Path, preset_override: str | None = None,
@@ -199,10 +244,13 @@ def load_scenario(path: str | Path, preset_override: str | None = None,
     except configparser.Error as exc:
         raise ScenarioError(f"{path}: {exc}") from None
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _KNOWN_KEYS:
             raise ScenarioError(f"{path}: unknown section [{section}]")
+        for key in parser.options(section):
+            if key not in _KNOWN_KEYS[section]:
+                raise ScenarioError(f"{path}: [{section}] unknown key {key!r}")
 
-    threshold = _get(parser, "route", "bad_threshold_dbm", float, -80.0)
+    threshold = _get(parser, "route", "bad_threshold_dbm", float, DEFAULT_BAD_THRESHOLD_DBM)
     source = parser.get("route", "source", fallback="builtin:survey")
     if source.startswith("builtin:"):
         name = source.removeprefix("builtin:")
@@ -221,66 +269,22 @@ def load_scenario(path: str | Path, preset_override: str | None = None,
         except ValueError as exc:
             raise ScenarioError(f"{csv_path}: {exc}") from None
 
-    try:
-        fear = FearParams(
-            fear_threshold=_get(parser, "fear", "fear_threshold", float, 0.0),
-            combiner=parser.get("fear", "combiner", fallback="mean"),
-            distance_horizon_m=_get(parser, "fear", "distance_horizon_m", float, 75.0),
-            signal_floor_dbm=_get(parser, "fear", "signal_floor_dbm", float, -100.0),
-            signal_ceiling_dbm=_get(parser, "fear", "signal_ceiling_dbm", float, -30.0),
-        )
-        bands = BandThresholds(
-            th_low=_get(parser, "pdfa", "th_low", float, 0.4),
-            th_mid=_get(parser, "pdfa", "th_mid", float, 0.6),
-            th_high=_get(parser, "pdfa", "th_high", float, 0.8),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
-
-    preset = preset_override or parser.get("timing", "preset", fallback=None)
-    if preset is not None and preset != "custom":
-        if preset not in TIMING_PRESETS:
-            raise ScenarioError(
-                f"{path}: [timing] preset {preset!r} not one of {sorted(TIMING_PRESETS)}")
+    preset = preset_override or parser.get("timing", "preset", fallback="custom")
+    if preset == "custom":
+        timing = _build(parser, path, "timing")
+    elif preset in TIMING_PRESETS:
         timing = TIMING_PRESETS[preset]
     else:
-        try:
-            timing = TimingModel(
-                crst_s=_get(parser, "timing", "crst_s", float, 0.2),
-                megaot_s=_get(parser, "timing", "megaot_s", float, 0.527e-6),
-                hot_s=_get(parser, "timing", "hot_s", float, 5.0),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: [timing] {exc}") from None
-
-    seed = seed_override if seed_override is not None else _get(parser, "sim", "seed", int, None)
-    try:
-        config = SimConfig(
-            tick_s=_get(parser, "sim", "tick_s", float, 0.5),
-            speed_mps=_get(parser, "sim", "speed_mps", float, 4.0),
-            start_m=_get(parser, "sim", "start_m", float, 0.0),
-            stop_m=_get(parser, "sim", "stop_m", float, None),
-            initial_provider=parser.get("sim", "initial_provider", fallback=None),
-            fear=fear,
-            bands=bands,
-            timing=timing,
-            comm_importance=_get(parser, "sim", "comm_importance", float, 1.0),
-            sor=_get(parser, "sim", "sor", float, 1.0),
-            vtp=_get(parser, "sim", "vtp", float, 1.0),
-            prospect=_get(parser, "sim", "prospect", _bool, True),
-            desirability=_get(parser, "sim", "desirability", float, -1.0),
-            start_seed=seed,
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: [sim] {exc}") from None
+        raise ScenarioError(
+            f"{path}: [timing] preset {preset!r} not one of {sorted(TIMING_PRESETS)}")
+    fear = _build(parser, path, "fear")
+    config = _build(parser, path, "sim", fear=fear, bands=_build(parser, path, "pdfa"),
+                    timing=timing)
+    if seed_override is not None:
+        config = dataclasses.replace(config, start_seed=seed_override)
 
     model = FearModel(fear)
-    overrides = {
-        "fuzzy:likelihood": "likelihood_system",
-        "fuzzy:undesirability": "undesirability_system",
-        "fuzzy:ig": "global_intensity_system",
-    }
-    for section, attr in overrides.items():
+    for section, attr in _FUZZY_SECTIONS.items():
         if parser.has_section(section):
             setattr(model, attr, parse_fuzzy_section(parser, section, getattr(model, attr)))
 
@@ -352,7 +356,7 @@ def cmd_replay_tables(_args: argparse.Namespace) -> int:
         print(f"{name} case (sensing {timing.crst_s}s, optimisation {timing.megaot_s}s, "
               f"setup {timing.hot_s}s):")
         print("  distance_patches  time_left_s  required_s  outcome")
-        for distance, attempt in zip((1, 9, 13, 3, 2, 5, 3, 2, 10, 4), attempts):
+        for distance, attempt in zip(REPLAY_DISTANCES_PATCHES, attempts):
             outcome = "success" if attempt.success else "failure"
             print(f"  {distance:>16}  {attempt.time_left_s:>11.2f}  "
                   f"{attempt.required_s:>10.6f}  {outcome}")

@@ -7,6 +7,7 @@ their latency constants from the real subsystems they stand in for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,12 +28,12 @@ class TimingModel:
     hot_s: float = 5.0         # connection setup
 
     def __post_init__(self) -> None:
-        if min(self.crst_s, self.megaot_s, self.hot_s) < 0.0:
-            raise ValueError("latencies must be non-negative")
+        if not all(0.0 <= t < math.inf for t in (self.crst_s, self.megaot_s, self.hot_s)):
+            raise ValueError("crst_s, megaot_s and hot_s must be non-negative and finite")
 
 
 TIMING_PRESETS: dict[str, TimingModel] = {
-    "worst": TimingModel(0.2, 0.527e-6, 5.0),
+    "worst": TimingModel(),
     "average": TimingModel(0.1, 0.527e-6, 2.0),
     "best": TimingModel(0.05, 0.527e-6, 1.0),
 }
@@ -77,13 +78,11 @@ class WhiteSpacePool:
     entries: dict[str, PoolEntry]
 
 
-def sense(db: RouteDb, position_m: float,
-          providers: list[str] | None = None) -> WhiteSpacePool:
+def sense(db: RouteDb, position_m: float) -> WhiteSpacePool:
     """Sample every provider's current and next-point signal."""
-    chosen = providers if providers is not None else db.providers
     entries = {
         p: PoolEntry(db.current_signal(position_m, p), db.future_signal(position_m, p))
-        for p in chosen
+        for p in db.providers
     }
     return WhiteSpacePool(entries)
 

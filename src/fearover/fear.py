@@ -135,10 +135,10 @@ class FearParams:
             raise ValueError("fear_threshold must lie in [0, 1]")
         if self.combiner not in COMBINERS:
             raise ValueError(f"combiner must be one of {COMBINERS}")
-        if self.distance_horizon_m <= 0.0:
-            raise ValueError("distance_horizon_m must be positive")
-        if self.signal_floor_dbm >= self.signal_ceiling_dbm:
-            raise ValueError("signal_floor_dbm must lie below signal_ceiling_dbm")
+        if not 0.0 < self.distance_horizon_m < math.inf:
+            raise ValueError("distance_horizon_m must be positive and finite")
+        if not -math.inf < self.signal_floor_dbm < self.signal_ceiling_dbm < math.inf:
+            raise ValueError("signal_floor_dbm must lie below signal_ceiling_dbm, both finite")
 
 
 @dataclass(frozen=True)
@@ -213,21 +213,6 @@ def _combine(combiner: str, undesirability: float, likelihood: float,
     if combiner == "product":
         return undesirability * likelihood * global_intensity
     raise ValueError(f"unknown combiner {combiner!r}")
-
-
-def fear_potential(inputs: FearInputs, likelihood: float, global_intensity: float,
-                   undesirability: float, params: FearParams) -> float:
-    """Combine subsystem grades when an undesirable prospect is in reach.
-
-    Returns 0 unless a prospective event exists, it is undesirable, and it
-    lies strictly inside the appraisal horizon.  The undesirability grade
-    plays the role of the desire magnitude.
-    """
-    if not inputs.prospect or inputs.desirability >= 0.0:
-        return 0.0
-    if inputs.distance_m >= params.distance_horizon_m:
-        return 0.0
-    return _combine(params.combiner, undesirability, likelihood, global_intensity)
 
 
 def fear_intensity(potential: float, params: FearParams) -> float:

@@ -30,10 +30,6 @@ class AllZeroMembership(Exception):
     """No rule fired: the aggregated output membership is identically zero."""
 
 
-class InputOutOfUniverse(Exception):
-    """A crisp input lies outside its variable's universe (strict mode only)."""
-
-
 @dataclass(frozen=True)
 class MembershipFunction:
     """Trapezoid with breakpoints a <= b <= c <= d; triangle when b == c.
@@ -60,10 +56,6 @@ class MembershipFunction:
         if x <= self.c:
             return 1.0
         return (self.d - x) / (self.d - self.c)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.a, self.d)
 
 
 def trap(a: float, b: float, c: float, d: float) -> MembershipFunction:
@@ -95,10 +87,6 @@ class LinguisticVariable:
         for (l1, m1), (l2, m2) in zip(self.terms, self.terms[1:]):
             if m2.a >= m1.d:
                 raise ValueError(f"{self.name}: supports of {l1} and {l2} do not overlap")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.terms)
 
     def clamp(self, x: float) -> float:
         return min(max(x, self.lo), self.hi)
@@ -144,7 +132,6 @@ class FuzzySystem:
     output: LinguisticVariable
     rule_base: RuleBase
     grid_resolution: int = 1001
-    clamp_inputs: bool = True
     monotone: tuple[int, ...] | None = None
     monotone_nodes: int = 65
 
@@ -174,14 +161,7 @@ class FuzzySystem:
     def _coerce(self, values: Sequence[float]) -> tuple[float, ...]:
         if len(values) != len(self.inputs):
             raise ValueError(f"expected {len(self.inputs)} inputs, got {len(values)}")
-        coerced = []
-        for var, x in zip(self.inputs, values):
-            if self.clamp_inputs:
-                x = var.clamp(x)
-            elif not var.lo <= x <= var.hi:
-                raise InputOutOfUniverse(f"{var.name}={x} outside [{var.lo}, {var.hi}]")
-            coerced.append(float(x))
-        return tuple(coerced)
+        return tuple(float(var.clamp(x)) for var, x in zip(self.inputs, values))
 
     def _raw_infer(self, xs: tuple[float, ...]) -> float:
         levels = [0.0] * len(self.output.terms)
@@ -198,16 +178,12 @@ class FuzzySystem:
         return defuzz_centroid(grid, agg)
 
     def infer(self, values: Sequence[float]) -> float:
-        """Fuzzify -> fire rules -> clip -> aggregate -> centroid."""
+        """Clamp to the universes -> fuzzify -> fire rules -> clip ->
+        aggregate -> centroid."""
         xs = self._coerce(values)
         if self.monotone is None:
             return self._raw_infer(xs)
         return _monotone_surface(self).query(xs)
-
-
-def membership(mf: MembershipFunction, x: float) -> float:
-    """Degree of ``x`` in ``mf``; total on the reals."""
-    return mf(x)
 
 
 def defuzz_centroid(xs: Sequence[float] | np.ndarray, mus: Sequence[float] | np.ndarray) -> float:

@@ -12,7 +12,6 @@ header, UTF-8 text and ``#`` comment lines.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -155,25 +154,6 @@ class RouteDb:
              bad_threshold_dbm: float = DEFAULT_BAD_THRESHOLD_DBM) -> "RouteDb":
         return cls.from_csv(Path(path).read_text(encoding="utf-8"), bad_threshold_dbm)
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["label", "lat", "lon", *self.providers])
-        for pt in self.points:
-            row = [pt.label, repr(pt.point.latitude), repr(pt.point.longitude)]
-            for provider in self.providers:
-                dbm = pt.signal(provider)
-                row.append(str(int(dbm)) if dbm.is_integer() else repr(dbm))
-            writer.writerow(row)
-        return out.getvalue()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RouteDb):
-            return NotImplemented
-        return (self.providers == other.providers
-                and self.points == other.points
-                and self.bad_threshold_dbm == other.bad_threshold_dbm)
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -184,9 +164,6 @@ class RouteDb:
         if provider not in self._bad_index:
             raise UnknownProvider(provider)
 
-    def is_bad(self, index: int, provider: str) -> bool:
-        return self.signal_at(index, provider) <= self.bad_threshold_dbm
-
     def next_bad_index(self, position_m: float, provider: str) -> int | None:
         """Index of the first bad point strictly ahead of ``position_m``."""
         self._check_provider(provider)
@@ -194,13 +171,6 @@ class RouteDb:
             if self.cumulative_m[index] > position_m:
                 return index
         return None
-
-    def next_bssp(self, position_m: float, provider: str) -> tuple[SurveyPoint, float] | None:
-        """First bad-signal point strictly ahead, with its distance."""
-        index = self.next_bad_index(position_m, provider)
-        if index is None:
-            return None
-        return self.points[index], self.cumulative_m[index] - position_m
 
     def signal_at(self, index: int, provider: str) -> float:
         self._check_provider(provider)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -73,12 +74,15 @@ class SimConfig:
     start_seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.tick_s <= 0.0:
-            raise ValueError("tick_s must be positive")
-        if self.speed_mps <= 0.0:
-            raise ValueError("speed_mps must be positive")
-        if self.start_m < 0.0:
-            raise ValueError("start_m must be non-negative")
+        # Written so that NaN fails too: a NaN position never reaches stop_m.
+        if not 0.0 < self.tick_s < math.inf:
+            raise ValueError("tick_s must be positive and finite")
+        if not 0.0 < self.speed_mps < math.inf:
+            raise ValueError("speed_mps must be positive and finite")
+        if not 0.0 <= self.start_m < math.inf:
+            raise ValueError("start_m must be non-negative and finite")
+        if self.stop_m is not None and not math.isfinite(self.stop_m):
+            raise ValueError("stop_m must be finite")
 
 
 @dataclass(frozen=True)
@@ -136,18 +140,11 @@ class LossRecord:
 
 @dataclass
 class RunLog:
-    config: dict
     events: list[TickEvent] = field(default_factory=list)
     attempts: list[AttemptRecord] = field(default_factory=list)
     stays: list[StayRecord] = field(default_factory=list)
     losses: list[LossRecord] = field(default_factory=list)
     time_spent_s: dict[str, float] = field(default_factory=dict)
-
-    def episodes(self) -> list[AttemptRecord | StayRecord]:
-        """Handover decisions (attempts and stays) in tick order."""
-        merged: list[AttemptRecord | StayRecord] = [*self.attempts, *self.stays]
-        merged.sort(key=lambda record: record.tick)
-        return merged
 
     def summary_text(self) -> str:
         successes = sum(1 for r in self.attempts if r.attempt.success)
@@ -203,7 +200,7 @@ class Simulation:
         # (provider, point index) -> "stay" | "failed"; one decision per episode
         self._resolutions: dict[tuple[str, int], str] = {}
         self._prev_target: tuple[str, int] | None = None
-        self.log = RunLog(config=_config_snapshot(config, start, self.stop_m))
+        self.log = RunLog()
 
     # -- helpers -----------------------------------------------------------
 
@@ -350,33 +347,6 @@ def run(config: SimConfig, db, fear_model: FearModel | None = None) -> RunLog:
     return Simulation(config, db, fear_model).run()
 
 
-def _config_snapshot(config: SimConfig, start_m: float, stop_m: float) -> dict:
-    return {
-        "tick_s": config.tick_s,
-        "speed_mps": config.speed_mps,
-        "start_m": start_m,
-        "stop_m": stop_m,
-        "initial_provider": config.initial_provider,
-        "fear_threshold": config.fear.fear_threshold,
-        "combiner": config.fear.combiner,
-        "distance_horizon_m": config.fear.distance_horizon_m,
-        "signal_floor_dbm": config.fear.signal_floor_dbm,
-        "signal_ceiling_dbm": config.fear.signal_ceiling_dbm,
-        "th_low": config.bands.th_low,
-        "th_mid": config.bands.th_mid,
-        "th_high": config.bands.th_high,
-        "crst_s": config.timing.crst_s,
-        "megaot_s": config.timing.megaot_s,
-        "hot_s": config.timing.hot_s,
-        "comm_importance": config.comm_importance,
-        "sor": config.sor,
-        "vtp": config.vtp,
-        "prospect": config.prospect,
-        "desirability": config.desirability,
-        "start_seed": config.start_seed,
-    }
-
-
 # -- invariants --------------------------------------------------------------
 
 # Guard against floating-point representation noise, not model tolerance.
@@ -493,13 +463,11 @@ def check_all_invariants(log: RunLog) -> list[InvariantReport]:
 REPLAY_DISTANCES_PATCHES = (1, 9, 13, 3, 2, 5, 3, 2, 10, 4)
 
 
-def replay_attempts(timing: TimingModel, speed_mps: float = 4.0,
-                    distances_patches: tuple[int, ...] = REPLAY_DISTANCES_PATCHES
-                    ) -> list[HandoverAttempt]:
+def replay_attempts(timing: TimingModel, speed_mps: float = 4.0) -> list[HandoverAttempt]:
     """The fixed set of handover attempts behind the timing-outcome tables."""
     return [
         execute_handover("in_use", "candidate", time_left(d * PATCH_M, speed_mps), timing)
-        for d in distances_patches
+        for d in REPLAY_DISTANCES_PATCHES
     ]
 
 

@@ -21,10 +21,8 @@ from fearover.crsite import TIMING_PRESETS
 from fearover.fear import FearInputs
 from fearover.route import haversine_m
 from fearover.sim import (
-    AttemptRecord,
     PATCH_M,
     SimConfig,
-    StayRecord,
     check_invariant1,
     check_invariant2,
     check_invariant3,
@@ -100,18 +98,16 @@ class TestAcceptance:
         t0 = time.perf_counter()
         config = SimConfig(initial_provider="Telenor", stop_m=290.0)
         log = run(config, trace_db, fear_model)
-        episodes = log.episodes()
-        hops = [(r.attempt.from_provider, r.attempt.to_provider)
-                for r in episodes if isinstance(r, AttemptRecord)]
-        stays = [r.stay for r in episodes if isinstance(r, StayRecord)]
+        hops = [(r.attempt.from_provider, r.attempt.to_provider) for r in log.attempts]
+        stays = [r.stay for r in log.stays]
         ok = (
             hops[:2] == [("Telenor", "Zong"), ("Zong", "Telenor")]
             and hops == [("Telenor", "Zong"), ("Zong", "Telenor"), ("Telenor", "Ufone")]
             and len(stays) == 1
             and (stays[0].provider, stays[0].current_dbm, stays[0].future_dbm)
             == ("Ufone", -45.0, -65.0)
-            and isinstance(episodes[-1], StayRecord)
-            and all(r.attempt.success for r in episodes if isinstance(r, AttemptRecord))
+            and log.stays[-1].tick > log.attempts[-1].tick
+            and all(r.attempt.success for r in log.attempts)
         )
         _report(5, ok, f"trace episodes {hops} then stay "
                 f"{stays[0].current_dbm:g}->{stays[0].future_dbm:g} dBm on {stays[0].provider}",

@@ -173,7 +173,8 @@ class TestSlotMap:
         new, slot, remapped = slots.adopt("Zong", "Mobilink")
         assert slot == 2 and remapped
         assert new.slot_of("Mobilink") == 2
-        assert not new.mapped("Zong")
+        with pytest.raises(UnmappedProvider):
+            new.slot_of("Zong")
         # the original map is untouched
         assert slots.slot_of("Zong") == 2
 

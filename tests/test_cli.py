@@ -1,12 +1,16 @@
-import os
+import hashlib
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import fearover.cli
 from fearover.cli import ScenarioError, load_scenario, main
-from fearover.sim import parse_runlog_csv
+from fearover.crsite import TIMING_PRESETS
+from fearover.sim import SimConfig, parse_runlog_csv, run, runlog_to_csv
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def _write(tmp_path: Path, name: str, text: str) -> Path:
@@ -107,7 +111,7 @@ class TestScenarioLoading:
         scenario = load_scenario(path)
         assert scenario.db.bad_threshold_dbm == -95.0
         # with -95 the first SP1 point at or below threshold is A only
-        assert scenario.db.next_bssp(0.0, "SP1") is None
+        assert scenario.db.next_bad_index(0.0, "SP1") is None
 
     def test_fuzzy_input_terms_override(self, tmp_path):
         path = _write(tmp_path, "s.ini", "\n".join([
@@ -119,13 +123,97 @@ class TestScenarioLoading:
         ]))
         scenario = load_scenario(path)
         system = scenario.fear_model.likelihood_system
-        assert system.inputs[0].labels == ("N", "F")
+        assert tuple(label for label, _ in system.inputs[0].terms) == ("N", "F")
         assert len(system.rule_base.rules) == 10
 
     def test_malformed_terms(self, tmp_path):
         path = _write(tmp_path, "s.ini", "[fuzzy:ig]\ninput1_terms = broken\n")
         with pytest.raises(ScenarioError, match="input1_terms"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("section, key", [("sim", "speed"), ("sim", "start_seed"),
+                                              ("fear", "horizon_m"), ("route", "threshold"),
+                                              ("fuzzy:ig", "rule")])
+    def test_unknown_key_rejected(self, tmp_path, section, key):
+        path = _write(tmp_path, "s.ini", f"[{section}]\n{key} = 5\n")
+        with pytest.raises(ScenarioError, match=rf"\[{section}\] unknown key '{key}'"):
+            load_scenario(path)
+
+    def test_seed_sets_start_seed(self, tmp_path):
+        path = _write(tmp_path, "s.ini", "[sim]\nseed = 3\n")
+        assert load_scenario(path).config.start_seed == 3
+
+    def test_generated_window_keys_load(self, tmp_path):
+        # The keys of the scenario files the benchmark writes per route window.
+        _write(tmp_path, "route.csv",
+               "label,lat,lon,SP1,SP2\nA,33.0,73.0,-90,-60\nB,33.01,73.0,-50,-85\n")
+        path = _write(tmp_path, "w.ini", "[route]\nsource = route.csv\n\n[sim]\n"
+                      "start_m = 12.5\nstop_m = 500.25\ninitial_provider = SP2\n\n"
+                      "[timing]\npreset = average\n")
+        scenario = load_scenario(path)
+        assert scenario.config == SimConfig(start_m=12.5, stop_m=500.25, initial_provider="SP2",
+                                            timing=TIMING_PRESETS["average"])
+        assert scenario.db.providers == ["SP1", "SP2"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, key", [
+        ("sim", "tick_s"), ("sim", "speed_mps"), ("sim", "start_m"), ("sim", "stop_m"),
+        ("fear", "distance_horizon_m"), ("fear", "signal_floor_dbm"),
+        ("fear", "signal_ceiling_dbm"),
+        ("timing", "crst_s"), ("timing", "megaot_s"), ("timing", "hot_s"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, section, key, value):
+        path = _write(tmp_path, "s.ini", f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ScenarioError, match=rf"\[{section}\] .*{key}"):
+            load_scenario(path)
+
+
+def _readme_scenario_block() -> str:
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Scenario format")[1]
+    return section.split("```ini\n")[1].split("```")[0]
+
+
+def _cli_docstring_scenario_block() -> str:
+    lines = []
+    for line in fearover.cli.__doc__.split("::\n", 1)[1].splitlines():
+        if line and not line.startswith("    "):
+            break
+        lines.append(line)
+    return textwrap.dedent("\n".join(lines))
+
+
+class TestDocumentedDefaults:
+    """The scenario examples in the README and the ``cli`` docstring show
+    the defaults; loading each must give the default configuration."""
+
+    @pytest.mark.parametrize("block", [_readme_scenario_block, _cli_docstring_scenario_block],
+                             ids=["readme", "cli_docstring"])
+    def test_example_loads_to_defaults(self, tmp_path, block):
+        text = block()
+        assert "[sim]" in text and "[timing]" in text
+        scenario = load_scenario(_write(tmp_path, "doc.ini", text))
+        assert scenario.config == SimConfig(initial_provider="SP1")
+        assert scenario.db.bad_threshold_dbm == -80.0
+
+
+# sha256 of runlog.csv for each bundled scenario; equal to
+# bench/reference.json's cli_runlog_sha256.
+RUNLOG_SHA256 = {
+    "survey_default": "45c2f1f789074f80c7b1251eb83b8f9a9d650cf6a26ffb8e36b2c1ca3946056b",
+    "four_provider_trace": "51919759eb9bee91d70a5d60a178587f9b0fcd2d4758213d3de2258f02d6d517",
+    "seeded_violation": "b6bd172169fada4d75815a4af31be8ffa394b2246e3c30173209c9aedf2338a2",
+}
+
+
+class TestRunLogDigests:
+    def test_every_bundled_scenario_is_pinned(self):
+        assert sorted(p.stem for p in SCENARIOS.glob("*.ini")) == sorted(RUNLOG_SHA256)
+
+    @pytest.mark.parametrize("name", sorted(RUNLOG_SHA256))
+    def test_runlog_bytes_are_pinned(self, name):
+        scenario = load_scenario(SCENARIOS / f"{name}.ini")
+        text = runlog_to_csv(run(scenario.config, scenario.db, scenario.fear_model))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RUNLOG_SHA256[name]
 
 
 class TestRunCommand:

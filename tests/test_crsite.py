@@ -68,10 +68,6 @@ class TestSense:
             "SP3": PoolEntry(-80.0, -50.0),
         }
 
-    def test_single_provider(self, survey_db):
-        pool = sense(survey_db, 0.0, providers=["SP2"])
-        assert list(pool.entries) == ["SP2"]
-
     def test_future_clamps_at_route_end(self, survey_db):
         pool = sense(survey_db, survey_db.route_length_m)
         for provider, entry in pool.entries.items():

@@ -11,11 +11,12 @@ from fearover.fear import (
     compute_likelihood,
     compute_undesirability,
     fear_intensity,
-    fear_potential,
+    five_level_variable,
     graded_rule_grid,
     normalize_distance,
     normalize_signal,
 )
+from fearover.fuzzy import FuzzySystem, LinguisticVariable, RuleBase, trap
 
 from oracles import reference_rectified_subsystem
 
@@ -139,37 +140,52 @@ def _inputs(**kwargs) -> FearInputs:
     return FearInputs(**base)
 
 
+def _grades(inputs: FearInputs, params: FearParams = PARAMS) -> tuple[float, float, float]:
+    """(likelihood, undesirability, global intensity) of one appraisal."""
+    signal = normalize_signal(inputs.signal_dbm, params)
+    return (compute_likelihood(normalize_distance(inputs.distance_m, params), signal),
+            compute_undesirability(inputs.comm_importance, signal),
+            compute_global_intensity(inputs.sor, inputs.vtp))
+
+
+def _constant_one_system() -> FuzzySystem:
+    """A raw two-input system whose every output is exactly 1.0."""
+    one = LinguisticVariable("one", 0.0, 1.0, (("one", trap(1.0, 1.0, 1.0, 1.0)),))
+    rules = RuleBase(tuple(((i, j), 0) for i in range(5) for j in range(5)))
+    unit = five_level_variable("x", ("1", "2", "3", "4", "5"))
+    return FuzzySystem(inputs=(unit, unit), output=one, rule_base=rules)
+
+
 class TestFearPotential:
     def test_no_prospect_no_fear(self):
-        value = fear_potential(_inputs(prospect=False), 1.0, 1.0, 1.0, PARAMS)
-        assert value == 0.0
+        assert FearModel(PARAMS).potential(_inputs(prospect=False)) == 0.0
 
     def test_desirable_event_no_fear(self):
-        value = fear_potential(_inputs(desirability=0.5), 1.0, 1.0, 1.0, PARAMS)
-        assert value == 0.0
+        assert FearModel(PARAMS).potential(_inputs(desirability=0.5)) == 0.0
 
     def test_beyond_horizon_no_fear(self):
-        value = fear_potential(_inputs(distance_m=75.0), 1.0, 1.0, 1.0, PARAMS)
-        assert value == 0.0
+        assert FearModel(PARAMS).potential(_inputs(distance_m=75.0)) == 0.0
 
     def test_mean_is_idempotent_at_one(self):
-        assert fear_potential(_inputs(), 1.0, 1.0, 1.0, PARAMS) == 1.0
+        one = _constant_one_system()
+        assert FearModel(PARAMS, one, one, one).potential(_inputs()) == 1.0
 
     def test_mean_combination(self):
-        # (0.6 + 0.9 + 0.9) / 3
-        value = fear_potential(_inputs(), likelihood=0.9, global_intensity=0.9,
-                               undesirability=0.6, params=PARAMS)
-        assert value == pytest.approx(0.8, abs=1e-12)
+        likelihood, undesirability, global_intensity = _grades(_inputs())
+        value = FearModel(PARAMS).potential(_inputs())
+        assert value == pytest.approx(
+            (undesirability + likelihood + global_intensity) / 3, abs=1e-12)
 
     def test_min_combiner(self):
         params = FearParams(combiner="min")
-        value = fear_potential(_inputs(), 0.9, 0.9, 0.6, params)
-        assert value == pytest.approx(0.6)
+        value = FearModel(params).potential(_inputs())
+        assert value == pytest.approx(min(_grades(_inputs(), params)))
 
     def test_product_combiner(self):
         params = FearParams(combiner="product")
-        value = fear_potential(_inputs(), 0.9, 0.9, 0.6, params)
-        assert value == pytest.approx(0.9 * 0.9 * 0.6)
+        likelihood, undesirability, global_intensity = _grades(_inputs(), params)
+        value = FearModel(params).intensity(_inputs())
+        assert value == pytest.approx(likelihood * undesirability * global_intensity)
 
 
 class TestFearIntensity:

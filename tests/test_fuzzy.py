@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 from fearover.fuzzy import (
     AllZeroMembership,
     FuzzySystem,
-    InputOutOfUniverse,
     LinguisticVariable,
     MembershipFunction,
     RuleBase,
     defuzz_centroid,
-    membership,
     trap,
     tri,
 )
@@ -21,28 +19,28 @@ from oracles import reference_centroid_trapz, reference_mamdani, reference_trap
 
 class TestMembership:
     def test_plateau(self):
-        assert membership(trap(0, 0, 0.1, 0.24), 0.05) == 1.0
+        assert trap(0, 0, 0.1, 0.24)(0.05) == 1.0
 
     def test_support_boundary(self):
-        assert membership(trap(0, 0, 0.1, 0.24), 0.24) == 0.0
+        assert trap(0, 0, 0.1, 0.24)(0.24) == 0.0
 
     def test_descending_flank(self):
         # (0.24 - 0.17) / (0.24 - 0.10)
-        assert membership(trap(0, 0, 0.1, 0.24), 0.17) == pytest.approx(0.5)
+        assert trap(0, 0, 0.1, 0.24)(0.17) == pytest.approx(0.5)
 
     def test_left_shoulder_edge(self):
-        assert membership(trap(0, 0, 0.1, 0.24), 0.0) == 1.0
+        assert trap(0, 0, 0.1, 0.24)(0.0) == 1.0
 
     def test_right_shoulder_edge(self):
-        assert membership(trap(0.76, 0.9, 1, 1), 1.0) == 1.0
+        assert trap(0.76, 0.9, 1, 1)(1.0) == 1.0
 
     def test_outside_support(self):
         mf = tri(0.1, 0.3, 0.5)
-        assert membership(mf, 0.05) == 0.0
-        assert membership(mf, 0.9) == 0.0
+        assert mf(0.05) == 0.0
+        assert mf(0.9) == 0.0
 
     def test_triangle_peak(self):
-        assert membership(tri(0.1, 0.3, 0.5), 0.3) == 1.0
+        assert tri(0.1, 0.3, 0.5)(0.3) == 1.0
 
     def test_invalid_breakpoints(self):
         with pytest.raises(ValueError):
@@ -55,7 +53,7 @@ class TestMembership:
     def test_bounded_and_matches_reference(self, quad, x):
         a, b, c, d = sorted(quad)
         mf = MembershipFunction(a, b, c, d)
-        mu = membership(mf, x)
+        mu = mf(x)
         assert 0.0 <= mu <= 1.0
         assert mu == pytest.approx(reference_trap(a, b, c, d, x), abs=1e-12)
 
@@ -63,13 +61,14 @@ class TestMembership:
     def test_continuity(self, x):
         mf = trap(0.1, 0.3, 0.5, 0.9)
         eps = 1e-9
-        assert abs(membership(mf, x) - membership(mf, x + eps)) < 1e-7
+        assert abs(mf(x) - mf(x + eps)) < 1e-7
 
 
 class TestDefuzzCentroid:
     def test_symmetric_triangle(self):
         xs = np.linspace(0, 1, 1001)
-        mus = np.array([membership(tri(0.2, 0.5, 0.8), x) for x in xs])
+        mf = tri(0.2, 0.5, 0.8)
+        mus = np.array([mf(x) for x in xs])
         assert defuzz_centroid(xs, mus) == pytest.approx(0.5, abs=1e-9)
 
     def test_uniform(self):
@@ -78,7 +77,8 @@ class TestDefuzzCentroid:
 
     def test_clipped_triangle_vs_quadrature_oracle(self):
         xs = np.linspace(0.0, 1.0, 10**6)
-        mus = np.minimum([membership(tri(0, 0.5, 1), x) for x in xs], 0.4)
+        mf = tri(0, 0.5, 1)
+        mus = np.minimum([mf(x) for x in xs], 0.4)
         ours = defuzz_centroid(xs, mus)
         assert ours == pytest.approx(reference_centroid_trapz(xs, np.asarray(mus)), abs=1e-6)
 
@@ -113,7 +113,8 @@ class TestInfer:
     def test_single_rule_reduces_to_term_centroid(self):
         system = _two_input_system()
         xs = np.linspace(0, 1, system.grid_resolution)
-        mus = [membership(tri(0.0, 0.3, 0.6), x) for x in xs]
+        mf = tri(0.0, 0.3, 0.6)
+        mus = [mf(x) for x in xs]
         assert system.infer((0.0, 0.0)) == pytest.approx(defuzz_centroid(xs, mus), abs=1e-12)
 
     def test_all_rules_same_symmetric_consequent(self):
@@ -128,8 +129,8 @@ class TestInfer:
         system = _two_input_system()
         # At (0.5, 0.5) both terms of both inputs fire at exactly 0.5, so the
         # two consequents clip at 0.5/0.5; the oracle recomputes from scratch.
-        assert membership(trap(0, 0, 0.2, 0.8), 0.5) == pytest.approx(0.5)
-        assert membership(trap(0.2, 0.8, 1, 1), 0.5) == pytest.approx(0.5)
+        assert trap(0, 0, 0.2, 0.8)(0.5) == pytest.approx(0.5)
+        assert trap(0.2, 0.8, 1, 1)(0.5) == pytest.approx(0.5)
         value = system.infer((0.5, 0.5))
         expected = reference_mamdani(
             [[(0, 0, 0.2, 0.8), (0.2, 0.8, 1, 1)]] * 2,
@@ -156,11 +157,6 @@ class TestInfer:
     def test_clamping_default(self):
         system = _two_input_system()
         assert system.infer((-1.0, 2.0)) == system.infer((0.0, 1.0))
-
-    def test_strict_mode_raises(self):
-        system = _two_input_system(clamp_inputs=False)
-        with pytest.raises(InputOutOfUniverse):
-            system.infer((-0.1, 0.5))
 
     def test_arity_checked(self):
         with pytest.raises(ValueError):

@@ -220,10 +220,10 @@ class TestNarrativeTrace:
     def test_exact_episode_sequence(self, trace_db, fear_model):
         config = SimConfig(initial_provider="Telenor", stop_m=290.0)
         log = run(config, trace_db, fear_model)
-        episodes = log.episodes()
-        assert len(episodes) == 4
+        assert len(log.attempts) + len(log.stays) == 4
 
-        first, second, third, fourth = episodes
+        first, second, third = log.attempts
+        (fourth,) = log.stays
         assert isinstance(first, AttemptRecord)
         assert (first.attempt.from_provider, first.attempt.to_provider) == ("Telenor", "Zong")
         assert first.attempt.success
@@ -242,6 +242,7 @@ class TestNarrativeTrace:
         assert third.attempt.success
 
         assert isinstance(fourth, StayRecord)
+        assert fourth.tick > third.tick
         assert fourth.stay == StayEpisode("Ufone", -45.0, -65.0)
 
         assert not log.losses
@@ -280,51 +281,51 @@ def _event(tick, distance, fear, provider="SP1", attempt=None):
 
 class TestInvariant1Checker:
     def test_detects_fear_dip_while_approaching(self):
-        log = RunLog(config={}, events=[_event(0, 50.0, 0.5), _event(1, 48.0, 0.4)])
+        log = RunLog(events=[_event(0, 50.0, 0.5), _event(1, 48.0, 0.4)])
         report = check_invariant1(log)
         assert not report.passed
         assert "tick 1" in report.violations[0]
 
     def test_constant_distance_is_vacuous(self):
-        log = RunLog(config={}, events=[_event(0, 50.0, 0.5), _event(1, 50.0, 0.1)])
+        log = RunLog(events=[_event(0, 50.0, 0.5), _event(1, 50.0, 0.1)])
         assert check_invariant1(log).passed
 
     def test_handover_breaks_the_segment(self):
         attempt = HandoverAttempt("SP1", "SP2", 5.2, 9.0, True)
-        log = RunLog(config={}, events=[
+        log = RunLog(events=[
             _event(0, 50.0, 0.9, attempt=attempt), _event(1, 48.0, 0.1)])
         assert check_invariant1(log).passed
 
     def test_empty_log_passes(self):
-        assert check_invariant1(RunLog(config={})).passed
+        assert check_invariant1(RunLog()).passed
 
 
 class TestInvariant2Checker:
     def test_weaker_target_fails(self):
         attempt = HandoverAttempt("A", "B", 5.2, 9.0, True)
         record = AttemptRecord(0, 0.0, attempt, {"A": (-60.0, -50.0), "B": (-70.0, -65.0)})
-        report = check_invariant2(RunLog(config={}, attempts=[record]))
+        report = check_invariant2(RunLog(attempts=[record]))
         assert not report.passed
 
     def test_failed_attempts_not_judged(self):
         attempt = HandoverAttempt("A", "B", 5.2, 1.0, False)
         record = AttemptRecord(0, 0.0, attempt, {"A": (-60.0, -50.0), "B": (-70.0, -65.0)})
-        assert check_invariant2(RunLog(config={}, attempts=[record])).passed
+        assert check_invariant2(RunLog(attempts=[record])).passed
 
     def test_stay_with_better_option_fails(self):
         stay = StayRecord(0, 0.0, StayEpisode("A", -45.0, -65.0),
                           {"A": (-45.0, -65.0), "B": (-50.0, -40.0)})
-        assert not check_invariant2(RunLog(config={}, stays=[stay])).passed
+        assert not check_invariant2(RunLog(stays=[stay])).passed
 
     def test_no_handovers_vacuous(self):
-        assert check_invariant2(RunLog(config={})).passed
+        assert check_invariant2(RunLog()).passed
 
 
 class TestInvariant3Checker:
     def _log(self, preset):
         attempts = replay_attempts(TIMING_PRESETS[preset])
         records = [AttemptRecord(i, 0.0, a, {}) for i, a in enumerate(attempts)]
-        return RunLog(config={}, attempts=records)
+        return RunLog(attempts=records)
 
     def test_worst_preset_counts(self):
         report = check_invariant3(self._log("worst"))
@@ -344,7 +345,7 @@ class TestInvariant3Checker:
     def test_contradictory_flag_fails(self):
         bad = HandoverAttempt("A", "B", required_s=5.0, time_left_s=9.0, success=False)
         record = AttemptRecord(0, 0.0, bad, {})
-        assert not check_invariant3(RunLog(config={}, attempts=[record])).passed
+        assert not check_invariant3(RunLog(attempts=[record])).passed
 
 
 class TestRandomWorlds:
