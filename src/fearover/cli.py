@@ -181,7 +181,6 @@ def parse_fuzzy_section(parser: configparser.ConfigParser, section: str,
             rule_base=rule_base,
             grid_resolution=resolution,
             monotone=monotone,
-            monotone_nodes=template.monotone_nodes,
         )
     except ValueError as exc:
         raise ScenarioError(f"[{section}]: {exc}") from None
@@ -399,7 +398,15 @@ def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("FEAROVER_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``fearover validate ... | head -1``).  Stop
+        # quietly; stdout goes to devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 def entrypoint() -> None:

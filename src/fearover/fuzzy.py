@@ -2,25 +2,26 @@
 
 Trapezoidal membership functions, min conjunction, min (clipping)
 implication, max aggregation and centroid defuzzification over a sampled
-output grid.  Systems are immutable after construction and all operations
-are pure functions, so instances can be shared freely across threads.
+output grid, run on a batch of points at once.  Systems are immutable after
+construction; the arrays inference reads are built once per instance.
 
 Min/max aggregation with overlapping partitions is not exactly monotone:
-the defuzzified surface ripples by a few 1e-3 where adjacent input terms
-that share a consequent cross below full membership.  Systems that must
-expose a strictly monotone response (e.g. threat appraisal driving a
-controller) can declare a per-input polarity via ``monotone``; inference
+the defuzzified surface ripples where adjacent input terms that share a
+consequent cross below full membership.  Systems that must expose a
+strictly monotone response (e.g. threat appraisal driving a controller)
+declare a polarity for each of their two inputs via ``monotone``; inference
 then goes through a rectified surface: the raw pipeline is sampled on a
-node grid, tightened to its least monotone majorant by directional prefix
-maxima, and queried by multilinear interpolation.  The rectified surface
-is exactly monotone and stays within the ripple amplitude of the raw one.
+65 x 65 node grid, tightened to its least monotone majorant by directional
+prefix maxima, and queried by bilinear interpolation.  It is exactly
+monotone; on the three default fear subsystems it sits up to 0.0295 above
+the raw surface at the nodes, and between them 0.033 above to 0.015 below.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+import math
+from dataclasses import astuple, dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -88,12 +89,6 @@ class LinguisticVariable:
             if m2.a >= m1.d:
                 raise ValueError(f"{self.name}: supports of {l1} and {l2} do not overlap")
 
-    def clamp(self, x: float) -> float:
-        return min(max(x, self.lo), self.hi)
-
-    def memberships(self, x: float) -> tuple[float, ...]:
-        return tuple(mf(x) for _, mf in self.terms)
-
 
 Rule = tuple[tuple[int, ...], int]
 
@@ -118,14 +113,19 @@ class RuleBase:
             seen.add(ant)
 
 
+MAX_GRID_RESOLUTION = 10_001
+MONOTONE_NODES = 65
+# Points per kernel pass: bounds the peak memory of a surface build at no cost in speed.
+_CHUNK = 16
+
+
 @dataclass(frozen=True)
 class FuzzySystem:
     """A complete multi-input single-output Mamdani system.
 
-    ``monotone`` optionally declares the output slope sign (+1 or -1) for
-    each input and routes inference through the rectified surface; see the
-    module docstring.  ``monotone_nodes`` is the rectification grid size
-    per axis.
+    ``monotone`` optionally declares the output slope sign (+1 or -1) for each
+    of exactly two inputs and routes inference through the rectified surface,
+    built on the first ``infer``; see the module docstring.
     """
 
     inputs: tuple[LinguisticVariable, ...]
@@ -133,16 +133,13 @@ class FuzzySystem:
     rule_base: RuleBase
     grid_resolution: int = 1001
     monotone: tuple[int, ...] | None = None
-    monotone_nodes: int = 65
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inputs", tuple(self.inputs))
         if self.monotone is not None:
             object.__setattr__(self, "monotone", tuple(self.monotone))
-        if self.grid_resolution < 2:
-            raise ValueError("grid_resolution must be at least 2")
-        if self.monotone_nodes < 2:
-            raise ValueError("monotone_nodes must be at least 2")
+        if not 2 <= self.grid_resolution <= MAX_GRID_RESOLUTION:
+            raise ValueError(f"grid_resolution must lie in [2, {MAX_GRID_RESOLUTION}]")
         n_in = len(self.inputs)
         for ant, cons in self.rule_base.rules:
             if len(ant) != n_in:
@@ -153,107 +150,101 @@ class FuzzySystem:
             if not 0 <= cons < len(self.output.terms):
                 raise ValueError(f"rule {ant}: no output term {cons}")
         if self.monotone is not None:
-            if len(self.monotone) != n_in:
-                raise ValueError("one polarity per input required")
+            if n_in != 2 or len(self.monotone) != 2:
+                raise ValueError("monotone needs exactly two inputs, one polarity each")
             if any(p not in (-1, 1) for p in self.monotone):
                 raise ValueError("polarities must be +1 or -1")
 
-    def _coerce(self, values: Sequence[float]) -> tuple[float, ...]:
-        if len(values) != len(self.inputs):
-            raise ValueError(f"expected {len(self.inputs)} inputs, got {len(values)}")
-        return tuple(float(var.clamp(x)) for var, x in zip(self.inputs, values))
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        """The system as arrays: each input term's input and breakpoints, each
+        rule's membership columns and consequent, and the sampled output terms."""
+        sizes = [len(var.terms) for var in self.inputs]
+        reads = np.repeat(np.arange(len(sizes)), sizes)
+        quads = _breakpoints(mf for var in self.inputs for _, mf in var.terms)
+        ants = np.array([ant for ant, _ in self.rule_base.rules], dtype=int).reshape(-1, len(sizes))
+        routes = np.equal.outer(np.arange(len(self.output.terms)),
+                                [cons for _, cons in self.rule_base.rules])
+        grid = np.linspace(self.output.lo, self.output.hi, self.grid_resolution)
+        samples = _trapezoids(grid, *_breakpoints(mf for _, mf in self.output.terms)[:, :, None])
+        return reads, quads, ants + np.cumsum([0, *sizes[:-1]]), routes, grid, samples
 
-    def _raw_infer(self, xs: tuple[float, ...]) -> float:
-        levels = [0.0] * len(self.output.terms)
-        mus = [var.memberships(x) for var, x in zip(self.inputs, xs)]
-        for ant, cons in self.rule_base.rules:
-            strength = min(mu[i] for mu, i in zip(mus, ant))
-            if strength > levels[cons]:
-                levels[cons] = strength
-        grid, term_rows = _output_samples(self)
-        agg = np.zeros(self.grid_resolution)
-        for row, level in zip(term_rows, levels):
-            if level > 0.0:
-                np.maximum(agg, np.minimum(row, level), out=agg)
-        return defuzz_centroid(grid, agg)
+    def _infer_batch(self, points: np.ndarray) -> np.ndarray:
+        """Raw Mamdani values of clamped ``points[N, n_in]``; NaN where no rule fires.
+        Each centroid sums a C-contiguous row, in the order a 1-D call sums it."""
+        reads, quads, columns, routes, grid, samples = self._tables
+        values = np.full(len(points), np.nan)
+        for lo in range(0, len(points), _CHUNK):
+            mus = _trapezoids(points[lo:lo + _CHUNK, reads], *quads)
+            firing = mus[:, columns].min(axis=2)
+            levels = np.where(routes, firing[:, None, :], 0.0).max(axis=2, initial=0.0)
+            agg = np.minimum(samples, levels[:, :, None]).max(axis=1)
+            fired = agg.any(axis=1)
+            values[lo:lo + _CHUNK][fired] = defuzz_centroid(grid, agg[fired])
+        return values
 
-    def infer(self, values: Sequence[float]) -> float:
-        """Clamp to the universes -> fuzzify -> fire rules -> clip ->
-        aggregate -> centroid."""
-        xs = self._coerce(values)
-        if self.monotone is None:
-            return self._raw_infer(xs)
-        return _monotone_surface(self).query(xs)
-
-
-def defuzz_centroid(xs: Sequence[float] | np.ndarray, mus: Sequence[float] | np.ndarray) -> float:
-    """Centroid of a sampled membership: sum(x*mu)/sum(mu).
-
-    Raises AllZeroMembership when no sample carries membership, which
-    signals that no rule fired.
-    """
-    xs = np.asarray(xs, dtype=float)
-    mus = np.asarray(mus, dtype=float)
-    if xs.shape != mus.shape:
-        raise ValueError("sample grid and membership shapes differ")
-    total = float(mus.sum())
-    if total <= 0.0:
-        raise AllZeroMembership("aggregated membership is identically zero")
-    return float((xs * mus).sum() / total)
-
-
-@lru_cache(maxsize=128)
-def _output_samples(system: FuzzySystem) -> tuple[np.ndarray, np.ndarray]:
-    grid = np.linspace(system.output.lo, system.output.hi, system.grid_resolution)
-    rows = np.array([[mf(x) for x in grid] for _, mf in system.output.terms])
-    grid.flags.writeable = False
-    rows.flags.writeable = False
-    return grid, rows
-
-
-class _MonotoneSurface:
-    """Least monotone majorant of the raw surface on a node grid."""
-
-    def __init__(self, system: FuzzySystem) -> None:
-        assert system.monotone is not None
-        self.axes = [
-            np.linspace(var.lo, var.hi, system.monotone_nodes) for var in system.inputs
-        ]
-        mesh_values = np.empty([system.monotone_nodes] * len(self.axes))
-        for idx in itertools.product(*(range(len(ax)) for ax in self.axes)):
-            point = tuple(float(ax[i]) for ax, i in zip(self.axes, idx))
-            try:
-                mesh_values[idx] = system._raw_infer(point)
-            except AllZeroMembership:
-                mesh_values[idx] = 0.0
+    @cached_property
+    def _surface(self) -> tuple[float, float, float, float, list[list[float]]]:
+        """Each axis's origin and step, then the rectified node values; 0 where no rule fires."""
+        axes = [np.linspace(var.lo, var.hi, MONOTONE_NODES) for var in self.inputs]
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        work = np.nan_to_num(self._infer_batch(points), nan=0.0).reshape(MONOTONE_NODES, -1)
         # Orient every axis so the target slope is non-decreasing, take the
         # running prefix maximum per axis, then orient back.
-        flips = tuple(slice(None, None, p) for p in system.monotone)
-        work = mesh_values[flips]
-        for axis in range(work.ndim):
-            work = np.maximum.accumulate(work, axis=axis)
-        self.values = work[flips]
+        flips = tuple(slice(None, None, p) for p in self.monotone)
+        work = np.maximum.accumulate(np.maximum.accumulate(work[flips], axis=0), axis=1)
+        (x0, x1), (y0, y1) = (ax[:2].tolist() for ax in axes)
+        return x0, x1 - x0, y0, y1 - y0, work[flips].tolist()
 
-    def query(self, xs: tuple[float, ...]) -> float:
-        idx0 = []
-        frac = []
-        for ax, x in zip(self.axes, xs):
-            step = float(ax[1] - ax[0])
-            f = (float(x) - float(ax[0])) / step
-            i = min(int(f), len(ax) - 2)
-            idx0.append(i)
-            frac.append(min(max(f - i, 0.0), 1.0))
-        total = 0.0
-        for corner in itertools.product((0, 1), repeat=len(xs)):
-            weight = 1.0
-            for box, t in zip(corner, frac):
-                weight *= t if box else 1.0 - t
-            if weight > 0.0:
-                pos = tuple(i + box for i, box in zip(idx0, corner))
-                total += weight * float(self.values[pos])
-        return total
+    def infer(self, values: Sequence[float]) -> float:
+        """Clamp to the universes -> fuzzify -> fire rules -> clip -> aggregate
+        -> centroid; with ``monotone``, a lookup on the rectified surface."""
+        if len(values) != len(self.inputs):
+            raise ValueError(f"expected {len(self.inputs)} inputs, got {len(values)}")
+        xs = tuple(float(min(max(x, var.lo), var.hi)) for var, x in zip(self.inputs, values))
+        if self.monotone is None:
+            value = float(self._infer_batch(np.array([xs]))[0])
+            if math.isnan(value):
+                raise AllZeroMembership("aggregated membership is identically zero")
+            return value
+        x0, dx, y0, dy, nodes = self._surface
+        i, s = _cell((xs[0] - x0) / dx)
+        j, t = _cell((xs[1] - y0) / dy)
+        return ((1.0 - s) * (1.0 - t) * nodes[i][j] + (1.0 - s) * t * nodes[i][j + 1]
+                + s * (1.0 - t) * nodes[i + 1][j] + s * t * nodes[i + 1][j + 1])
 
 
-@lru_cache(maxsize=32)
-def _monotone_surface(system: FuzzySystem) -> _MonotoneSurface:
-    return _MonotoneSurface(system)
+def _cell(f: float) -> tuple[int, float]:
+    """Lower node index and in-cell fraction of the node coordinate ``f``."""
+    i = min(int(f), MONOTONE_NODES - 2)
+    return i, min(max(f - i, 0.0), 1.0)
+
+
+def _breakpoints(mfs) -> np.ndarray:
+    """Rows a, b, c, d and the two flank widths of the trapezoids ``mfs``.  A
+    vertical flank gets width 1: its branch is never taken there."""
+    a, b, c, d = np.array([astuple(mf) for mf in mfs]).T
+    return np.array([a, b, c, d, np.where(b > a, b - a, 1.0), np.where(d > c, d - c, 1.0)])
+
+
+def _trapezoids(x: np.ndarray, a, b, c, d, left, right) -> np.ndarray:
+    """``MembershipFunction.__call__`` elementwise, by the same arithmetic.
+    Outside [a, d] the flank taken is negative, so the floor at 0 zeroes it."""
+    mu = np.where(x < b, (x - a) / left, np.where(x <= c, 1.0, (d - x) / right))
+    return np.maximum(mu, 0.0)
+
+
+def defuzz_centroid(xs: Sequence[float] | np.ndarray,
+                    mus: Sequence[float] | np.ndarray) -> float | np.ndarray:
+    """Centroid of sampled memberships along the last axis: sum(x*mu)/sum(mu),
+    a float for 1-D ``mus``.  Raises AllZeroMembership when a row carries no
+    membership, which signals that no rule fired."""
+    xs = np.asarray(xs, dtype=float)
+    mus = np.asarray(mus, dtype=float)
+    if xs.shape != mus.shape[-1:]:
+        raise ValueError("sample grid and membership shapes differ")
+    total = mus.sum(axis=-1)
+    if (total <= 0.0).any():
+        raise AllZeroMembership("aggregated membership is identically zero")
+    centroid = (xs * mus).sum(axis=-1) / total
+    return float(centroid) if centroid.ndim == 0 else centroid

@@ -83,6 +83,13 @@ class SimConfig:
             raise ValueError("start_m must be non-negative and finite")
         if self.stop_m is not None and not math.isfinite(self.stop_m):
             raise ValueError("stop_m must be finite")
+        # The appraisal fields are range-checked by the FearInputs they feed.
+        self.appraisal(0.0, 0.0)
+
+    def appraisal(self, distance_m: float, signal_dbm: float) -> FearInputs:
+        """The fear appraisal of a threat ``distance_m`` ahead at ``signal_dbm``."""
+        return FearInputs(distance_m, signal_dbm, self.comm_importance, self.sor, self.vtp,
+                          self.prospect, self.desirability)
 
 
 @dataclass(frozen=True)
@@ -248,15 +255,7 @@ class Simulation:
         else:
             distance = self.db.cumulative_m[target_index] - self.position_m
             threat_dbm = self.db.signal_at(target_index, provider)
-            fear = self.fear_model.intensity(FearInputs(
-                distance_m=distance,
-                signal_dbm=threat_dbm,
-                comm_importance=cfg.comm_importance,
-                sor=cfg.sor,
-                vtp=cfg.vtp,
-                prospect=cfg.prospect,
-                desirability=cfg.desirability,
-            ))
+            fear = self.fear_model.intensity(cfg.appraisal(distance, threat_dbm))
 
         band = classify(fear, cfg.bands)
         action = csm_dispatch(band)

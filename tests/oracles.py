@@ -25,14 +25,24 @@ def reference_trap(a: float, b: float, c: float, d: float, x: float) -> float:
     return (d - x) / (d - c)
 
 
+@functools.lru_cache(maxsize=8)
+def _sampled_terms(output_terms: tuple[tuple[float, float, float, float], ...],
+                   lo: float, hi: float, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """The output sample points and each output term's membership at them."""
+    xs = [lo + (hi - lo) * step / (resolution - 1) for step in range(resolution)]
+    return np.array(xs), np.array([[reference_trap(*quad, x) for x in xs]
+                                   for quad in output_terms])
+
+
 def reference_mamdani(input_terms: list[list[tuple[float, float, float, float]]],
                       output_terms: list[tuple[float, float, float, float]],
                       rules: list[tuple[tuple[int, ...], int]],
                       values: tuple[float, ...],
                       lo: float = 0.0, hi: float = 1.0,
                       resolution: int = 1001) -> float:
-    """Straight-line raw Mamdani: min firing, min clipping, max aggregation,
-    discrete centroid.  Returns NaN when nothing fires."""
+    """Straight-line raw Mamdani: min firing rule by rule, then min clipping,
+    max aggregation and discrete centroid over the sampled output terms.
+    Returns NaN when nothing fires."""
     mus = []
     for terms, x in zip(input_terms, values):
         x = min(max(x, lo), hi)
@@ -41,17 +51,12 @@ def reference_mamdani(input_terms: list[list[tuple[float, float, float, float]]]
     for antecedent, consequent in rules:
         strength = min(mus[k][i] for k, i in enumerate(antecedent))
         levels[consequent] = max(levels[consequent], strength)
-    num = den = 0.0
-    for step in range(resolution):
-        x = lo + (hi - lo) * step / (resolution - 1)
-        agg = 0.0
-        for quad, level in zip(output_terms, levels):
-            agg = max(agg, min(reference_trap(*quad, x), level))
-        num += x * agg
-        den += agg
+    xs, samples = _sampled_terms(tuple(map(tuple, output_terms)), lo, hi, resolution)
+    agg = np.minimum(samples, np.array(levels)[:, None]).max(axis=0)
+    den = agg.sum()
     if den == 0.0:
         return float("nan")
-    return num / den
+    return float((xs * agg).sum() / den)
 
 
 def reference_centroid_trapz(xs: np.ndarray, mus: np.ndarray) -> float:

@@ -168,6 +168,20 @@ class TestScenarioLoading:
             load_scenario(path)
 
 
+    @pytest.mark.parametrize("key, value", [("sor", "1.5"), ("comm_importance", "-0.1"),
+                                            ("desirability", "-2"), ("vtp", "nan")])
+    def test_appraisal_value_out_of_range_rejected(self, tmp_path, key, value):
+        path = _write(tmp_path, "s.ini", f"[sim]\n{key} = {value}\n")
+        with pytest.raises(ScenarioError, match=rf"\[sim\] {key} must lie in"):
+            load_scenario(path)
+
+    def test_grid_resolution_capped(self, tmp_path):
+        # Rejected when the system is built, before any array is sized from it.
+        path = _write(tmp_path, "s.ini", "[fuzzy:ig]\ngrid_resolution = 1000000000\n")
+        with pytest.raises(ScenarioError, match=r"\[fuzzy:ig\].*grid_resolution"):
+            load_scenario(path)
+
+
 def _readme_scenario_block() -> str:
     section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Scenario format")[1]
     return section.split("```ini\n")[1].split("```")[0]
@@ -328,3 +342,23 @@ class TestConsoleScript:
             assert proc.returncode == 0, proc.stderr
             runs.append((tmp_path / out / "runlog.csv").read_bytes())
         assert runs[0] == runs[1]
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        import subprocess
+        import sys
+
+        # The child prints one line, then waits until its reader has closed
+        # the pipe, so everything ``validate`` prints meets a closed stdout.
+        child = ("import sys; from fearover.cli import main; print('ready', flush=True); "
+                 "sys.stdin.readline(); sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", child, "validate",
+             "--scenario", str(SCENARIOS / "survey_default.ini"), "--out", str(tmp_path)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline() == "ready\n"
+        proc.stdout.close()
+        proc.stdin.write("go\n")
+        proc.stdin.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -16,7 +16,7 @@ from fearover.fear import (
     normalize_distance,
     normalize_signal,
 )
-from fearover.fuzzy import FuzzySystem, LinguisticVariable, RuleBase, trap
+from fearover.fuzzy import MONOTONE_NODES, FuzzySystem, LinguisticVariable, RuleBase, trap
 
 from oracles import reference_rectified_subsystem
 
@@ -117,6 +117,17 @@ class TestSubsystemGrades:
         value = compute_undesirability(0.5, 0.5)
         assert 0.25 <= value <= 0.73
         assert value == pytest.approx(reference_rectified_subsystem(1, -1, 0.5, 0.5), abs=1e-9)
+
+    @pytest.mark.parametrize("compute, polarity", [
+        (compute_likelihood, (-1, -1)), (compute_undesirability, (1, -1)),
+        (compute_global_intensity, (1, 1)),
+    ], ids=["likelihood", "undesirability", "global_intensity"])
+    def test_every_surface_node(self, compute, polarity):
+        axis = [k / (MONOTONE_NODES - 1) for k in range(MONOTONE_NODES)]
+        for a in axis:
+            for b in axis:
+                assert compute(a, b) == pytest.approx(
+                    reference_rectified_subsystem(*polarity, a, b), abs=1e-9)
 
     def test_global_intensity_high(self):
         value = compute_global_intensity(1.0, 1.0)

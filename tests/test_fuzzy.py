@@ -4,6 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fearover.fuzzy import (
+    MAX_GRID_RESOLUTION,
+    MONOTONE_NODES,
     AllZeroMembership,
     FuzzySystem,
     LinguisticVariable,
@@ -231,11 +233,48 @@ class TestMonotoneSurface:
         for x, y in rng.random((200, 2)):
             assert abs(system.infer((x, y)) - raw.infer((x, y))) < 0.05
 
+    @pytest.mark.parametrize("subsystem", ["likelihood_system", "undesirability_system",
+                                           "global_intensity_system"])
+    def test_rectification_lift_is_bounded(self, fear_model, subsystem):
+        # The module docstring's figures: at the 65 x 65 nodes the majorant
+        # lifts the raw surface by at most 0.0295; on this 129 x 129 grid,
+        # which adds the cell midpoints, by at most 0.0303.
+        system = getattr(fear_model, subsystem)
+        raw = FuzzySystem(inputs=system.inputs, output=system.output,
+                          rule_base=system.rule_base)
+        axis = np.linspace(0.0, 1.0, 2 * MONOTONE_NODES - 1)
+        lift = np.array([[system.infer((x, y)) - raw.infer((x, y)) for y in axis]
+                         for x in axis])
+        nodes = lift[::2, ::2]
+        assert nodes.min() >= 0.0
+        assert nodes.max() <= 0.0296
+        assert lift.max() <= 0.031
+
     def test_polarity_validation(self):
         with pytest.raises(ValueError):
             _two_input_system(monotone=(1,))
         with pytest.raises(ValueError):
             _two_input_system(monotone=(2, 1))
+
+    @pytest.mark.parametrize("n_inputs", [1, 3])
+    def test_rectified_surface_needs_two_inputs(self, n_inputs):
+        inputs = tuple(_low_high(f"x{k}") for k in range(n_inputs))
+        rules = RuleBase((((0,) * n_inputs, 0), ((1,) * n_inputs, 1)))
+        FuzzySystem(inputs=inputs, output=_small_large(), rule_base=rules)
+        with pytest.raises(ValueError, match="two inputs"):
+            FuzzySystem(inputs=inputs, output=_small_large(), rule_base=rules,
+                        monotone=(1,) * n_inputs)
+
+
+class TestGridResolution:
+    def test_cap_accepted(self):
+        system = _two_input_system(grid_resolution=MAX_GRID_RESOLUTION)
+        assert system.grid_resolution == 10_001
+
+    @pytest.mark.parametrize("resolution", [1, MAX_GRID_RESOLUTION + 1])
+    def test_outside_range_rejected(self, resolution):
+        with pytest.raises(ValueError, match="grid_resolution"):
+            _two_input_system(grid_resolution=resolution)
 
 
 class TestDefuzzOracleRandomised:
