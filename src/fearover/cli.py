@@ -257,6 +257,8 @@ def load_scenario(path: str | Path, preset_override: str | None = None,
             db = datasets.load_builtin(name, threshold)
         except KeyError as exc:
             raise ScenarioError(f"{path}: [route] source: {exc.args[0]}") from None
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: [route] {exc}") from None
     else:
         csv_path = Path(source)
         if not csv_path.is_absolute():

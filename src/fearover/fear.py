@@ -159,8 +159,11 @@ class FearInputs:
     desirability: float = -1.0
 
     def __post_init__(self) -> None:
-        if self.distance_m < 0.0:
+        # Written so that NaN fails: it would reach the surface lookup mid-appraisal.
+        if not self.distance_m >= 0.0:
             raise ValueError("distance_m must be non-negative")
+        if not math.isfinite(self.signal_dbm):
+            raise ValueError("signal_dbm must be finite")
         for name in ("comm_importance", "sor", "vtp"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

@@ -86,9 +86,13 @@ class RouteDb:
                  bad_threshold_dbm: float = DEFAULT_BAD_THRESHOLD_DBM) -> None:
         if len(points) < 2:
             raise EmptyDatabase(f"need at least 2 points, got {len(points)}")
+        self.bad_threshold_dbm = float(bad_threshold_dbm)
+        # NaN would mark no point bad and inf every point: a run with no
+        # threats, or nothing but threats, rather than an error.
+        if not math.isfinite(self.bad_threshold_dbm):
+            raise ValueError(f"bad_threshold_dbm must be finite, got {bad_threshold_dbm}")
         self.providers = list(providers)
         self.points = list(points)
-        self.bad_threshold_dbm = float(bad_threshold_dbm)
         cumulative = [0.0]
         for prev, cur in zip(self.points, self.points[1:]):
             hop = haversine_m(prev.point, cur.point)
@@ -97,10 +101,13 @@ class RouteDb:
             if b <= a:
                 raise MalformedRow("consecutive points coincide; route order broken")
         self.cumulative_m = cumulative
-        self._bad_index: dict[str, list[int]] = {
-            p: [i for i, pt in enumerate(self.points) if pt.signal(p) <= self.bad_threshold_dbm]
-            for p in self.providers
-        }
+        # provider -> (positions, indices) of its BSSPs in drive order;
+        # positions ascend because ``cumulative_m`` does.
+        self._bssps: dict[str, tuple[list[float], list[int]]] = {}
+        for p in self.providers:
+            indices = [i for i, pt in enumerate(self.points)
+                       if pt.signal(p) <= self.bad_threshold_dbm]
+            self._bssps[p] = ([cumulative[i] for i in indices], indices)
 
     # -- construction ------------------------------------------------------
 
@@ -161,16 +168,21 @@ class RouteDb:
         return self.cumulative_m[-1]
 
     def _check_provider(self, provider: str) -> None:
-        if provider not in self._bad_index:
+        if provider not in self._bssps:
             raise UnknownProvider(provider)
 
     def next_bad_index(self, position_m: float, provider: str) -> int | None:
-        """Index of the first bad point strictly ahead of ``position_m``."""
-        self._check_provider(provider)
-        for index in self._bad_index[provider]:
-            if self.cumulative_m[index] > position_m:
-                return index
-        return None
+        """Index of the first bad point strictly ahead of ``position_m``.
+
+        One bisection over the provider's BSSP positions: O(log B) for B
+        bad points, whatever distance the vehicle has already driven.
+        """
+        try:
+            positions, indices = self._bssps[provider]
+        except KeyError:
+            raise UnknownProvider(provider) from None
+        k = bisect_right(positions, position_m)
+        return indices[k] if k < len(indices) else None
 
     def signal_at(self, index: int, provider: str) -> float:
         self._check_provider(provider)

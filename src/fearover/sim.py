@@ -18,6 +18,7 @@ import io
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .automaton import (
     BandThresholds,
@@ -196,6 +197,18 @@ class Simulation:
             raise ValueError(
                 f"need 0 <= start ({start}) < stop ({self.stop_m}) <= route length "
                 f"({db.route_length_m})")
+        # A step below the float spacing at stop can round away to nothing
+        # (8000.0 + 1e-13 == 8000.0), so the vehicle would never arrive.
+        # From ulp(stop) up, every tick short of stop advances at least
+        # step - ulp(stop)/2, half a step or more, which bounds the run.  A
+        # step past stop (even one that overflows) arrives in one tick.
+        step = min(config.speed_mps * config.tick_s, self.stop_m)
+        if not step >= math.ulp(self.stop_m):
+            raise ValueError(
+                f"step speed_mps * tick_s = {step!r} is below the float spacing "
+                f"{math.ulp(self.stop_m)!r} at stop {self.stop_m!r}; the vehicle would never arrive")
+        advance = Fraction(step) - Fraction(math.ulp(self.stop_m)) / 2
+        self.tick_bound = math.ceil((Fraction(self.stop_m) - Fraction(start)) / advance)
         self.position_m = start
         self.provider = config.initial_provider or db.providers[0]
         if self.provider not in db.providers:
@@ -337,6 +350,9 @@ class Simulation:
 
     def run(self) -> RunLog:
         while not self.finished:
+            if self.tick_index >= self.tick_bound:
+                raise RuntimeError(
+                    f"run exceeded its bound of {self.tick_bound} ticks at {self.position_m!r} m")
             self.tick()
         return self.log
 

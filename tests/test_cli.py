@@ -175,6 +175,17 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match=rf"\[sim\] {key} must lie in"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("source", ["builtin:survey", "route.csv"])
+    def test_non_finite_bad_threshold_rejected(self, tmp_path, source, value):
+        # NaN would mark no point bad and inf every point, on either route path.
+        _write(tmp_path, "route.csv",
+               "label,lat,lon,SP1\nA,33.0,73.0,-90\nB,33.001,73.0,-50\n")
+        path = _write(tmp_path, "s.ini",
+                      f"[route]\nsource = {source}\nbad_threshold_dbm = {value}\n")
+        with pytest.raises(ScenarioError, match="bad_threshold_dbm must be finite"):
+            load_scenario(path)
+
     def test_grid_resolution_capped(self, tmp_path):
         # Rejected when the system is built, before any array is sized from it.
         path = _write(tmp_path, "s.ini", "[fuzzy:ig]\ngrid_resolution = 1000000000\n")

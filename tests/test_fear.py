@@ -227,6 +227,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             FearInputs(distance_m=1, signal_dbm=-50, desirability=-2)
 
+    def test_nan_distance_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="distance_m"):
+            FearInputs(distance_m=float("nan"), signal_dbm=-90)
+
+    @pytest.mark.parametrize("signal", ["nan", "inf", "-inf"])
+    def test_non_finite_signal_rejected_at_construction(self, signal):
+        with pytest.raises(ValueError, match="signal_dbm"):
+            FearInputs(distance_m=10, signal_dbm=float(signal))
+
 
 class TestEndToEnd:
     def test_calibration_zero_fear_at_horizon(self, fear_model):

@@ -1,7 +1,8 @@
 import itertools
+import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fearover.route import (
@@ -170,6 +171,50 @@ class TestNextBssp:
                 position += distance
 
 
+M_PER_DEG_LAT = 111195.08023353292
+
+
+@st.composite
+def routes(draw):
+    """A random meridian route and a bad threshold, from one giving no BSSPs
+    (-121, below every reading) to one making every point bad (0)."""
+    providers = [f"P{i}" for i in range(draw(st.integers(1, 4)))]
+    n_points = draw(st.integers(2, 12))
+    spacings = draw(st.lists(st.integers(8, 60), min_size=n_points - 1,
+                             max_size=n_points - 1))
+    positions = [0.0]
+    for s in spacings:
+        positions.append(positions[-1] + s)
+    rows = ["label,lat,lon," + ",".join(providers)]
+    for k, pos in enumerate(positions):
+        lat = 33.0 + pos / M_PER_DEG_LAT
+        dbms = [draw(st.integers(-110, -31)) for _ in providers]
+        rows.append(f"R{k},{lat:.9f},73.5," + ",".join(str(d) for d in dbms))
+    threshold = draw(st.one_of(st.sampled_from([-121.0, 0.0]), st.integers(-111, -30)))
+    return RouteDb.from_csv("\n".join(rows) + "\n", bad_threshold_dbm=threshold)
+
+
+def scan_next_bad_index(db, position_m, provider):
+    """Linear-scan oracle: the first point strictly ahead at or below the threshold."""
+    for index, point in enumerate(db.points):
+        if db.cumulative_m[index] > position_m and point.signals[provider] <= db.bad_threshold_dbm:
+            return index
+    return None
+
+
+class TestNextBadIndexMatchesScan:
+    @given(db=routes())
+    @settings(max_examples=150, deadline=None)
+    def test_bisection_equals_linear_scan(self, db):
+        queries = [-math.inf, -1.0, db.route_length_m + 1.0, math.inf]
+        for x in db.cumulative_m:
+            queries += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+        for provider in db.providers:
+            for position in queries:
+                assert db.next_bad_index(position, provider) == \
+                    scan_next_bad_index(db, position, provider), (provider, position)
+
+
 class TestSignalQueries:
     def test_signal_at_start(self, survey_db):
         assert survey_db.signal_at(0, "SP1") == -100
@@ -207,3 +252,8 @@ class TestBadThreshold:
     def test_custom_threshold_changes_the_set(self):
         db = RouteDb.from_csv(MINI_CSV, bad_threshold_dbm=-95)
         assert db.next_bad_index(0.0, "SP1") is None
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="bad_threshold_dbm must be finite"):
+            RouteDb.from_csv(MINI_CSV, bad_threshold_dbm=threshold)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,6 +177,56 @@ class TestRunMechanics:
         assert not log.attempts and not log.stays
         # crossing bad points without any mobility decision is a plain loss
         assert log.losses
+
+
+class TestTickBound:
+    """Every run ends: a step the float position cannot take is refused when
+    the simulation is built, and ``run`` never exceeds its tick bound."""
+
+    def test_step_below_float_spacing_at_stop_rejected(self, survey_db, fear_model):
+        config = SimConfig(start_m=8000.0, speed_mps=1e-13, tick_s=1e-3)
+        # The position this vehicle would reach after one tick is where it started.
+        assert 8000.0 + config.speed_mps * config.tick_s == 8000.0
+        with pytest.raises(ValueError, match="never arrive"):
+            Simulation(config, survey_db, fear_model)
+
+    def test_smallest_accepted_step_moves(self, survey_db, fear_model):
+        ulp = math.ulp(survey_db.route_length_m)
+        sim = Simulation(SimConfig(start_m=8000.0, speed_mps=ulp, tick_s=1.0),
+                         survey_db, fear_model)
+        for _ in range(3):
+            before = sim.position_m
+            sim.tick()
+            assert sim.position_m >= before + ulp / 2
+
+    def test_run_raises_at_its_bound(self, survey_db, fear_model):
+        sim = Simulation(SimConfig(stop_m=100.0), survey_db, fear_model)
+        assert 50 <= sim.tick_bound <= 51
+        sim.tick_bound = 10
+        with pytest.raises(RuntimeError, match="bound of 10 ticks"):
+            sim.run()
+        assert sim.tick_index == 10 and not sim.finished
+
+    @given(stop=st.floats(1.0, 8400.0), ticks=st.integers(1, 30),
+           spacings=st.floats(0.25, 4.0),
+           octaves=st.one_of(st.integers(0, 2), st.integers(0, 60)),
+           tick_s=st.sampled_from([1e-3, 0.5, 1.0, 7.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_any_config_is_refused_or_finishes_within_its_bound(
+            self, survey_db, fear_model, stop, ticks, spacings, octaves, tick_s):
+        # Steps from a quarter of the float spacing at stop upwards, with the
+        # start about ``ticks`` steps before stop so that every run is short.
+        step = spacings * math.ulp(stop) * 2.0 ** octaves
+        try:
+            config = SimConfig(tick_s=tick_s, speed_mps=step / tick_s,
+                               start_m=max(stop - ticks * step, 0.0), stop_m=stop)
+            sim = Simulation(config, survey_db, fear_model)
+        except ValueError:
+            return
+        assert sim.tick_bound <= 2 * ticks + 2
+        log = sim.run()
+        assert sim.finished and len(log.events) <= sim.tick_bound
+        assert log.events[-1].position_m == stop
 
 
 class TestDefaultRunsSatisfyInvariants:
