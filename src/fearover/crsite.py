@@ -69,6 +69,10 @@ class PoolEntry:
     current_dbm: float
     future_dbm: float
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.current_dbm) and math.isfinite(self.future_dbm)):
+            raise ValueError(f"readings must be finite: {self}")
+
 
 @dataclass(frozen=True)
 class WhiteSpacePool:

@@ -15,6 +15,11 @@ then goes through a rectified surface: the raw pipeline is sampled on a
 prefix maxima, and queried by bilinear interpolation.  It is exactly
 monotone; on the three default fear subsystems it sits up to 0.0295 above
 the raw surface at the nodes, and between them 0.033 above to 0.015 below.
+
+A node's raw value depends only on its clip levels, one per output term.
+The sampling therefore fires the rules at every node but runs the
+clip / max / centroid aggregation once per distinct row of levels: 774 to
+1,497 rows of the 4,225 on the default fear subsystems.
 """
 
 from __future__ import annotations
@@ -115,8 +120,11 @@ class RuleBase:
 
 MAX_GRID_RESOLUTION = 10_001
 MONOTONE_NODES = 65
-# Points per kernel pass: bounds the peak memory of a surface build at no cost in speed.
+# Level rows per aggregation pass: bounds the peak memory of a surface build at
+# no cost in speed.
 _CHUNK = 16
+# Nodes per levels pass; its largest temporary is about as large as the aggregation's.
+_LEVELS_CHUNK = 640
 
 
 @dataclass(frozen=True)
@@ -169,26 +177,43 @@ class FuzzySystem:
         samples = _trapezoids(grid, *_breakpoints(mf for _, mf in self.output.terms)[:, :, None])
         return reads, quads, ants + np.cumsum([0, *sizes[:-1]]), routes, grid, samples
 
-    def _infer_batch(self, points: np.ndarray) -> np.ndarray:
-        """Raw Mamdani values of clamped ``points[N, n_in]``; NaN where no rule fires.
-        Each centroid sums a C-contiguous row, in the order a 1-D call sums it."""
-        reads, quads, columns, routes, grid, samples = self._tables
-        values = np.full(len(points), np.nan)
-        for lo in range(0, len(points), _CHUNK):
-            mus = _trapezoids(points[lo:lo + _CHUNK, reads], *quads)
-            firing = mus[:, columns].min(axis=2)
-            levels = np.where(routes, firing[:, None, :], 0.0).max(axis=2, initial=0.0)
-            agg = np.minimum(samples, levels[:, :, None]).max(axis=1)
+    def _levels(self, points: np.ndarray) -> np.ndarray:
+        """Clip level of each output term at clamped ``points[N, n_in]``: the
+        strongest firing among the rules that conclude it, 0 where none fires."""
+        reads, quads, columns, routes, _, _ = self._tables
+        firing = _trapezoids(points[:, reads], *quads)[:, columns].min(axis=2)
+        return np.where(routes, firing[:, None, :], 0.0).max(axis=2, initial=0.0)
+
+    def _aggregate(self, levels: np.ndarray) -> np.ndarray:
+        """Raw Mamdani values of clip-level rows ``levels[N, n_out]``; NaN where no
+        rule fires.  Each centroid sums a C-contiguous row, in the order a 1-D
+        call sums it, so a row's value does not depend on the rows beside it."""
+        _, _, _, _, grid, samples = self._tables
+        values = np.full(len(levels), np.nan)
+        for lo in range(0, len(levels), _CHUNK):
+            agg = np.minimum(samples, levels[lo:lo + _CHUNK, :, None]).max(axis=1)
             fired = agg.any(axis=1)
             values[lo:lo + _CHUNK][fired] = defuzz_centroid(grid, agg[fired])
         return values
 
+    def _node_values(self, points: np.ndarray) -> np.ndarray:
+        """``_aggregate(_levels(points))``, aggregating each distinct level row
+        once.  Rows are equal when their bytes are, so the values are exact."""
+        levels = np.ascontiguousarray(np.concatenate(
+            [self._levels(points[lo:lo + _LEVELS_CHUNK])
+             for lo in range(0, len(points), _LEVELS_CHUNK)]))
+        keys = levels.view(np.dtype((np.void, levels.itemsize * levels.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        return self._aggregate(levels[first])[inverse]
+
     @cached_property
     def _surface(self) -> tuple[float, float, float, float, list[list[float]]]:
-        """Each axis's origin and step, then the rectified node values; 0 where no rule fires."""
+        """Each axis's origin and step, then the rectified node values; 0 where no
+        rule fires.  The nodes' clip levels come first; the clip / max / centroid
+        aggregation then runs once per distinct level row, not once per node."""
         axes = [np.linspace(var.lo, var.hi, MONOTONE_NODES) for var in self.inputs]
         points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
-        work = np.nan_to_num(self._infer_batch(points), nan=0.0).reshape(MONOTONE_NODES, -1)
+        work = np.nan_to_num(self._node_values(points), nan=0.0).reshape(MONOTONE_NODES, -1)
         # Orient every axis so the target slope is non-decreasing, take the
         # running prefix maximum per axis, then orient back.
         flips = tuple(slice(None, None, p) for p in self.monotone)
@@ -203,7 +228,7 @@ class FuzzySystem:
             raise ValueError(f"expected {len(self.inputs)} inputs, got {len(values)}")
         xs = tuple(float(min(max(x, var.lo), var.hi)) for var, x in zip(self.inputs, values))
         if self.monotone is None:
-            value = float(self._infer_batch(np.array([xs]))[0])
+            value = float(self._aggregate(self._levels(np.array([xs])))[0])
             if math.isnan(value):
                 raise AllZeroMembership("aggregated membership is identically zero")
             return value

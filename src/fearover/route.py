@@ -72,6 +72,11 @@ class SurveyPoint:
     point: GeoPoint
     signals: dict[str, float]
 
+    def __post_init__(self) -> None:
+        for provider, dbm in self.signals.items():
+            if not -120.0 <= dbm <= 0.0:
+                raise ValueError(f"{provider}={dbm} outside [-120, 0] dBm")
+
     def signal(self, provider: str) -> float:
         try:
             return self.signals[provider]
@@ -144,14 +149,10 @@ class RouteDb:
                 dbms = [float(f) for f in fields[3:]]
             except ValueError as exc:
                 raise MalformedRow(f"line {number}: {exc}") from None
-            for provider, dbm in zip(providers, dbms):
-                if not -120.0 <= dbm <= 0.0:
-                    raise MalformedRow(f"line {number}: {provider}={dbm} outside [-120, 0] dBm")
             try:
-                geo = GeoPoint(lat, lon)
+                points.append(SurveyPoint(label, GeoPoint(lat, lon), dict(zip(providers, dbms))))
             except ValueError as exc:
                 raise MalformedRow(f"line {number}: {exc}") from None
-            points.append(SurveyPoint(label, geo, dict(zip(providers, dbms))))
         if len(points) < 2:
             raise EmptyDatabase(f"need at least 2 data rows, got {len(points)}")
         return cls(providers, points, bad_threshold_dbm)

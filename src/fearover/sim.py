@@ -532,47 +532,63 @@ def _parse_optional_float(text: str) -> float | None:
     return float(text) if text else None
 
 
+_BOOLS = {"true": True, "false": False}
+
+
 def parse_runlog_csv(text: str) -> list[TickEvent]:
-    """Rebuild tick events from an exported run log (lossless round trip)."""
+    """Rebuild tick events from an exported run log (lossless round trip).
+
+    A row that is not one the export writes raises ``ValueError`` naming its
+    line: a wrong field count, an unknown band, symbol or action, a number
+    that does not parse, or a boolean other than ``true``/``false`` (empty
+    ``ho_success`` only, where no attempt exists)."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
     if tuple(header) != RUNLOG_COLUMNS:
         raise ValueError("unexpected run-log header")
     events = []
     for row in reader:
+        if len(row) != len(RUNLOG_COLUMNS):
+            raise ValueError(f"line {reader.line_num}: expected {len(RUNLOG_COLUMNS)} fields, "
+                             f"got {len(row)}")
         record = dict(zip(RUNLOG_COLUMNS, row))
-        attempt = None
-        if record["ho_from"]:
-            attempt = HandoverAttempt(
-                from_provider=record["ho_from"],
-                to_provider=record["ho_to"],
-                required_s=float(record["ho_required_s"]),
-                time_left_s=float(record["ho_time_left_s"]),
-                success=record["ho_success"] == "true",
-            )
-        stay = None
-        if record["stay_provider"]:
-            stay = StayEpisode(
-                provider=record["stay_provider"],
-                current_dbm=float(record["stay_current_dbm"]),
-                future_dbm=float(record["stay_future_dbm"]),
-            )
-        events.append(TickEvent(
-            tick=int(record["tick"]),
-            position_m=float(record["position_m"]),
-            provider=record["provider"],
-            state=record["state"],
-            fear=float(record["fear"]),
-            band=FearBand[record["band"]],
-            symbol=MobilitySymbol(record["symbol"]),
-            action=CsmAction(record["action"]),
-            distance_to_bssp_m=_parse_optional_float(record["distance_to_bssp_m"]),
-            threat_dbm=_parse_optional_float(record["threat_dbm"]),
-            signal_now_dbm=float(record["signal_now_dbm"]),
-            signal_future_dbm=float(record["signal_future_dbm"]),
-            attempt=attempt,
-            stay=stay,
-            loss=record["loss"] == "true",
-            slot_remapped=record["slot_remapped"] == "true",
-        ))
+        try:
+            attempt = None
+            if record["ho_from"]:
+                attempt = HandoverAttempt(
+                    from_provider=record["ho_from"],
+                    to_provider=record["ho_to"],
+                    required_s=float(record["ho_required_s"]),
+                    time_left_s=float(record["ho_time_left_s"]),
+                    success=_BOOLS[record["ho_success"]],
+                )
+            elif record["ho_success"]:
+                raise ValueError("ho_success without an attempt")
+            stay = None
+            if record["stay_provider"]:
+                stay = StayEpisode(
+                    provider=record["stay_provider"],
+                    current_dbm=float(record["stay_current_dbm"]),
+                    future_dbm=float(record["stay_future_dbm"]),
+                )
+            events.append(TickEvent(
+                tick=int(record["tick"]),
+                position_m=float(record["position_m"]),
+                provider=record["provider"],
+                state=record["state"],
+                fear=float(record["fear"]),
+                band=FearBand[record["band"]],
+                symbol=MobilitySymbol(record["symbol"]),
+                action=CsmAction(record["action"]),
+                distance_to_bssp_m=_parse_optional_float(record["distance_to_bssp_m"]),
+                threat_dbm=_parse_optional_float(record["threat_dbm"]),
+                signal_now_dbm=float(record["signal_now_dbm"]),
+                signal_future_dbm=float(record["signal_future_dbm"]),
+                attempt=attempt,
+                stay=stay,
+                loss=_BOOLS[record["loss"]],
+                slot_remapped=_BOOLS[record["slot_remapped"]],
+            ))
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"line {reader.line_num}: malformed row: {exc}") from None
     return events

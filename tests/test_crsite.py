@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -72,6 +74,14 @@ class TestSense:
         pool = sense(survey_db, survey_db.route_length_m)
         for provider, entry in pool.entries.items():
             assert entry.future_dbm == entry.current_dbm
+
+
+class TestPoolEntry:
+    @pytest.mark.parametrize("current, future", [(math.nan, -60.0), (-60.0, math.nan),
+                                                 (math.inf, -60.0), (-60.0, -math.inf)])
+    def test_non_finite_reading_rejected(self, current, future):
+        with pytest.raises(ValueError, match="finite"):
+            PoolEntry(current, future)
 
 
 class TestSelectWhitespace:

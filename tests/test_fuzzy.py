@@ -266,6 +266,73 @@ class TestMonotoneSurface:
                         monotone=(1,) * n_inputs)
 
 
+def _node_points(system: FuzzySystem) -> np.ndarray:
+    axes = [np.linspace(var.lo, var.hi, MONOTONE_NODES) for var in system.inputs]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def _partial_rules() -> FuzzySystem:
+    # Only "high and high" fires: nodes with x or y below 0.2 stay unfired.
+    return FuzzySystem(inputs=(_low_high("x"), _low_high("y")), output=_small_large(),
+                       rule_base=RuleBase((((1, 1), 1),)), monotone=(1, 1))
+
+
+def _signed_output() -> FuzzySystem:
+    output = LinguisticVariable("out", -1.0, 1.0, (("neg", tri(-1.0, -0.4, 0.2)),
+                                                  ("pos", tri(-0.2, 0.4, 1.0))))
+    return FuzzySystem(inputs=(_low_high("x"), _low_high("y")), output=output,
+                       rule_base=RuleBase((((0, 0), 0), ((0, 1), 0), ((1, 1), 1))),
+                       monotone=(1, 1))
+
+
+def _vertical_flanks() -> FuzzySystem:
+    vertical = lambda name: LinguisticVariable(
+        name, 0.0, 1.0, (("low", trap(0, 0, 0.5, 0.5)), ("high", trap(0.4, 0.6, 1, 1))))
+    output = LinguisticVariable("out", 0.0, 1.0, (("small", trap(0.0, 0.0, 0.3, 0.6)),
+                                                 ("large", trap(0.4, 0.7, 1.0, 1.0))))
+    return FuzzySystem(inputs=(vertical("x"), vertical("y")), output=output,
+                       rule_base=RuleBase((((0, 0), 0), ((1, 0), 1), ((1, 1), 1))),
+                       monotone=(1, -1))
+
+
+class TestDistinctLevelRows:
+    """The surface aggregates each distinct clip-level row once; its raw node
+    values must equal the aggregation run over every node."""
+
+    @pytest.fixture(params=["likelihood_system", "undesirability_system",
+                            "global_intensity_system", "partial_rules", "signed_output",
+                            "vertical_flanks", "resolution_2", "resolution_3001"])
+    def system(self, request, fear_model):
+        name = request.param
+        if name.endswith("_system"):
+            return getattr(fear_model, name)
+        if name.startswith("resolution_"):
+            return _two_input_system(monotone=(1, 1), grid_resolution=int(name.split("_")[1]))
+        return {"partial_rules": _partial_rules, "signed_output": _signed_output,
+                "vertical_flanks": _vertical_flanks}[name]()
+
+    def test_raw_nodes_equal_undeduplicated_aggregation(self, system):
+        points = _node_points(system)
+        every_node = system._aggregate(system._levels(points))
+        assert np.array_equal(system._node_values(points), every_node, equal_nan=True)
+
+    def test_surface_is_majorant_of_undeduplicated_aggregation(self, system):
+        raw = np.nan_to_num(system._aggregate(system._levels(_node_points(system))), nan=0.0)
+        work = raw.reshape(MONOTONE_NODES, MONOTONE_NODES)[::system.monotone[0], ::system.monotone[1]]
+        work = np.maximum.accumulate(np.maximum.accumulate(work, axis=0), axis=1)
+        expected = work[::system.monotone[0], ::system.monotone[1]].tolist()
+        assert system._surface[4] == expected
+
+    def test_unfired_nodes_stay_zero(self):
+        system = _partial_rules()
+        raw = system._node_values(_node_points(system)).reshape(MONOTONE_NODES, MONOTONE_NODES)
+        assert np.isnan(raw[0]).all() and np.isnan(raw[:, 0]).all()
+        assert not np.isnan(raw[-1, -1])
+        nodes = np.array(system._surface[4])
+        assert (nodes[0] == 0.0).all() and (nodes[:, 0] == 0.0).all()
+        assert system.infer((0.0, 0.0)) == 0.0
+
+
 class TestGridResolution:
     def test_cap_accepted(self):
         system = _two_input_system(grid_resolution=MAX_GRID_RESOLUTION)

@@ -12,6 +12,7 @@ from fearover.route import (
     IndexOutOfRange,
     MalformedRow,
     RouteDb,
+    SurveyPoint,
     UnknownProvider,
     haversine_m,
 )
@@ -95,6 +96,24 @@ class TestLoadCsv:
         text = MINI_CSV.replace("-100", "-99.5")
         db = RouteDb.from_csv(text)
         assert db.points[0].signal("SP1") == -99.5
+
+
+class TestReadingRange:
+    """Readings are checked when a ``SurveyPoint`` is built, whichever path builds it."""
+
+    @pytest.mark.parametrize("dbm", [math.nan, math.inf, -math.inf, 50.0, -130.0])
+    def test_out_of_range_rejected_by_constructor(self, dbm):
+        with pytest.raises(ValueError, match=r"SP2=.* outside \[-120, 0\] dBm"):
+            SurveyPoint("A", GeoPoint(33.0, 73.0), {"SP1": -70.0, "SP2": dbm})
+
+    @pytest.mark.parametrize("dbm", [-120.0, 0.0])
+    def test_range_ends_accepted(self, dbm):
+        assert SurveyPoint("A", GeoPoint(33.0, 73.0), {"SP1": dbm}).signal("SP1") == dbm
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "50"])
+    def test_csv_reading_names_its_line(self, text):
+        with pytest.raises(MalformedRow, match=r"line 3: SP1=.* outside"):
+            RouteDb.from_csv(MINI_CSV.replace("-60", text))
 
 
 class TestHaversine:

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import pytest
@@ -9,6 +11,7 @@ from fearover.crsite import CsmAction, HandoverAttempt, TIMING_PRESETS, csm_disp
 from fearover.route import RouteDb
 from fearover.sim import (
     PATCH_M,
+    RUNLOG_COLUMNS,
     AttemptRecord,
     RouteExhausted,
     RunLog,
@@ -450,6 +453,59 @@ class TestRunLogCsv:
     def test_header_checked(self):
         with pytest.raises(ValueError):
             parse_runlog_csv("nope,nope\n1,2\n")
+
+    @pytest.fixture(scope="class")
+    def log_rows(self, trace_db, fear_model):
+        config = SimConfig(initial_provider="Telenor", stop_m=290.0)
+        return list(csv.reader(io.StringIO(runlog_to_csv(run(config, trace_db, fear_model)))))
+
+    @staticmethod
+    def _parse_tampered(rows, edit, attempt=False):
+        """Parse ``rows`` after ``edit`` changed the first data row (the first one
+        with an attempt, if ``attempt``); returns that row's line number."""
+        column = RUNLOG_COLUMNS.index("ho_from")
+        k = next(k for k, row in enumerate(rows) if k and (bool(row[column]) or not attempt))
+        rows = [list(row) for row in rows]
+        edit(rows[k])
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        parse_runlog_csv(out.getvalue())
+        return k + 1
+
+    def test_extra_field_rejected(self, log_rows):
+        with pytest.raises(ValueError, match=r"line 2: expected 22 fields, got 23"):
+            self._parse_tampered(log_rows, lambda row: row.append("x"))
+
+    def test_missing_field_rejected(self, log_rows):
+        with pytest.raises(ValueError, match=r"line 2: expected 22 fields, got 21"):
+            self._parse_tampered(log_rows, lambda row: row.pop())
+
+    def test_unknown_band_rejected(self, log_rows):
+        band = RUNLOG_COLUMNS.index("band")
+        with pytest.raises(ValueError, match=r"line 2: malformed row: 'B9'"):
+            self._parse_tampered(log_rows, lambda row: row.__setitem__(band, "B9"))
+
+    @pytest.mark.parametrize("column", ["loss", "slot_remapped"])
+    @pytest.mark.parametrize("value", ["True", "False", ""])
+    def test_boolean_spelling_rejected(self, log_rows, column, value):
+        index = RUNLOG_COLUMNS.index(column)
+        with pytest.raises(ValueError, match=r"line 2: malformed row"):
+            self._parse_tampered(log_rows, lambda row: row.__setitem__(index, value))
+
+    @pytest.mark.parametrize("value", ["True", "False", ""])
+    def test_attempt_success_spelling_rejected(self, log_rows, value):
+        index = RUNLOG_COLUMNS.index("ho_success")
+        with pytest.raises(ValueError, match=r"line \d+: malformed row"):
+            self._parse_tampered(log_rows, lambda row: row.__setitem__(index, value),
+                                 attempt=True)
+
+    def test_attempt_success_without_attempt_rejected(self, log_rows):
+        index = RUNLOG_COLUMNS.index("ho_success")
+        with pytest.raises(ValueError, match=r"line 2: malformed row: ho_success without"):
+            self._parse_tampered(log_rows, lambda row: row.__setitem__(index, "false"))
+
+    def test_untampered_rows_parse(self, log_rows):
+        assert self._parse_tampered(log_rows, lambda row: None, attempt=True) > 2
 
     def test_summary_mentions_episodes(self, trace_db, fear_model):
         config = SimConfig(initial_provider="Telenor", stop_m=290.0)
