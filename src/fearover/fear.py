@@ -16,15 +16,25 @@ prospect to appraise yet.
 All three subsystems share the same five-level unit-interval partition and
 use the rectified monotone inference surface, so fear responds monotonically
 to every input by construction.
+
+The three default subsystems do not build their surfaces: they load them
+from ``data/default_surfaces.f64``, shipped with the package, so appraisal
+on the default model never imports numpy.  ``scripts/build_default_surfaces.py``
+regenerates that table with the fuzzy kernel, and a test checks that the
+two agree node for node.  Any other system builds its surface as usual.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import resources
 
 from .fuzzy import (
+    MONOTONE_NODES,
     AllZeroMembership,
     FuzzySystem,
     LinguisticVariable,
@@ -111,9 +121,47 @@ def global_intensity_system() -> FuzzySystem:
     )
 
 
+_SURFACES_FILE = "default_surfaces.f64"
+# Per system: x0, dx, y0, dy, then the nodes row by row, as ``_surface`` holds them.
+_SURFACE_DOUBLES = 4 + MONOTONE_NODES ** 2
+
+
+def _surface_table_bytes(systems: tuple[FuzzySystem, ...]) -> bytes:
+    """The rectified surfaces of ``systems``, in order, as little-endian doubles:
+    the layout of ``data/default_surfaces.f64``."""
+    table = array("d")
+    for system in systems:
+        x0, dx, y0, dy, nodes = system._surface
+        table.extend((x0, dx, y0, dy))
+        for row in nodes:
+            table.extend(row)
+    if sys.byteorder == "big":
+        table.byteswap()
+    return table.tobytes()
+
+
 @lru_cache(maxsize=1)
 def _default_systems() -> tuple[FuzzySystem, FuzzySystem, FuzzySystem]:
-    return likelihood_system(), undesirability_system(), global_intensity_system()
+    """The likelihood, undesirability and global intensity defaults, each with
+    its rectified surface read from the shipped ``data/default_surfaces.f64``
+    instead of built by the kernel.  ``scripts/build_default_surfaces.py``
+    regenerates the table from fresh systems."""
+    systems = likelihood_system(), undesirability_system(), global_intensity_system()
+    table = array("d", resources.files(__package__).joinpath("data", _SURFACES_FILE).read_bytes())
+    if sys.byteorder == "big":
+        table.byteswap()
+    if len(table) != len(systems) * _SURFACE_DOUBLES:
+        raise ValueError(f"{_SURFACES_FILE} holds {len(table)} doubles, expected "
+                         f"{len(systems) * _SURFACE_DOUBLES}; regenerate it with "
+                         "scripts/build_default_surfaces.py")
+    for k, system in enumerate(systems):
+        block = table[k * _SURFACE_DOUBLES:(k + 1) * _SURFACE_DOUBLES]
+        x0, dx, y0, dy = block[:4]
+        nodes = [block[i:i + MONOTONE_NODES].tolist()
+                 for i in range(4, _SURFACE_DOUBLES, MONOTONE_NODES)]
+        # The slot functools.cached_property fills on the first lookup.
+        system.__dict__["_surface"] = (x0, dx, y0, dy, nodes)
+    return systems
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,10 @@ A node's raw value depends only on its clip levels, one per output term.
 The sampling therefore fires the rules at every node but runs the
 clip / max / centroid aggregation once per distinct row of levels: 774 to
 1,497 rows of the 4,225 on the default fear subsystems.
+
+numpy is imported on the first kernel call, not with this module: a process
+that only reads rectified surfaces built elsewhere (``fear``'s shipped
+defaults) never loads it.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class AllZeroMembership(Exception):
@@ -167,6 +172,7 @@ class FuzzySystem:
     def _tables(self) -> tuple[np.ndarray, ...]:
         """The system as arrays: each input term's input and breakpoints, each
         rule's membership columns and consequent, and the sampled output terms."""
+        import numpy as np
         sizes = [len(var.terms) for var in self.inputs]
         reads = np.repeat(np.arange(len(sizes)), sizes)
         quads = _breakpoints(mf for var in self.inputs for _, mf in var.terms)
@@ -180,6 +186,7 @@ class FuzzySystem:
     def _levels(self, points: np.ndarray) -> np.ndarray:
         """Clip level of each output term at clamped ``points[N, n_in]``: the
         strongest firing among the rules that conclude it, 0 where none fires."""
+        import numpy as np
         reads, quads, columns, routes, _, _ = self._tables
         firing = _trapezoids(points[:, reads], *quads)[:, columns].min(axis=2)
         return np.where(routes, firing[:, None, :], 0.0).max(axis=2, initial=0.0)
@@ -188,6 +195,7 @@ class FuzzySystem:
         """Raw Mamdani values of clip-level rows ``levels[N, n_out]``; NaN where no
         rule fires.  Each centroid sums a C-contiguous row, in the order a 1-D
         call sums it, so a row's value does not depend on the rows beside it."""
+        import numpy as np
         _, _, _, _, grid, samples = self._tables
         values = np.full(len(levels), np.nan)
         for lo in range(0, len(levels), _CHUNK):
@@ -199,6 +207,7 @@ class FuzzySystem:
     def _node_values(self, points: np.ndarray) -> np.ndarray:
         """``_aggregate(_levels(points))``, aggregating each distinct level row
         once.  Rows are equal when their bytes are, so the values are exact."""
+        import numpy as np
         levels = np.ascontiguousarray(np.concatenate(
             [self._levels(points[lo:lo + _LEVELS_CHUNK])
              for lo in range(0, len(points), _LEVELS_CHUNK)]))
@@ -211,6 +220,7 @@ class FuzzySystem:
         """Each axis's origin and step, then the rectified node values; 0 where no
         rule fires.  The nodes' clip levels come first; the clip / max / centroid
         aggregation then runs once per distinct level row, not once per node."""
+        import numpy as np
         axes = [np.linspace(var.lo, var.hi, MONOTONE_NODES) for var in self.inputs]
         points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
         work = np.nan_to_num(self._node_values(points), nan=0.0).reshape(MONOTONE_NODES, -1)
@@ -228,6 +238,7 @@ class FuzzySystem:
             raise ValueError(f"expected {len(self.inputs)} inputs, got {len(values)}")
         xs = tuple(float(min(max(x, var.lo), var.hi)) for var, x in zip(self.inputs, values))
         if self.monotone is None:
+            import numpy as np
             value = float(self._aggregate(self._levels(np.array([xs])))[0])
             if math.isnan(value):
                 raise AllZeroMembership("aggregated membership is identically zero")
@@ -248,6 +259,7 @@ def _cell(f: float) -> tuple[int, float]:
 def _breakpoints(mfs) -> np.ndarray:
     """Rows a, b, c, d and the two flank widths of the trapezoids ``mfs``.  A
     vertical flank gets width 1: its branch is never taken there."""
+    import numpy as np
     a, b, c, d = np.array([astuple(mf) for mf in mfs]).T
     return np.array([a, b, c, d, np.where(b > a, b - a, 1.0), np.where(d > c, d - c, 1.0)])
 
@@ -255,6 +267,7 @@ def _breakpoints(mfs) -> np.ndarray:
 def _trapezoids(x: np.ndarray, a, b, c, d, left, right) -> np.ndarray:
     """``MembershipFunction.__call__`` elementwise, by the same arithmetic.
     Outside [a, d] the flank taken is negative, so the floor at 0 zeroes it."""
+    import numpy as np
     mu = np.where(x < b, (x - a) / left, np.where(x <= c, 1.0, (d - x) / right))
     return np.maximum(mu, 0.0)
 
@@ -264,6 +277,7 @@ def defuzz_centroid(xs: Sequence[float] | np.ndarray,
     """Centroid of sampled memberships along the last axis: sum(x*mu)/sum(mu),
     a float for 1-D ``mus``.  Raises AllZeroMembership when a row carries no
     membership, which signals that no rule fired."""
+    import numpy as np
     xs = np.asarray(xs, dtype=float)
     mus = np.asarray(mus, dtype=float)
     if xs.shape != mus.shape[-1:]:

@@ -14,8 +14,10 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 EARTH_RADIUS_M = 6371008.8
 
@@ -66,13 +68,19 @@ def haversine_m(p1: GeoPoint, p2: GeoPoint) -> float:
 
 @dataclass(frozen=True)
 class SurveyPoint:
-    """One surveyed location and its per-provider readings."""
+    """One surveyed location and its per-provider readings.
+
+    ``signals`` is stored as a read-only view of a copy: ``RouteDb`` indexes the
+    readings once, so a reading changed afterwards would skip the range check
+    and leave that index stale.
+    """
 
     label: str
     point: GeoPoint
-    signals: dict[str, float]
+    signals: Mapping[str, float]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "signals", MappingProxyType(dict(self.signals)))
         for provider, dbm in self.signals.items():
             if not -120.0 <= dbm <= 0.0:
                 raise ValueError(f"{provider}={dbm} outside [-120, 0] dBm")
@@ -85,7 +93,11 @@ class SurveyPoint:
 
 
 class RouteDb:
-    """Immutable-after-load route survey with distance and signal queries."""
+    """Immutable-after-load route survey with distance and signal queries.
+
+    ``points`` and ``cumulative_m`` are tuples: the BSSP index is built from
+    them once.
+    """
 
     def __init__(self, providers: list[str], points: list[SurveyPoint],
                  bad_threshold_dbm: float = DEFAULT_BAD_THRESHOLD_DBM) -> None:
@@ -97,7 +109,7 @@ class RouteDb:
         if not math.isfinite(self.bad_threshold_dbm):
             raise ValueError(f"bad_threshold_dbm must be finite, got {bad_threshold_dbm}")
         self.providers = list(providers)
-        self.points = list(points)
+        self.points = tuple(points)
         cumulative = [0.0]
         for prev, cur in zip(self.points, self.points[1:]):
             hop = haversine_m(prev.point, cur.point)
@@ -105,7 +117,7 @@ class RouteDb:
         for a, b in zip(cumulative, cumulative[1:]):
             if b <= a:
                 raise MalformedRow("consecutive points coincide; route order broken")
-        self.cumulative_m = cumulative
+        self.cumulative_m = tuple(cumulative)
         # provider -> (positions, indices) of its BSSPs in drive order;
         # positions ascend because ``cumulative_m`` does.
         self._bssps: dict[str, tuple[list[float], list[int]]] = {}

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .automaton import (
+    ALL_STATES,
     BandThresholds,
     FearBand,
     MobilitySymbol,
@@ -533,15 +534,16 @@ def _parse_optional_float(text: str) -> float | None:
 
 
 _BOOLS = {"true": True, "false": False}
+_STATE_LABELS = frozenset(state.label for state in ALL_STATES)
 
 
 def parse_runlog_csv(text: str) -> list[TickEvent]:
     """Rebuild tick events from an exported run log (lossless round trip).
 
     A row that is not one the export writes raises ``ValueError`` naming its
-    line: a wrong field count, an unknown band, symbol or action, a number
-    that does not parse, or a boolean other than ``true``/``false`` (empty
-    ``ho_success`` only, where no attempt exists)."""
+    line: a wrong field count, an unknown state, band, symbol or action, an
+    empty provider, a number that does not parse, or a boolean other than
+    ``true``/``false`` (empty ``ho_success`` only, where no attempt exists)."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
     if tuple(header) != RUNLOG_COLUMNS:
@@ -553,6 +555,10 @@ def parse_runlog_csv(text: str) -> list[TickEvent]:
                              f"got {len(row)}")
         record = dict(zip(RUNLOG_COLUMNS, row))
         try:
+            if record["state"] not in _STATE_LABELS:
+                raise ValueError(f"unknown state {record['state']!r}")
+            if not record["provider"]:
+                raise ValueError("empty provider")
             attempt = None
             if record["ho_from"]:
                 attempt = HandoverAttempt(

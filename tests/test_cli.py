@@ -373,3 +373,53 @@ class TestConsoleScript:
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 1
         assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+# Runs ``main`` on its arguments (with none, only imports ``fearover``), then
+# reports on stderr whether numpy was loaded.
+_NUMPY_CHILD = """\
+import sys
+import fearover
+code = 0
+if sys.argv[1:]:
+    from fearover.cli import main
+    code = main(sys.argv[1:])
+print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _numpy_loaded(*args: str) -> bool:
+    """Whether a fresh interpreter loads numpy to run ``fearover`` with ``args``."""
+    import os
+    import subprocess
+    import sys
+
+    pythonpath = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_CHILD, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    verdict = proc.stderr.splitlines()[-1]
+    assert verdict in ("numpy loaded: True", "numpy loaded: False"), proc.stderr
+    return verdict == "numpy loaded: True"
+
+
+class TestColdStartWithoutNumpy:
+    """numpy is imported on the first fuzzy-kernel call, and the default model's
+    surfaces ship as package data: a fresh process on the default fear model
+    never loads numpy."""
+
+    @pytest.mark.parametrize("command", ["import", "run", "validate", "replay-tables"])
+    def test_default_model_never_imports_numpy(self, tmp_path, command):
+        scenario = str(SCENARIOS / "survey_default.ini")
+        args = {"import": [],
+                "run": ["run", "--scenario", scenario, "--out", str(tmp_path)],
+                "validate": ["validate", "--scenario", scenario],
+                "replay-tables": ["replay-tables"]}[command]
+        assert not _numpy_loaded(*args)
+
+    def test_overridden_fuzzy_system_imports_numpy(self, tmp_path):
+        # seeded_violation's raw likelihood override is built by the kernel.
+        assert _numpy_loaded("run", "--scenario", str(SCENARIOS / "seeded_violation.ini"),
+                             "--out", str(tmp_path))

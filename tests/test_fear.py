@@ -1,3 +1,7 @@
+import fnmatch
+from importlib import resources
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,20 +11,26 @@ from fearover.fear import (
     FearInputs,
     FearModel,
     FearParams,
+    _default_systems,
+    _surface_table_bytes,
     compute_global_intensity,
     compute_likelihood,
     compute_undesirability,
     fear_intensity,
     five_level_variable,
+    global_intensity_system,
     graded_rule_grid,
+    likelihood_system,
     normalize_distance,
     normalize_signal,
+    undesirability_system,
 )
 from fearover.fuzzy import MONOTONE_NODES, FuzzySystem, LinguisticVariable, RuleBase, trap
 
 from oracles import reference_rectified_subsystem
 
 PARAMS = FearParams()
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestNormalisation:
@@ -143,6 +153,53 @@ class TestSubsystemGrades:
         value = compute_global_intensity(1.0, 0.0)
         assert 0.25 <= value <= 0.73
         assert value == pytest.approx(reference_rectified_subsystem(1, 1, 1.0, 0.0), abs=1e-9)
+
+
+REGENERATE = ("the shipped data/default_surfaces.f64 differs from a fresh kernel build; "
+              "regenerate it with scripts/build_default_surfaces.py")
+DEFAULT_FACTORIES = (likelihood_system, undesirability_system, global_intensity_system)
+
+
+@pytest.fixture(scope="module")
+def fresh_systems():
+    """The three default subsystems, their surfaces built by the kernel."""
+    systems = tuple(make() for make in DEFAULT_FACTORIES)
+    for system in systems:
+        assert "_surface" not in vars(system)  # only _default_systems() seeds one
+        system._surface  # built here, by the kernel
+    return systems
+
+
+def _first_difference(nodes, other) -> tuple[int, int] | None:
+    return next(((i, j) for i, (row, other_row) in enumerate(zip(nodes, other))
+                 for j, (a, b) in enumerate(zip(row, other_row)) if a != b), None)
+
+
+class TestShippedSurfaces:
+    """The default subsystems read their rectified surfaces from package data;
+    the kernel stays their source of truth."""
+
+    @pytest.mark.parametrize("k", range(3), ids=["likelihood", "undesirability", "ig"])
+    def test_table_equals_a_fresh_kernel_build(self, fresh_systems, k):
+        *header, nodes = fresh_systems[k]._surface
+        *shipped_header, shipped_nodes = _default_systems()[k]._surface
+        assert shipped_header == header, REGENERATE
+        assert shipped_nodes == nodes, \
+            f"{REGENERATE} (first at node {_first_difference(nodes, shipped_nodes)})"
+
+    def test_build_script_writes_the_shipped_bytes(self, fresh_systems):
+        shipped = resources.files("fearover").joinpath("data", "default_surfaces.f64")
+        assert _surface_table_bytes(fresh_systems) == shipped.read_bytes(), REGENERATE
+
+    def test_every_data_file_is_package_data(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as f:
+            globs = tomllib.load(f)["tool"]["setuptools"]["package-data"]["fearover"]
+        package = ROOT / "src" / "fearover"
+        for path in (package / "data").iterdir():
+            name = path.relative_to(package).as_posix()
+            assert any(fnmatch.fnmatch(name, glob) for glob in globs), \
+                f"{name} is not in [tool.setuptools.package-data]: a wheel would lack it"
 
 
 def _inputs(**kwargs) -> FearInputs:

@@ -116,6 +116,34 @@ class TestReadingRange:
             RouteDb.from_csv(MINI_CSV.replace("-60", text))
 
 
+class TestFrozenRoute:
+    """What the tick loop reads cannot change after ``RouteDb`` has indexed it."""
+
+    TWO_POINTS = "label,lat,lon,SP1\nA,33.1445,73.7457,-60\nB,33.1444,73.7456,-90\n"
+
+    @pytest.mark.parametrize("dbm", [-50.0, math.nan])
+    def test_reading_assignment_raises(self, dbm):
+        db = RouteDb.from_csv(self.TWO_POINTS)
+        with pytest.raises(TypeError):
+            db.points[1].signals["SP1"] = dbm
+        assert db.next_bad_index(0.0, "SP1") == 1
+        assert db.points[1].signal("SP1") == -90.0
+
+    def test_constructor_copies_readings(self):
+        readings = {"SP1": -90.0}
+        point = SurveyPoint("A", GeoPoint(33.0, 73.0), readings)
+        readings["SP1"] = math.nan
+        assert point.signal("SP1") == -90.0
+
+    def test_points_and_distances_are_frozen(self):
+        db = RouteDb.from_csv(MINI_CSV)
+        for sequence in (db.points, db.cumulative_m):
+            with pytest.raises(TypeError):
+                sequence[1] = sequence[0]
+            with pytest.raises(AttributeError):
+                sequence.append(sequence[0])
+
+
 class TestHaversine:
     def test_identity(self):
         p = GeoPoint(33.144552, 73.745719)

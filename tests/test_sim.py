@@ -504,6 +504,17 @@ class TestRunLogCsv:
         with pytest.raises(ValueError, match=r"line 2: malformed row: ho_success without"):
             self._parse_tampered(log_rows, lambda row: row.__setitem__(index, "false"))
 
+    @pytest.mark.parametrize("label", ["zz", "4", "1A", "1c", ""])
+    def test_unknown_state_rejected(self, log_rows, label):
+        state = RUNLOG_COLUMNS.index("state")
+        with pytest.raises(ValueError, match=r"line 2: malformed row: unknown state"):
+            self._parse_tampered(log_rows, lambda row: row.__setitem__(state, label))
+
+    def test_empty_provider_rejected(self, log_rows):
+        provider = RUNLOG_COLUMNS.index("provider")
+        with pytest.raises(ValueError, match=r"line 2: malformed row: empty provider"):
+            self._parse_tampered(log_rows, lambda row: row.__setitem__(provider, ""))
+
     def test_untampered_rows_parse(self, log_rows):
         assert self._parse_tampered(log_rows, lambda row: None, attempt=True) > 2
 
