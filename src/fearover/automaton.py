@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import cached_property
 
 
 class UnmappedProvider(KeyError):
@@ -82,14 +83,26 @@ class AutomatonState:
         if self.slot not in (1, 2, 3):
             raise ValueError(f"slot must be 1..3, got {self.slot}")
 
-    @property
+    @cached_property
     def label(self) -> str:
         return f"{self.slot}{self.alert.suffix}"
 
 
+# Slot-major: the state (slot, alert) is ALL_STATES[3 * (slot - 1) + alert].
+# ``step``, ``initial_state`` and ``complete_handover`` return these objects,
+# so a run builds no state and each label is formatted once.
 ALL_STATES = tuple(
     AutomatonState(slot, alert) for slot in (1, 2, 3) for alert in Alert
 )
+
+# Per band, the alert level it drives toward (B3 escalates like B2 until armed).
+_TARGET_ALERT = (Alert.BASE, Alert.A, Alert.B, Alert.B)
+
+
+def _state(slot: int, alert: int) -> AutomatonState:
+    if slot not in (1, 2, 3):
+        raise ValueError(f"slot must be 1..3, got {slot}")
+    return ALL_STATES[3 * slot - 3 + alert]
 
 
 def step(state: AutomatonState, fear: float,
@@ -103,17 +116,14 @@ def step(state: AutomatonState, fear: float,
     """
     band = classify(fear, thresholds)
     alert = state.alert
-    if band is FearBand.B3:
-        if alert is Alert.B:
-            return state, MobilitySymbol.HANDOVER
-        target = Alert.B
-    else:
-        target = Alert(min(int(band), int(Alert.B)))
+    target = _TARGET_ALERT[band]
     if target == alert:
+        if band is FearBand.B3:
+            return state, MobilitySymbol.HANDOVER
         return state, MobilitySymbol.SELF
-    nxt = Alert(alert + (1 if target > alert else -1))
-    symbol = MobilitySymbol.OPTIMIZE if nxt is Alert.B else MobilitySymbol.MOVE
-    return AutomatonState(state.slot, nxt), symbol
+    nxt = alert + 1 if target > alert else alert - 1
+    symbol = MobilitySymbol.OPTIMIZE if nxt == Alert.B else MobilitySymbol.MOVE
+    return ALL_STATES[3 * state.slot - 3 + nxt], symbol
 
 
 class SlotMap:
@@ -160,9 +170,9 @@ class SlotMap:
 
 def initial_state(provider: str, slots: SlotMap) -> AutomatonState:
     """Base state of the provider's slot; entry point of a run."""
-    return AutomatonState(slots.slot_of(provider))
+    return _state(slots.slot_of(provider), Alert.BASE)
 
 
 def complete_handover(state: AutomatonState, new_slot: int) -> AutomatonState:
     """Base state of the adopted provider's slot (same slot on a stay)."""
-    return AutomatonState(new_slot)
+    return _state(new_slot, Alert.BASE)

@@ -286,10 +286,15 @@ class FearModel:
         self.undesirability_system = undesirability or defaults[1]
         self.global_intensity_system = global_intensity or defaults[2]
 
+    def in_horizon(self, distance_m: float) -> bool:
+        """Whether a threat ``distance_m`` ahead is inside this model's
+        appraisal horizon; at or beyond it fear is exactly 0.0."""
+        return distance_m < self.params.distance_horizon_m
+
     def potential(self, inputs: FearInputs) -> float:
         if not inputs.prospect or inputs.desirability >= 0.0:
             return 0.0
-        if inputs.distance_m >= self.params.distance_horizon_m:
+        if not self.in_horizon(inputs.distance_m):
             return 0.0
         distance_norm = normalize_distance(inputs.distance_m, self.params)
         signal_norm = normalize_signal(inputs.signal_dbm, self.params)

@@ -95,8 +95,9 @@ class SurveyPoint:
 class RouteDb:
     """Immutable-after-load route survey with distance and signal queries.
 
-    ``points`` and ``cumulative_m`` are tuples: the BSSP index is built from
-    them once.
+    ``providers``, ``points`` and ``cumulative_m`` are tuples: the BSSP index
+    is built from them once, and the tick loop reads a provider's readings
+    without checking it again.
     """
 
     def __init__(self, providers: list[str], points: list[SurveyPoint],
@@ -108,7 +109,7 @@ class RouteDb:
         # threats, or nothing but threats, rather than an error.
         if not math.isfinite(self.bad_threshold_dbm):
             raise ValueError(f"bad_threshold_dbm must be finite, got {bad_threshold_dbm}")
-        self.providers = list(providers)
+        self.providers = tuple(providers)
         self.points = tuple(points)
         cumulative = [0.0]
         for prev, cur in zip(self.points, self.points[1:]):

@@ -1,7 +1,8 @@
 """Deterministic tick-driven vehicle simulation.
 
 Each tick advances the vehicle, appraises fear against the next bad-signal
-point of the in-use provider, steps the automaton, dispatches the CSM
+point of the in-use provider (only inside the fear model's own horizon;
+beyond it fear is 0.0), steps the automaton, dispatches the CSM
 action and performs at most one handover decision per threat episode.
 The run log records every tick and is exportable to CSV byte-stably.
 
@@ -17,8 +18,10 @@ import csv
 import io
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .automaton import (
     ALL_STATES,
@@ -103,8 +106,14 @@ class StayEpisode:
     future_dbm: float
 
 
-@dataclass(frozen=True)
-class TickEvent:
+class TickEvent(NamedTuple):
+    """One tick of the run log, one row of ``runlog.csv``.
+
+    A ``typing.NamedTuple``: immutable, and several times cheaper to build
+    than a frozen dataclass.  Equality is strict: an event equals only a
+    ``TickEvent`` with equal fields, never the plain tuple of them.
+    """
+
     tick: int
     position_m: float
     provider: str
@@ -121,6 +130,14 @@ class TickEvent:
     stay: StayEpisode | None = None
     loss: bool = False
     slot_remapped: bool = False
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is TickEvent and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
 
 
 @dataclass(frozen=True)
@@ -257,19 +274,31 @@ class Simulation:
         if self.finished:
             raise RouteExhausted(f"vehicle already at stop position {self.stop_m}")
         cfg = self.config
-        self.position_m = min(self.position_m + cfg.speed_mps * cfg.tick_s, self.stop_m)
+        db = self.db
+        position = self.position_m = min(self.position_m + cfg.speed_mps * cfg.tick_s,
+                                         self.stop_m)
         loss = self._note_passed_threat()
 
+        # ``next_bad_index`` rejects an unknown provider, so the readings
+        # below are taken straight from the points.
         provider = self.provider
-        target_index = self.db.next_bad_index(self.position_m, provider)
+        target_index = db.next_bad_index(position, provider)
+        points = db.points
+        cumulative = db.cumulative_m
         if target_index is None:
             distance = None
             threat_dbm = None
             fear = 0.0
         else:
-            distance = self.db.cumulative_m[target_index] - self.position_m
-            threat_dbm = self.db.signal_at(target_index, provider)
-            fear = self.fear_model.intensity(cfg.appraisal(distance, threat_dbm))
+            distance = cumulative[target_index] - position
+            threat_dbm = points[target_index].signals[provider]
+            fear = 0.0
+            if self.fear_model.in_horizon(distance):
+                fear = self.fear_model.intensity(cfg.appraisal(distance, threat_dbm))
+        # The nearest passed point and the next one ahead, from one bisection.
+        ahead = bisect_right(cumulative, position)
+        signal_now = points[max(ahead - 1, 0)].signals[provider]
+        signal_future = points[min(ahead, len(points) - 1)].signals[provider]
 
         band = classify(fear, cfg.bands)
         action = csm_dispatch(band)
@@ -290,24 +319,9 @@ class Simulation:
             self._spend("sensing", cfg.timing.crst_s)
             self._spend("optimization", cfg.timing.megaot_s)
 
-        event = TickEvent(
-            tick=self.tick_index,
-            position_m=self.position_m,
-            provider=provider,
-            state=stepped.label,
-            fear=fear,
-            band=band,
-            symbol=symbol,
-            action=action,
-            distance_to_bssp_m=distance,
-            threat_dbm=threat_dbm,
-            signal_now_dbm=self.db.current_signal(self.position_m, provider),
-            signal_future_dbm=self.db.future_signal(self.position_m, provider),
-            attempt=attempt,
-            stay=stay,
-            loss=loss,
-            slot_remapped=remapped,
-        )
+        event = TickEvent(self.tick_index, position, provider, stepped.label, fear, band,
+                          symbol, action, distance, threat_dbm, signal_now, signal_future,
+                          attempt, stay, loss, remapped)
         self.log.events.append(event)
 
         if self.provider == provider and target_index is not None:
@@ -317,7 +331,7 @@ class Simulation:
             self._resolutions.clear()
 
         self.tick_index += 1
-        if self.position_m >= self.stop_m:
+        if position >= self.stop_m:
             self.finished = True
         return event
 
@@ -497,44 +511,38 @@ RUNLOG_COLUMNS = (
 )
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+# Bools as the export spells them, indexed by the bool.
+_BOOL_TEXT = ("false", "true")
+_NO_ATTEMPT = ("", "", "", "", "")
+_NO_STAY = ("", "", "")
 
 
 def runlog_to_csv(log: RunLog) -> str:
+    """The run log as CSV, one row per tick event.
+
+    ``csv.writer`` spells a float by its ``repr`` and ``None`` as an empty
+    field; booleans are ``true``/``false``."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(RUNLOG_COLUMNS)
-    for e in log.events:
-        a = e.attempt
-        s = e.stay
-        writer.writerow([
-            e.tick, _fmt(e.position_m), e.provider, e.state, _fmt(e.fear),
-            e.band.name, e.symbol.value, e.action.value,
-            _fmt(e.distance_to_bssp_m), _fmt(e.threat_dbm),
-            _fmt(e.signal_now_dbm), _fmt(e.signal_future_dbm),
-            a.from_provider if a else "", a.to_provider if a else "",
-            _fmt(a.required_s) if a else "", _fmt(a.time_left_s) if a else "",
-            _fmt(a.success) if a else "",
-            s.provider if s else "", _fmt(s.current_dbm) if s else "",
-            _fmt(s.future_dbm) if s else "",
-            _fmt(e.loss), _fmt(e.slot_remapped),
-        ])
+    for (tick, position_m, provider, state, fear, band, symbol, action, distance_m,
+         threat_dbm, now_dbm, future_dbm, attempt, stay, loss, remapped) in log.events:
+        row = [tick, position_m, provider, state, fear, band._name_, symbol._value_,
+               action._value_, distance_m, threat_dbm, now_dbm, future_dbm]
+        row += _NO_ATTEMPT if attempt is None else (
+            attempt.from_provider, attempt.to_provider, attempt.required_s,
+            attempt.time_left_s, _BOOL_TEXT[attempt.success])
+        row += _NO_STAY if stay is None else (stay.provider, stay.current_dbm, stay.future_dbm)
+        row += _BOOL_TEXT[loss], _BOOL_TEXT[remapped]
+        writer.writerow(row)
     return out.getvalue()
-
-
-def _parse_optional_float(text: str) -> float | None:
-    return float(text) if text else None
 
 
 _BOOLS = {"true": True, "false": False}
 _STATE_LABELS = frozenset(state.label for state in ALL_STATES)
+_BANDS = {band.name: band for band in FearBand}
+_SYMBOLS = {symbol.value: symbol for symbol in MobilitySymbol}
+_ACTIONS = {action.value: action for action in CsmAction}
 
 
 def parse_runlog_csv(text: str) -> list[TickEvent]:
@@ -553,48 +561,32 @@ def parse_runlog_csv(text: str) -> list[TickEvent]:
         if len(row) != len(RUNLOG_COLUMNS):
             raise ValueError(f"line {reader.line_num}: expected {len(RUNLOG_COLUMNS)} fields, "
                              f"got {len(row)}")
-        record = dict(zip(RUNLOG_COLUMNS, row))
+        (tick, position_m, provider, state, fear, band, symbol, action, distance_m,
+         threat_dbm, now_dbm, future_dbm, ho_from, ho_to, ho_required_s, ho_time_left_s,
+         ho_success, stay_provider, stay_current_dbm, stay_future_dbm, loss,
+         remapped) = row
         try:
-            if record["state"] not in _STATE_LABELS:
-                raise ValueError(f"unknown state {record['state']!r}")
-            if not record["provider"]:
+            if state not in _STATE_LABELS:
+                raise ValueError(f"unknown state {state!r}")
+            if not provider:
                 raise ValueError("empty provider")
             attempt = None
-            if record["ho_from"]:
-                attempt = HandoverAttempt(
-                    from_provider=record["ho_from"],
-                    to_provider=record["ho_to"],
-                    required_s=float(record["ho_required_s"]),
-                    time_left_s=float(record["ho_time_left_s"]),
-                    success=_BOOLS[record["ho_success"]],
-                )
-            elif record["ho_success"]:
+            if ho_from:
+                attempt = HandoverAttempt(ho_from, ho_to, float(ho_required_s),
+                                          float(ho_time_left_s), _BOOLS[ho_success])
+            elif ho_success:
                 raise ValueError("ho_success without an attempt")
             stay = None
-            if record["stay_provider"]:
-                stay = StayEpisode(
-                    provider=record["stay_provider"],
-                    current_dbm=float(record["stay_current_dbm"]),
-                    future_dbm=float(record["stay_future_dbm"]),
-                )
+            if stay_provider:
+                stay = StayEpisode(stay_provider, float(stay_current_dbm),
+                                   float(stay_future_dbm))
             events.append(TickEvent(
-                tick=int(record["tick"]),
-                position_m=float(record["position_m"]),
-                provider=record["provider"],
-                state=record["state"],
-                fear=float(record["fear"]),
-                band=FearBand[record["band"]],
-                symbol=MobilitySymbol(record["symbol"]),
-                action=CsmAction(record["action"]),
-                distance_to_bssp_m=_parse_optional_float(record["distance_to_bssp_m"]),
-                threat_dbm=_parse_optional_float(record["threat_dbm"]),
-                signal_now_dbm=float(record["signal_now_dbm"]),
-                signal_future_dbm=float(record["signal_future_dbm"]),
-                attempt=attempt,
-                stay=stay,
-                loss=_BOOLS[record["loss"]],
-                slot_remapped=_BOOLS[record["slot_remapped"]],
-            ))
+                int(tick), float(position_m), provider, state, float(fear), _BANDS[band],
+                _SYMBOLS[symbol], _ACTIONS[action],
+                float(distance_m) if distance_m else None,
+                float(threat_dbm) if threat_dbm else None,
+                float(now_dbm), float(future_dbm), attempt, stay, _BOOLS[loss],
+                _BOOLS[remapped]))
         except (KeyError, ValueError) as exc:
             raise ValueError(f"line {reader.line_num}: malformed row: {exc}") from None
     return events

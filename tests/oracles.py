@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 
 import numpy as np
 
@@ -145,3 +146,122 @@ def reference_great_circle_m(lat1: float, lon1: float, lat2: float, lon2: float,
     )
     x = math.sin(phi1) * math.sin(phi2) + math.cos(phi1) * math.cos(phi2) * math.cos(dlam)
     return radius * math.atan2(y, x)
+
+
+# -- tick pipeline ----------------------------------------------------------------
+
+_ALERT_SUFFIX = ("", "a", "b")
+_ACTIONS = ("keep_current", "initiate_sensing", "initiate_optimizer", "initiate_handover")
+
+
+def reference_run(providers: list[str], points: list[tuple[str, float, dict[str, float]]],
+                  bad_threshold_dbm: float, fear, *, tick_s: float, speed_mps: float,
+                  start_m: float, stop_m: float | None, start_seed: int | None,
+                  initial_provider: str, thresholds: tuple[float, float, float],
+                  timing: tuple[float, float, float]) -> list[tuple]:
+    """The tick pipeline restated from the README's "Semantics worth knowing".
+
+    ``points`` is ``(label, position along the route, readings)`` in drive
+    order; ``fear(distance_m, threat_dbm)`` appraises one threat (the
+    fear model, horizon included); ``thresholds`` is (low, mid, high) and
+    ``timing`` (sensing, optimisation, connection setup) seconds.  Each
+    event is the tuple of a run-log row: band by name, symbol and action
+    by value, an attempt as (from, to, required_s, time_left_s, success)
+    and a stay as (provider, current_dbm, future_dbm).
+    """
+    positions = [position for _, position, _ in points]
+    stop = positions[-1] if stop_m is None else stop_m
+    position = start_m
+    if start_seed is not None:
+        position = random.Random(start_seed).uniform(
+            start_m, max(stop - speed_mps * tick_s, start_m))
+    low, mid, high = thresholds
+    required_s = timing[0] + timing[1] + timing[2]
+
+    provider = initial_provider
+    slots = {p: k + 1 for k, p in enumerate(providers[:3])}
+    slot, alert = slots[provider], 0
+    decided: dict[tuple[str, int], str] = {}   # episode -> "stay" | "failed"
+    target = None                              # the in-use provider's targeted point
+    events = []
+    tick = 0
+    while True:
+        position = min(position + speed_mps * tick_s, stop)
+
+        # Crossing the targeted point closes its episode: a loss unless stayed.
+        loss = False
+        if target is not None and position >= positions[target]:
+            loss = decided.pop((provider, target), None) != "stay"
+            target = None
+
+        # The next bad-signal point strictly ahead, by a linear scan.
+        ahead = None
+        for index, (_, at, readings) in enumerate(points):
+            if at > position and readings[provider] <= bad_threshold_dbm:
+                ahead = index
+                break
+        if ahead is None:
+            distance = threat = None
+            level = 0.0
+        else:
+            distance = positions[ahead] - position
+            threat = points[ahead][2][provider]
+            level = fear(distance, threat)
+
+        band = 0 if level < low else 1 if level < mid else 2 if level <= high else 3
+        if band == 3 and alert == 2:
+            symbol = "C"
+        else:
+            goal = min(band, 2)
+            if goal == alert:
+                symbol = "S"
+            else:
+                alert += 1 if goal > alert else -1
+                symbol = "I" if alert == 2 else "M"
+        state = f"{slot}{_ALERT_SUFFIX[alert]}"
+
+        # The nearest passed point (the first point before the route
+        # starts) and the next point ahead (the last point past the end).
+        passed, upcoming = 0, len(points) - 1
+        for index, at in enumerate(positions):
+            if at <= position:
+                passed = index
+            else:
+                upcoming = index
+                break
+
+        attempt = stay = None
+        remapped = False
+        in_use = provider
+        if symbol == "C" and (provider, ahead) not in decided:
+            futures = {p: points[upcoming][2][p] for p in providers}
+            best = max(futures.values())
+            choice = provider if futures[provider] >= best else next(
+                p for p in providers if futures[p] == best)
+            if choice == provider:
+                stay = (provider, points[passed][2][provider], futures[provider])
+                decided[(provider, ahead)] = "stay"
+            else:
+                time_left_s = distance / speed_mps
+                success = time_left_s > required_s
+                attempt = (provider, choice, required_s, time_left_s, success)
+                if not success:
+                    decided[(provider, ahead)] = "failed"
+                else:
+                    if choice not in slots:
+                        slots[choice] = slots.pop(provider)
+                        remapped = True
+                    slot, alert = slots[choice], 0
+                    provider = choice
+
+        events.append((tick, position, in_use, state, level, f"B{band}", symbol,
+                       _ACTIONS[band], distance, threat, points[passed][2][in_use],
+                       points[upcoming][2][in_use], attempt, stay, loss, remapped))
+        if provider != in_use:
+            target = None
+            decided.clear()
+        else:
+            target = ahead
+        tick += 1
+        if position >= stop:
+            return events

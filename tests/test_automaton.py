@@ -142,6 +142,15 @@ class TestStepProperties:
         assert len(ALL_STATES) == 9
         assert len({s.label for s in ALL_STATES}) == 9
 
+    def test_step_returns_the_interned_states(self):
+        for state in ALL_STATES:
+            for fear in (0.0, 0.3, 0.5, 0.7, 0.9, 1.0):
+                nxt, _ = step(state, fear, CFG)
+                assert any(nxt is s for s in ALL_STATES), (state.label, fear)
+        slots = SlotMap.from_providers(["SP1", "SP2", "SP3"])
+        assert initial_state("SP2", slots) is ALL_STATES[3]
+        assert complete_handover(ALL_STATES[2], 3) is ALL_STATES[6]
+
     def test_labels(self):
         assert AutomatonState(1).label == "1"
         assert AutomatonState(2, Alert.A).label == "2a"

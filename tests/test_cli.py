@@ -22,7 +22,7 @@ def _write(tmp_path: Path, name: str, text: str) -> Path:
 class TestScenarioLoading:
     def test_default_scenario_loads(self):
         scenario = load_scenario(SCENARIOS / "survey_default.ini")
-        assert scenario.db.providers == ["SP1", "SP2", "SP3"]
+        assert scenario.db.providers == ("SP1", "SP2", "SP3")
         assert scenario.config.speed_mps == 4.0
         assert scenario.config.timing.hot_s == 5.0
 
@@ -50,7 +50,7 @@ class TestScenarioLoading:
                "label,lat,lon,SP1\nA,33.0,73.0,-90\nB,33.001,73.0,-50\n")
         path = _write(tmp_path, "s.ini", "[route]\nsource = mini.csv\n")
         scenario = load_scenario(path)
-        assert scenario.db.providers == ["SP1"]
+        assert scenario.db.providers == ("SP1",)
 
     def test_unknown_builtin(self, tmp_path):
         path = _write(tmp_path, "s.ini", "[route]\nsource = builtin:nope\n")
@@ -153,7 +153,7 @@ class TestScenarioLoading:
         scenario = load_scenario(path)
         assert scenario.config == SimConfig(start_m=12.5, stop_m=500.25, initial_provider="SP2",
                                             timing=TIMING_PRESETS["average"])
-        assert scenario.db.providers == ["SP1", "SP2"]
+        assert scenario.db.providers == ("SP1", "SP2")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("section, key", [

@@ -37,7 +37,7 @@ class TestLoadCsv:
         assert first.signal("SP3") == -80
 
     def test_survey_providers_and_size(self, survey_db):
-        assert survey_db.providers == ["SP1", "SP2", "SP3"]
+        assert survey_db.providers == ("SP1", "SP2", "SP3")
         assert len(survey_db.points) == 14
         assert [p.label for p in survey_db.points] == list("ABCDEFGHIJKLMN")
 
@@ -134,6 +134,12 @@ class TestFrozenRoute:
         point = SurveyPoint("A", GeoPoint(33.0, 73.0), readings)
         readings["SP1"] = math.nan
         assert point.signal("SP1") == -90.0
+
+    def test_providers_are_frozen(self):
+        db = RouteDb.from_csv(MINI_CSV)
+        with pytest.raises(AttributeError):
+            db.providers.append("SP9")
+        assert db.providers == ("SP1", "SP2")
 
     def test_points_and_distances_are_frozen(self):
         db = RouteDb.from_csv(MINI_CSV)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fearover.automaton import BandThresholds, FearBand, MobilitySymbol, classify
 from fearover.crsite import CsmAction, HandoverAttempt, TIMING_PRESETS, csm_dispatch
+from fearover.fear import FearInputs, FearModel, FearParams
 from fearover.route import RouteDb
 from fearover.sim import (
     PATCH_M,
@@ -30,7 +31,7 @@ from fearover.sim import (
     time_left,
 )
 
-from oracles import reference_great_circle_m, reference_rectified_subsystem
+from oracles import reference_great_circle_m, reference_rectified_subsystem, reference_run
 
 REMAP_CSV = """\
 label,lat,lon,W,X,Y,Z
@@ -180,6 +181,47 @@ class TestRunMechanics:
         assert not log.attempts and not log.stays
         # crossing bad points without any mobility decision is a plain loss
         assert log.losses
+
+
+class TestHorizonIsTheModels:
+    """The tick appraises a threat only inside the fear model's own horizon,
+    whatever ``SimConfig.fear`` says."""
+
+    ROUTE = ("label,lat,lon,SP1\nA,33.0,73.5,-60\n"
+             f"B,{33.0 + 300.0 / 111195.08023353292:.9f},73.5,-90\n")
+
+    def test_wider_model_horizon_raises_fear_beyond_75_m(self):
+        db = RouteDb.from_csv(self.ROUTE)
+        model = FearModel(FearParams(distance_horizon_m=200.0))
+        config = SimConfig()
+        assert config.fear.distance_horizon_m == 75.0
+        log = run(config, db, model)
+        between = [e for e in log.events if e.distance_to_bssp_m is not None
+                   and 75.0 <= e.distance_to_bssp_m < 200.0]
+        assert len(between) > 50
+        for e in between:
+            assert e.fear > 0.0
+            assert e.fear == model.intensity(FearInputs(e.distance_to_bssp_m, e.threat_dbm))
+        assert all(e.fear == 0.0 for e in log.events
+                   if e.distance_to_bssp_m is None or e.distance_to_bssp_m >= 200.0)
+
+
+class TestTickEventRecord:
+    def test_assignment_raises(self, survey_db, fear_model):
+        event = Simulation(SimConfig(), survey_db, fear_model).tick()
+        with pytest.raises(AttributeError):
+            event.fear = 1.0
+        with pytest.raises(TypeError):
+            event[4] = 1.0
+
+    def test_equal_only_to_tick_events(self, survey_db, fear_model):
+        event = Simulation(SimConfig(), survey_db, fear_model).tick()
+        plain = tuple(event)
+        assert event == TickEvent(*plain) and hash(event) == hash(TickEvent(*plain))
+        assert not event != TickEvent(*plain)
+        assert event != plain and plain != event
+        assert not event == plain and not plain == event
+        assert event != event._replace(fear=event.fear + 0.5)
 
 
 class TestTickBound:
@@ -441,6 +483,88 @@ class TestRandomWorlds:
         for e in log.events:
             assert e.provider in db.providers
             assert 0.0 <= e.fear <= 1.0
+
+
+def _row(e):
+    """A tick event as the tuple ``oracles.reference_run`` gives."""
+    a, s = e.attempt, e.stay
+    return (e.tick, e.position_m, e.provider, e.state, e.fear, e.band.name, e.symbol.value,
+            e.action.value, e.distance_to_bssp_m, e.threat_dbm, e.signal_now_dbm,
+            e.signal_future_dbm,
+            None if a is None else (a.from_provider, a.to_provider, a.required_s,
+                                    a.time_left_s, a.success),
+            None if s is None else (s.provider, s.current_dbm, s.future_dbm),
+            e.loss, e.slot_remapped)
+
+
+class TestDifferentialOracle:
+    """``Simulation.run`` agrees event by event with the restated pipeline in
+    ``oracles.reference_run`` on random routes.  Readings come from a small
+    set so that future-signal ties occur; up to five providers exercise the
+    slot remap; the fear model's horizon differs from ``SimConfig.fear``'s."""
+
+    READINGS = (-110, -95, -80, -70, -55, -40)
+    LEVELS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+
+    @staticmethod
+    @st.composite
+    def worlds(draw):
+        providers = [f"P{i}" for i in range(draw(st.integers(1, 5)))]
+        n_points = draw(st.integers(2, 12))
+        spacings = draw(st.lists(st.integers(5, 60), min_size=n_points - 1,
+                                 max_size=n_points - 1))
+        positions = [0.0]
+        for s in spacings:
+            positions.append(positions[-1] + s)
+        rows = ["label,lat,lon," + ",".join(providers)]
+        for k, pos in enumerate(positions):
+            lat = 33.0 + pos / TestRandomWorlds.M_PER_DEG_LAT
+            dbms = [draw(st.sampled_from(TestDifferentialOracle.READINGS)) for _ in providers]
+            rows.append(f"R{k},{lat:.9f},73.5," + ",".join(str(d) for d in dbms))
+        threshold = draw(st.sampled_from([-95.0, -80.0, -70.0]))
+        db = RouteDb.from_csv("\n".join(rows) + "\n", bad_threshold_dbm=threshold)
+
+        start = draw(st.floats(0.0, 0.45)) * db.route_length_m
+        stop = draw(st.one_of(st.none(), st.floats(0.5, 1.0).map(
+            lambda f: f * db.route_length_m)))
+        low, mid, high = sorted(draw(st.lists(st.sampled_from(TestDifferentialOracle.LEVELS),
+                                              min_size=3, max_size=3, unique=True)))
+        config = SimConfig(
+            tick_s=draw(st.sampled_from([0.25, 0.5, 1.0])),
+            speed_mps=draw(st.sampled_from([1.0, 2.0, 4.0, 8.0, 16.0])),
+            start_m=start, stop_m=stop,
+            initial_provider=draw(st.sampled_from(providers[:3])),
+            bands=BandThresholds(low, mid, high),
+            timing=TIMING_PRESETS[draw(st.sampled_from(["worst", "average", "best"]))],
+            comm_importance=draw(st.sampled_from([0.3, 1.0])),
+            start_seed=draw(st.one_of(st.none(), st.integers(0, 10_000))),
+        )
+        model = FearModel(FearParams(
+            fear_threshold=draw(st.sampled_from([0.0, 0.1])),
+            distance_horizon_m=draw(st.sampled_from([40.0, 75.0, 150.0]))))
+        return db, config, model
+
+    @given(world=worlds())
+    @settings(max_examples=120, deadline=None)
+    def test_run_matches_reference_run(self, world):
+        db, config, model = world
+
+        def fear(distance_m, threat_dbm):
+            return model.intensity(FearInputs(distance_m, threat_dbm, config.comm_importance))
+
+        timing = config.timing
+        expected = reference_run(
+            db.providers,
+            [(p.label, x, dict(p.signals)) for p, x in zip(db.points, db.cumulative_m)],
+            db.bad_threshold_dbm, fear, tick_s=config.tick_s, speed_mps=config.speed_mps,
+            start_m=config.start_m, stop_m=config.stop_m, start_seed=config.start_seed,
+            initial_provider=config.initial_provider,
+            thresholds=(config.bands.th_low, config.bands.th_mid, config.bands.th_high),
+            timing=(timing.crst_s, timing.megaot_s, timing.hot_s))
+        actual = [_row(e) for e in run(config, db, model).events]
+        for got, want in zip(actual, expected):
+            assert got == want
+        assert len(actual) == len(expected)
 
 
 class TestRunLogCsv:
