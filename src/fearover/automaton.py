@@ -105,16 +105,15 @@ def _state(slot: int, alert: int) -> AutomatonState:
     return ALL_STATES[3 * slot - 3 + alert]
 
 
-def step(state: AutomatonState, fear: float,
-         thresholds: BandThresholds) -> tuple[AutomatonState, MobilitySymbol]:
-    """One transition.  Total over every (state, fear in [0, 1]) pair.
+def step(state: AutomatonState, band: FearBand) -> tuple[AutomatonState, MobilitySymbol]:
+    """One transition on the tick's fear band (``classify``).  Total over
+    every (state, band) pair.
 
     The band names a target alert level (B0 -> base, B1 -> a, B2 -> b);
     alert converges toward it one level per tick.  B3 from the armed level
     requests a handover (C) and leaves the state unchanged pending the
     handover's execution; from lower levels it escalates like B2.
     """
-    band = classify(fear, thresholds)
     alert = state.alert
     target = _TARGET_ALERT[band]
     if target == alert:

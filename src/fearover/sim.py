@@ -302,7 +302,7 @@ class Simulation:
 
         band = classify(fear, cfg.bands)
         action = csm_dispatch(band)
-        stepped, symbol = step(self.state, fear, cfg.bands)
+        stepped, symbol = step(self.state, band)
         self.state = stepped
 
         attempt = None

@@ -15,6 +15,7 @@ from fearover.automaton import (
     AutomatonState,
     BandThresholds,
     MobilitySymbol,
+    classify,
     step,
 )
 from fearover.crsite import TIMING_PRESETS
@@ -86,7 +87,7 @@ class TestAcceptance:
             for alert, (lo, hi, inclusive), expected_alert, expected_symbol in TABLE_CELLS:
                 state = AutomatonState(slot, alert)
                 for fear in _cell_samples(lo, hi, inclusive):
-                    nxt, symbol = step(state, fear, thresholds)
+                    nxt, symbol = step(state, classify(fear, thresholds))
                     checked += 1
                     if symbol is not expected_symbol or nxt.slot != slot \
                             or nxt.alert is not expected_alert:

@@ -80,27 +80,27 @@ class TestClassify:
 
 class TestStepExamples:
     def test_base_to_raised(self):
-        assert step(AutomatonState(1), 0.5, CFG) == (
+        assert step(AutomatonState(1), classify(0.5, CFG)) == (
             AutomatonState(1, Alert.A), MobilitySymbol.MOVE)
 
     def test_raised_to_armed(self):
-        assert step(AutomatonState(1, Alert.A), 0.7, CFG) == (
+        assert step(AutomatonState(1, Alert.A), classify(0.7, CFG)) == (
             AutomatonState(1, Alert.B), MobilitySymbol.OPTIMIZE)
 
     def test_armed_requests_handover(self):
-        assert step(AutomatonState(1, Alert.B), 0.9, CFG) == (
+        assert step(AutomatonState(1, Alert.B), classify(0.9, CFG)) == (
             AutomatonState(1, Alert.B), MobilitySymbol.HANDOVER)
 
     def test_armed_relaxes(self):
-        assert step(AutomatonState(2, Alert.B), 0.5, CFG) == (
+        assert step(AutomatonState(2, Alert.B), classify(0.5, CFG)) == (
             AutomatonState(2, Alert.A), MobilitySymbol.MOVE)
 
     def test_self_loop(self):
-        assert step(AutomatonState(3), 0.25, CFG) == (
+        assert step(AutomatonState(3), classify(0.25, CFG)) == (
             AutomatonState(3), MobilitySymbol.SELF)
 
     def test_top_band_escalates_one_level_from_base(self):
-        nxt, symbol = step(AutomatonState(1), 0.9, CFG)
+        nxt, symbol = step(AutomatonState(1), classify(0.9, CFG))
         assert nxt == AutomatonState(1, Alert.A)
         assert symbol is MobilitySymbol.MOVE
 
@@ -111,7 +111,7 @@ class TestTableConformance:
         for alert, (lo, hi, inclusive), expected_alert, expected_symbol in TABLE_CELLS:
             state = AutomatonState(slot, alert)
             for fear in _cell_samples(lo, hi, inclusive):
-                nxt, symbol = step(state, fear, CFG)
+                nxt, symbol = step(state, classify(fear, CFG))
                 assert symbol is expected_symbol, (state.label, fear, symbol)
                 assert nxt.slot == slot
                 assert nxt.alert is expected_alert, (state.label, fear, nxt.label)
@@ -121,20 +121,20 @@ class TestStepProperties:
     @given(st.floats(0, 1), st.sampled_from(range(9)))
     def test_total_and_slot_preserving(self, fear, state_index):
         state = ALL_STATES[state_index]
-        nxt, symbol = step(state, fear, CFG)
+        nxt, symbol = step(state, classify(fear, CFG))
         assert nxt.slot == state.slot
         assert isinstance(symbol, MobilitySymbol)
 
     @given(st.floats(0, 1), st.sampled_from(range(9)))
     def test_alert_moves_at_most_one_level(self, fear, state_index):
         state = ALL_STATES[state_index]
-        nxt, _ = step(state, fear, CFG)
+        nxt, _ = step(state, classify(fear, CFG))
         assert abs(int(nxt.alert) - int(state.alert)) <= 1
 
     def test_handover_only_from_armed(self):
         for state in ALL_STATES:
             for fear in (0.81, 0.9, 1.0):
-                _, symbol = step(state, fear, CFG)
+                _, symbol = step(state, classify(fear, CFG))
                 if symbol is MobilitySymbol.HANDOVER:
                     assert state.alert is Alert.B
 
@@ -145,7 +145,7 @@ class TestStepProperties:
     def test_step_returns_the_interned_states(self):
         for state in ALL_STATES:
             for fear in (0.0, 0.3, 0.5, 0.7, 0.9, 1.0):
-                nxt, _ = step(state, fear, CFG)
+                nxt, _ = step(state, classify(fear, CFG))
                 assert any(nxt is s for s in ALL_STATES), (state.label, fear)
         slots = SlotMap.from_providers(["SP1", "SP2", "SP3"])
         assert initial_state("SP2", slots) is ALL_STATES[3]

@@ -11,10 +11,12 @@ benchmark's warm-simulation operation does and checks the spans it records.
 import importlib.util
 from pathlib import Path
 
-from fearover import sim
+from fearover import FearInputs, sim
+from fearover.cli import load_scenario
 from fearover.sim import SimConfig, run
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS_PATH = ROOT / "bench" / "spans.py"
 
 
 def _load_spans():
@@ -41,3 +43,24 @@ def test_traced_survey_run_records_every_tick_layer(survey_db, fear_model):
     before = len(tracer.buf)
     assert run(SimConfig(stop_m=150.0), survey_db, fear_model).events == log.events
     assert len(tracer.buf) == before
+
+
+def test_traced_appraisal_records_every_subsystem_inference():
+    """Each appraisal of the raw-likelihood model infers once per subsystem:
+    one raw inference and two rectified lookups per ``fear.intensity``."""
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    model = load_scenario(ROOT / "scenarios" / "seeded_violation.ini").fear_model
+    inputs = [FearInputs(distance_m=d, signal_dbm=s, comm_importance=0.6, sor=0.8, vtp=0.3)
+              for d in (5.0, 30.0, 70.0) for s in (-95.0, -60.0, -35.0)]
+    with spans.installed(tracer):
+        proxy = spans.FearProxy(model, tracer)
+        proxy.intensity(inputs[0])  # the tracer names each system's first lookup a build
+        before = tracer.summarize()
+        for x in inputs:
+            proxy.intensity(x)
+    calls = {name: count - before.get(name, (0, 0))[0]
+             for name, (count, _) in tracer.summarize().items()}
+    assert calls["fear.intensity"] == len(inputs)
+    assert calls["fuzzy.infer.raw"] == calls["fear.intensity"]
+    assert calls["fuzzy.infer.rectified"] == 2 * calls["fear.intensity"]

@@ -1,4 +1,5 @@
 import fnmatch
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -287,6 +288,12 @@ class TestValidation:
     def test_nan_distance_rejected_at_construction(self):
         with pytest.raises(ValueError, match="distance_m"):
             FearInputs(distance_m=float("nan"), signal_dbm=-90)
+
+    @pytest.mark.parametrize("monotone", [None, (-1, -1)])
+    def test_nan_grade_input_raises_not_zero_fear(self, monotone):
+        system = replace(likelihood_system(), monotone=monotone)
+        with pytest.raises(ValueError, match="'distance' is NaN"):
+            compute_likelihood(float("nan"), 0.5, system)
 
     @pytest.mark.parametrize("signal", ["nan", "inf", "-inf"])
     def test_non_finite_signal_rejected_at_construction(self, signal):

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fearover.fuzzy import (
@@ -164,6 +166,15 @@ class TestInfer:
         with pytest.raises(ValueError):
             _two_input_system().infer((0.5,))
 
+    @pytest.mark.parametrize("monotone", [None, (1, 1)])
+    def test_nan_input_named_and_infinities_clamped(self, monotone):
+        system = _two_input_system(monotone=monotone)
+        with pytest.raises(ValueError, match="'y' is NaN"):
+            system.infer((0.5, float("nan")))
+        with pytest.raises(ValueError, match="'x' is NaN"):
+            system.infer((float("nan"), 0.5))
+        assert system.infer((-np.inf, np.inf)) == system.infer((0.0, 1.0))
+
 
 class TestRuleBaseValidation:
     def test_duplicate_antecedent(self):
@@ -295,6 +306,18 @@ def _vertical_flanks() -> FuzzySystem:
                        monotone=(1, -1))
 
 
+def _assert_point_path_equals_batch(raw: FuzzySystem, points: list) -> None:
+    """``raw.infer`` of each point equals the batch kernel's value, under ==;
+    it raises AllZeroMembership exactly where the kernel gives NaN."""
+    expected = raw._aggregate(raw._levels(np.array(points, dtype=float)))
+    for point, value in zip(points, expected.tolist()):
+        if np.isnan(value):
+            with pytest.raises(AllZeroMembership):
+                raw.infer(point)
+        else:
+            assert raw.infer(point) == value, point
+
+
 class TestDistinctLevelRows:
     """The surface aggregates each distinct clip-level row once; its raw node
     values must equal the aggregation run over every node."""
@@ -322,6 +345,19 @@ class TestDistinctLevelRows:
         work = np.maximum.accumulate(np.maximum.accumulate(work, axis=0), axis=1)
         expected = work[::system.monotone[0], ::system.monotone[1]].tolist()
         assert system._surface[4] == expected
+
+    def test_raw_infer_equals_batch_kernel_at_every_node(self, system):
+        _assert_point_path_equals_batch(replace(system, monotone=None),
+                                        _node_points(system).tolist())
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=40))
+    def test_raw_infer_equals_batch_kernel_between_nodes(self, system, fractions):
+        x_var, y_var = system.inputs
+        points = [(x_var.lo + u * (x_var.hi - x_var.lo), y_var.lo + v * (y_var.hi - y_var.lo))
+                  for u, v in fractions]
+        _assert_point_path_equals_batch(replace(system, monotone=None), points)
 
     def test_unfired_nodes_stay_zero(self):
         system = _partial_rules()
