@@ -272,7 +272,12 @@ class FuzzySystem:
         for cons, level in levels.items():
             clipped = np.minimum(samples[cons], level)
             agg = clipped if agg is None else np.maximum(agg, clipped, out=agg)
-        return defuzz_centroid(grid, agg)
+        # ``defuzz_centroid``'s two sums, without its conversions and shape
+        # check: ``agg`` is already a 1-D float row on ``grid``.
+        total = agg.sum()
+        if total <= 0.0:  # fired terms that sample to 0 everywhere on the grid
+            raise AllZeroMembership("aggregated membership is identically zero")
+        return float((grid * agg).sum() / total)
 
     def infer(self, values: Sequence[float]) -> float:
         """Clamp to the universes -> fuzzify -> fire rules -> clip -> aggregate

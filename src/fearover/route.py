@@ -6,7 +6,9 @@ consecutive points.  A point is a bad-signal point (BSSP) for a provider
 when that provider's reading is at or below the database's bad threshold.
 
 CSV schema: ``label,lat,lon,<provider>,...`` with dBm values, a required
-header, UTF-8 text and ``#`` comment lines.
+header, UTF-8 text and ``#`` comment lines.  A provider name is not empty
+and holds no ``,``, ``"``, CR or LF: it becomes a field of ``runlog.csv``,
+which quotes no field.
 """
 
 from __future__ import annotations
@@ -42,6 +44,16 @@ class UnknownProvider(KeyError):
 
 class IndexOutOfRange(IndexError):
     """Point index outside the database."""
+
+
+# What a run-log field would have to be quoted for.
+_QUOTED_CHARS = frozenset(',"\r\n')
+
+
+def _check_provider_name(name: str) -> None:
+    """Raise ValueError unless ``name`` can be written to a run log unquoted."""
+    if not name or not _QUOTED_CHARS.isdisjoint(name):
+        raise ValueError(f"provider name {name!r} is empty or holds a comma, quote, CR or LF")
 
 
 @dataclass(frozen=True)
@@ -110,6 +122,8 @@ class RouteDb:
         if not math.isfinite(self.bad_threshold_dbm):
             raise ValueError(f"bad_threshold_dbm must be finite, got {bad_threshold_dbm}")
         self.providers = tuple(providers)
+        for provider in self.providers:
+            _check_provider_name(provider)
         self.points = tuple(points)
         cumulative = [0.0]
         for prev, cur in zip(self.points, self.points[1:]):
@@ -144,6 +158,11 @@ class RouteDb:
         if len(columns) < 4 or [c.lower() for c in columns[:3]] != ["label", "lat", "lon"]:
             raise MalformedRow(f"line {header_no}: header must be label,lat,lon,<providers>")
         providers = columns[3:]
+        for provider in providers:
+            try:
+                _check_provider_name(provider)
+            except ValueError as exc:
+                raise MalformedRow(f"line {header_no}: {exc}") from None
         if len(set(providers)) != len(providers):
             raise MalformedRow(f"line {header_no}: duplicate provider column")
 

@@ -14,8 +14,6 @@ and next-point readings of the in-use white space at every tick.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import random
 from bisect import bisect_right
@@ -511,31 +509,60 @@ RUNLOG_COLUMNS = (
 )
 
 
+_HEADER = ",".join(RUNLOG_COLUMNS)
 # Bools as the export spells them, indexed by the bool.
 _BOOL_TEXT = ("false", "true")
-_NO_ATTEMPT = ("", "", "", "", "")
-_NO_STAY = ("", "", "")
+_NO_ATTEMPT = ",,,,"
+_NO_STAY = ",,"
+
+
+def _spell(value) -> str:
+    """A field as ``csv.writer`` spells it: a float by its ``repr``, ``None``
+    as nothing, anything else by ``str``."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def runlog_to_csv(log: RunLog) -> str:
-    """The run log as CSV, one row per tick event.
+    """The run log as CSV, one row per tick event, each line ending in ``\\n``.
 
-    ``csv.writer`` spells a float by its ``repr`` and ``None`` as an empty
-    field; booleans are ``true``/``false``."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(RUNLOG_COLUMNS)
+    Fields are spelled as ``csv.writer`` spells them (see ``_spell``);
+    booleans are ``true``/``false``.  No field is ever quoted, because none
+    needs it: states, bands, symbols, actions and booleans are fixed tokens,
+    a number's spelling holds no comma, and ``RouteDb`` refuses a provider
+    name holding ``,``, ``"``, CR or LF."""
+    # Fear and the three readings repeat from tick to tick as the same
+    # objects, so each is spelled once per object.  The key is the identity,
+    # not the value: 0.0 == -0.0 and -90 == -90.0, but their spellings differ.
+    # Every keyed object stays alive in ``log`` while this runs.
+    spelled = {id(None): ""}
+    lines = [_HEADER]
     for (tick, position_m, provider, state, fear, band, symbol, action, distance_m,
          threat_dbm, now_dbm, future_dbm, attempt, stay, loss, remapped) in log.events:
-        row = [tick, position_m, provider, state, fear, band._name_, symbol._value_,
-               action._value_, distance_m, threat_dbm, now_dbm, future_dbm]
-        row += _NO_ATTEMPT if attempt is None else (
-            attempt.from_provider, attempt.to_provider, attempt.required_s,
-            attempt.time_left_s, _BOOL_TEXT[attempt.success])
-        row += _NO_STAY if stay is None else (stay.provider, stay.current_dbm, stay.future_dbm)
-        row += _BOOL_TEXT[loss], _BOOL_TEXT[remapped]
-        writer.writerow(row)
-    return out.getvalue()
+        fear_s = spelled.get(id(fear))
+        if fear_s is None:
+            fear_s = spelled[id(fear)] = _spell(fear)
+        threat_s = spelled.get(id(threat_dbm))
+        if threat_s is None:
+            threat_s = spelled[id(threat_dbm)] = _spell(threat_dbm)
+        now_s = spelled.get(id(now_dbm))
+        if now_s is None:
+            now_s = spelled[id(now_dbm)] = _spell(now_dbm)
+        future_s = spelled.get(id(future_dbm))
+        if future_s is None:
+            future_s = spelled[id(future_dbm)] = _spell(future_dbm)
+        attempt_s = _NO_ATTEMPT if attempt is None else (
+            f"{attempt.from_provider},{attempt.to_provider},{_spell(attempt.required_s)},"
+            f"{_spell(attempt.time_left_s)},{_BOOL_TEXT[attempt.success]}")
+        stay_s = _NO_STAY if stay is None else (
+            f"{stay.provider},{_spell(stay.current_dbm)},{_spell(stay.future_dbm)}")
+        lines.append(
+            f"{tick},{_spell(position_m)},{provider},{state},{fear_s},{band._name_},"
+            f"{symbol._value_},{action._value_},{_spell(distance_m)},{threat_s},{now_s},"
+            f"{future_s},{attempt_s},{stay_s},{_BOOL_TEXT[loss]},{_BOOL_TEXT[remapped]}")
+    lines.append("")
+    return "\n".join(lines)
 
 
 _BOOLS = {"true": True, "false": False}
@@ -543,24 +570,50 @@ _STATE_LABELS = frozenset(state.label for state in ALL_STATES)
 _BANDS = {band.name: band for band in FearBand}
 _SYMBOLS = {symbol.value: symbol for symbol in MobilitySymbol}
 _ACTIONS = {action.value: action for action in CsmAction}
+_NUMBER_COLUMNS = (
+    "position_m", "fear", "distance_to_bssp_m", "threat_dbm", "signal_now_dbm",
+    "signal_future_dbm", "ho_required_s", "ho_time_left_s", "stay_current_dbm",
+    "stay_future_dbm",
+)
+
+
+def _check_numbers(row: list[str]) -> None:
+    """Raise ValueError naming the first number field of ``row`` that does
+    not parse or reads as infinite or NaN."""
+    for name in _NUMBER_COLUMNS:
+        value = row[RUNLOG_COLUMNS.index(name)]
+        if value and not math.isfinite(float(value)):
+            raise ValueError(f"non-finite {name} {value!r}")
 
 
 def parse_runlog_csv(text: str) -> list[TickEvent]:
     """Rebuild tick events from an exported run log (lossless round trip).
 
+    Lines split at ``\\n`` and fields at ``,``: the export quotes no field.
     A row that is not one the export writes raises ``ValueError`` naming its
-    line: a wrong field count, an unknown state, band, symbol or action, an
-    empty provider, a number that does not parse, or a boolean other than
-    ``true``/``false`` (empty ``ho_success`` only, where no attempt exists)."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != RUNLOG_COLUMNS:
+    line: a ``"`` or a CR anywhere, a wrong field count, an unknown state,
+    band, symbol or action, an empty provider, a number that does not parse
+    or is not finite, or a boolean other than ``true``/``false`` (empty
+    ``ho_success`` only, where no attempt exists)."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines or lines[0] != _HEADER:
         raise ValueError("unexpected run-log header")
+    for char, what in (('"', "a quote, but no field is ever quoted"),
+                       ("\r", "a carriage return, but lines end in \\n")):
+        at = text.find(char)
+        if at >= 0:
+            number = text.count("\n", 0, at) + 1
+            raise ValueError(f"line {number}: malformed row: {what}")
+    width = len(RUNLOG_COLUMNS)
+    finite = math.isfinite
     events = []
-    for row in reader:
-        if len(row) != len(RUNLOG_COLUMNS):
-            raise ValueError(f"line {reader.line_num}: expected {len(RUNLOG_COLUMNS)} fields, "
-                             f"got {len(row)}")
+    for number, line in enumerate(lines[1:], start=2):
+        row = line.split(",")
+        if len(row) != width:
+            raise ValueError(f"line {number}: expected {width} fields, "
+                             f"got {len(row) if line else 0}")
         (tick, position_m, provider, state, fear, band, symbol, action, distance_m,
          threat_dbm, now_dbm, future_dbm, ho_from, ho_to, ho_required_s, ho_time_left_s,
          ho_success, stay_provider, stay_current_dbm, stay_future_dbm, loss,
@@ -570,6 +623,17 @@ def parse_runlog_csv(text: str) -> list[TickEvent]:
                 raise ValueError(f"unknown state {state!r}")
             if not provider:
                 raise ValueError("empty provider")
+            position = float(position_m)
+            level = float(fear)
+            distance = float(distance_m) if distance_m else 0.0
+            threat = float(threat_dbm) if threat_dbm else 0.0
+            now = float(now_dbm)
+            future = float(future_dbm)
+            # Rows with an attempt or a stay are few: check all their numbers.
+            if ho_from or stay_provider or not (
+                    finite(position) and finite(level) and finite(distance)
+                    and finite(threat) and finite(now) and finite(future)):
+                _check_numbers(row)
             attempt = None
             if ho_from:
                 attempt = HandoverAttempt(ho_from, ho_to, float(ho_required_s),
@@ -581,12 +645,10 @@ def parse_runlog_csv(text: str) -> list[TickEvent]:
                 stay = StayEpisode(stay_provider, float(stay_current_dbm),
                                    float(stay_future_dbm))
             events.append(TickEvent(
-                int(tick), float(position_m), provider, state, float(fear), _BANDS[band],
-                _SYMBOLS[symbol], _ACTIONS[action],
-                float(distance_m) if distance_m else None,
-                float(threat_dbm) if threat_dbm else None,
-                float(now_dbm), float(future_dbm), attempt, stay, _BOOLS[loss],
+                int(tick), position, provider, state, level, _BANDS[band],
+                _SYMBOLS[symbol], _ACTIONS[action], distance if distance_m else None,
+                threat if threat_dbm else None, now, future, attempt, stay, _BOOLS[loss],
                 _BOOLS[remapped]))
         except (KeyError, ValueError) as exc:
-            raise ValueError(f"line {reader.line_num}: malformed row: {exc}") from None
+            raise ValueError(f"line {number}: malformed row: {exc}") from None
     return events

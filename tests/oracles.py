@@ -7,7 +7,9 @@ checked by a second, structurally different computation.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import math
 import random
 
@@ -265,3 +267,39 @@ def reference_run(providers: list[str], points: list[tuple[str, float, dict[str,
         tick += 1
         if position >= stop:
             return events
+
+
+# -- run-log export -----------------------------------------------------------------
+
+RUNLOG_HEADER = (
+    "tick", "position_m", "provider", "state", "fear", "band", "symbol", "action",
+    "distance_to_bssp_m", "threat_dbm", "signal_now_dbm", "signal_future_dbm",
+    "ho_from", "ho_to", "ho_required_s", "ho_time_left_s", "ho_success",
+    "stay_provider", "stay_current_dbm", "stay_future_dbm", "loss", "slot_remapped",
+)
+
+
+def reference_runlog_csv(events) -> str:
+    """The run log's bytes as ``csv.writer`` spells the rows: a float by its
+    ``repr``, ``None`` as an empty field, anything else by ``str``, and a field
+    quoted only where it holds a delimiter, quote or line break.  ``events``
+    are tick events read by field name: band by name, symbol and action by
+    value, booleans as ``true``/``false``."""
+    def flag(value: bool) -> str:
+        return "true" if value else "false"
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(RUNLOG_HEADER)
+    for e in events:
+        a, s = e.attempt, e.stay
+        writer.writerow([
+            e.tick, e.position_m, e.provider, e.state, e.fear, e.band.name, e.symbol.value,
+            e.action.value, e.distance_to_bssp_m, e.threat_dbm, e.signal_now_dbm,
+            e.signal_future_dbm,
+            *(("",) * 5 if a is None else (a.from_provider, a.to_provider, a.required_s,
+                                           a.time_left_s, flag(a.success))),
+            *(("",) * 3 if s is None else (s.provider, s.current_dbm, s.future_dbm)),
+            flag(e.loss), flag(e.slot_remapped),
+        ])
+    return out.getvalue()

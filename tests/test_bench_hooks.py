@@ -11,7 +11,7 @@ benchmark's warm-simulation operation does and checks the spans it records.
 import importlib.util
 from pathlib import Path
 
-from fearover import FearInputs, sim
+from fearover import FearInputs, cli, sim
 from fearover.cli import load_scenario
 from fearover.sim import SimConfig, run
 
@@ -43,6 +43,20 @@ def test_traced_survey_run_records_every_tick_layer(survey_db, fear_model):
     before = len(tracer.buf)
     assert run(SimConfig(stop_m=150.0), survey_db, fear_model).events == log.events
     assert len(tracer.buf) == before
+
+
+def test_traced_cli_run_records_each_phase_once(tmp_path):
+    """``fearover run`` goes through the cli module's own names for loading,
+    running, exporting and checking, so the traced pass times each once."""
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        code = cli.main(["run", "--scenario", str(ROOT / "scenarios" / "survey_default.ini"),
+                         "--out", str(tmp_path)])
+    assert code == 0
+    calls = {name: count for name, (count, _) in tracer.summarize().items()}
+    for name in ("cli.load_scenario", "sim.run", "sim.export_csv", "sim.invariants"):
+        assert calls.get(name) == 1, name
 
 
 def test_traced_appraisal_records_every_subsystem_inference():

@@ -52,6 +52,26 @@ class TestScenarioLoading:
         scenario = load_scenario(path)
         assert scenario.db.providers == ("SP1",)
 
+    @pytest.mark.parametrize("column", ["", '"S,P"', 'S"P'])
+    def test_route_provider_name_checked_at_load(self, tmp_path, column):
+        """A provider name the run log would have to quote fails the scenario
+        load, naming the header line, instead of the run log's parse."""
+        _write(tmp_path, "mini.csv",
+               f"label,lat,lon,{column},SP2\nA,33.0,73.0,-90,-50\nB,33.001,73.0,-50,-90\n")
+        path = _write(tmp_path, "s.ini", "[route]\nsource = mini.csv\n")
+        with pytest.raises(ScenarioError, match=r"mini.csv: line 1: provider name"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("newline", ["\r", "\n"])
+    def test_route_provider_name_cannot_hold_a_line_break(self, tmp_path, newline):
+        """Route CSV lines end at any line break, quoted or not: a quoted
+        name holding one splits the header and fails the load."""
+        _write(tmp_path, "mini.csv",
+               f'label,lat,lon,"S{newline}P",SP2\nA,33.0,73.0,-90,-50\nB,33.001,73.0,-50,-90\n')
+        path = _write(tmp_path, "s.ini", "[route]\nsource = mini.csv\n")
+        with pytest.raises(ScenarioError, match=r"mini.csv: line 2: expected 4 fields"):
+            load_scenario(path)
+
     def test_unknown_builtin(self, tmp_path):
         path = _write(tmp_path, "s.ini", "[route]\nsource = builtin:nope\n")
         with pytest.raises(ScenarioError, match="builtin"):

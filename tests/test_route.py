@@ -116,6 +116,24 @@ class TestReadingRange:
             RouteDb.from_csv(MINI_CSV.replace("-60", text))
 
 
+class TestProviderNames:
+    """A provider name becomes a ``runlog.csv`` field, which is never quoted:
+    a name that would need quoting is refused when the route is built."""
+
+    @pytest.mark.parametrize("name", ["", "S,P", 'S"P', "S\rP", "S\nP"])
+    def test_constructor_rejects(self, name):
+        points = [SurveyPoint(label, GeoPoint(lat, 73.7457), {"SP1": -60.0, name: -70.0})
+                  for label, lat in (("A", 33.1445), ("B", 33.1444))]
+        with pytest.raises(ValueError, match=r"provider name .* is empty or holds"):
+            RouteDb(["SP1", name], points)
+
+    @pytest.mark.parametrize("column", ["", '"S,P"', 'S"P'])
+    def test_csv_header_names_its_line(self, column):
+        text = "# survey\n" + MINI_CSV.replace("SP2", column, 1)
+        with pytest.raises(MalformedRow, match=r"line 2: provider name .* is empty or holds"):
+            RouteDb.from_csv(text)
+
+
 class TestFrozenRoute:
     """What the tick loop reads cannot change after ``RouteDb`` has indexed it."""
 

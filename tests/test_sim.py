@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fearover.automaton import BandThresholds, FearBand, MobilitySymbol, classify
 from fearover.crsite import CsmAction, HandoverAttempt, TIMING_PRESETS, csm_dispatch
 from fearover.fear import FearInputs, FearModel, FearParams
-from fearover.route import RouteDb
+from fearover.route import GeoPoint, RouteDb, SurveyPoint
 from fearover.sim import (
     PATCH_M,
     RUNLOG_COLUMNS,
@@ -31,7 +31,12 @@ from fearover.sim import (
     time_left,
 )
 
-from oracles import reference_great_circle_m, reference_rectified_subsystem, reference_run
+from oracles import (
+    reference_great_circle_m,
+    reference_rectified_subsystem,
+    reference_run,
+    reference_runlog_csv,
+)
 
 REMAP_CSV = """\
 label,lat,lon,W,X,Y,Z
@@ -567,6 +572,40 @@ class TestDifferentialOracle:
         assert len(actual) == len(expected)
 
 
+class TestRunLogBytes:
+    """``runlog_to_csv`` writes the bytes ``csv.writer`` writes, and
+    ``parse_runlog_csv`` reads them back into the same events."""
+
+    @given(world=TestDifferentialOracle.worlds())
+    @settings(max_examples=60, deadline=None)
+    def test_export_matches_csv_writer_and_round_trips(self, world):
+        db, config, model = world
+        log = run(config, db, model)
+        text = runlog_to_csv(log)
+        assert text == reference_runlog_csv(log.events)
+        assert parse_runlog_csv(text) == log.events
+
+    def test_equal_readings_keep_their_own_spellings(self, fear_model):
+        """0.0 == -0.0 and -90 == -90.0, but each spells differently: an
+        export that spelled equal values alike would write one for both."""
+        readings = [0.0, -0.0, -90, -90.0, -0.0, 0.0, -90.0, -90]
+        points = [SurveyPoint(f"Z{k}", GeoPoint(33.0 + 20.0 * k / TestRandomWorlds.M_PER_DEG_LAT,
+                                                 73.5), {"A": dbm, "B": -110.0})
+                  for k, dbm in enumerate(readings)]
+        log = run(SimConfig(), RouteDb(["A", "B"], points), fear_model)
+        text = runlog_to_csv(log)
+        assert text == reference_runlog_csv(log.events)
+        assert parse_runlog_csv(text) == log.events
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+
+        def spellings(column):
+            return {row[RUNLOG_COLUMNS.index(column)] for row in rows}
+
+        assert spellings("signal_now_dbm") == {"0.0", "-0.0", "-90", "-90.0"}
+        assert spellings("signal_future_dbm") == {"0.0", "-0.0", "-90", "-90.0"}
+        assert spellings("threat_dbm") == {"", "-90", "-90.0"}
+
+
 class TestRunLogCsv:
     def test_round_trip_lossless(self, trace_db, fear_model):
         config = SimConfig(initial_provider="Telenor", stop_m=290.0)
@@ -638,6 +677,37 @@ class TestRunLogCsv:
         provider = RUNLOG_COLUMNS.index("provider")
         with pytest.raises(ValueError, match=r"line 2: malformed row: empty provider"):
             self._parse_tampered(log_rows, lambda row: row.__setitem__(provider, ""))
+
+    @pytest.mark.parametrize("column", ["position_m", "fear"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_number_rejected(self, log_rows, column, value):
+        index = RUNLOG_COLUMNS.index(column)
+        with pytest.raises(ValueError, match=rf"line 2: malformed row: non-finite {column}"):
+            self._parse_tampered(log_rows, lambda row: row.__setitem__(index, value))
+
+    def test_non_finite_attempt_time_rejected(self, log_rows):
+        index = RUNLOG_COLUMNS.index("ho_time_left_s")
+        with pytest.raises(ValueError, match=r"line \d+: malformed row: non-finite ho_time_left_s"):
+            self._parse_tampered(log_rows, lambda row: row.__setitem__(index, "inf"),
+                                 attempt=True)
+
+    @pytest.fixture(scope="class")
+    def log_text(self, trace_db, fear_model):
+        return runlog_to_csv(run(SimConfig(initial_provider="Telenor", stop_m=290.0),
+                                 trace_db, fear_model))
+
+    def test_quoted_field_rejected(self, log_text):
+        """The export quotes no field, so a quote anywhere is not its row,
+        even where a CSV reader would unquote it to the same value."""
+        lines = log_text.split("\n")
+        lines[3] = lines[3].replace(",Telenor,", ',"Telenor",', 1)
+        with pytest.raises(ValueError, match=r"line 4: malformed row: a quote"):
+            parse_runlog_csv("\n".join(lines))
+
+    def test_carriage_return_rejected(self, log_text):
+        head, rest = log_text.split("\n", 1)
+        with pytest.raises(ValueError, match=r"line 2: malformed row: a carriage return"):
+            parse_runlog_csv(head + "\n" + rest.replace("\n", "\r\n"))
 
     def test_untampered_rows_parse(self, log_rows):
         assert self._parse_tampered(log_rows, lambda row: None, attempt=True) > 2
