@@ -26,7 +26,6 @@ from .crsite import (
     PoolEntry,
     TIMING_PRESETS,
     TimingModel,
-    WhiteSpacePool,
     csm_dispatch,
     execute_handover,
     required_mobility_time,
@@ -38,9 +37,6 @@ from .fear import (
     FearInputs,
     FearModel,
     FearParams,
-    compute_global_intensity,
-    compute_likelihood,
-    compute_undesirability,
     fear_intensity,
     normalize_distance,
     normalize_signal,

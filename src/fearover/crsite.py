@@ -74,34 +74,26 @@ class PoolEntry:
             raise ValueError(f"readings must be finite: {self}")
 
 
-@dataclass(frozen=True)
-class WhiteSpacePool:
-    """Per-provider (current, future) readings; insertion order is the
-    provider order of the database and breaks selection ties."""
-
-    entries: dict[str, PoolEntry]
-
-
-def sense(db: RouteDb, position_m: float) -> WhiteSpacePool:
-    """Sample every provider's current and next-point signal."""
-    entries = {
+def sense(db: RouteDb, position_m: float) -> dict[str, PoolEntry]:
+    """Sample every provider's current and next-point signal.  The pool is
+    in the database's provider order, which breaks selection ties."""
+    return {
         p: PoolEntry(db.current_signal(position_m, p), db.future_signal(position_m, p))
         for p in db.providers
     }
-    return WhiteSpacePool(entries)
 
 
-def select_whitespace(pool: WhiteSpacePool, in_use: str) -> str:
+def select_whitespace(pool: dict[str, PoolEntry], in_use: str) -> str:
     """Provider with the best future signal; ties and no-improvement keep
-    the in-use white space."""
-    if not pool.entries:
+    the in-use white space; among equal others the first in ``pool`` wins."""
+    if not pool:
         raise EmptyPool("no white spaces sensed")
-    if in_use not in pool.entries:
+    if in_use not in pool:
         raise EmptyPool(f"in-use provider {in_use!r} missing from pool")
-    best_future = max(entry.future_dbm for entry in pool.entries.values())
-    if pool.entries[in_use].future_dbm >= best_future:
+    best_future = max(entry.future_dbm for entry in pool.values())
+    if pool[in_use].future_dbm >= best_future:
         return in_use
-    for provider, entry in pool.entries.items():
+    for provider, entry in pool.items():
         if entry.future_dbm == best_future:
             return provider
     raise AssertionError("unreachable")

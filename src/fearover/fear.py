@@ -240,21 +240,6 @@ def _graded(system: FuzzySystem, a: float, b: float) -> float:
         return 0.0
 
 
-def compute_likelihood(distance_norm: float, signal_norm: float,
-                       system: FuzzySystem | None = None) -> float:
-    return _graded(system or _default_systems()[0], distance_norm, signal_norm)
-
-
-def compute_undesirability(comm_importance: float, signal_norm: float,
-                           system: FuzzySystem | None = None) -> float:
-    return _graded(system or _default_systems()[1], comm_importance, signal_norm)
-
-
-def compute_global_intensity(sor: float, vtp: float,
-                             system: FuzzySystem | None = None) -> float:
-    return _graded(system or _default_systems()[2], sor, vtp)
-
-
 def _combine(combiner: str, undesirability: float, likelihood: float,
              global_intensity: float) -> float:
     if combiner == "mean":
@@ -298,11 +283,9 @@ class FearModel:
             return 0.0
         distance_norm = normalize_distance(inputs.distance_m, self.params)
         signal_norm = normalize_signal(inputs.signal_dbm, self.params)
-        likelihood = compute_likelihood(distance_norm, signal_norm, self.likelihood_system)
-        undesirability = compute_undesirability(
-            inputs.comm_importance, signal_norm, self.undesirability_system)
-        global_intensity = compute_global_intensity(
-            inputs.sor, inputs.vtp, self.global_intensity_system)
+        likelihood = _graded(self.likelihood_system, distance_norm, signal_norm)
+        undesirability = _graded(self.undesirability_system, inputs.comm_importance, signal_norm)
+        global_intensity = _graded(self.global_intensity_system, inputs.sor, inputs.vtp)
         return _combine(self.params.combiner, undesirability, likelihood, global_intensity)
 
     def intensity(self, inputs: FearInputs) -> float:

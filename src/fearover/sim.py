@@ -4,7 +4,9 @@ Each tick advances the vehicle, appraises fear against the next bad-signal
 point of the in-use provider (only inside the fear model's own horizon;
 beyond it fear is 0.0), steps the automaton, dispatches the CSM
 action and performs at most one handover decision per threat episode.
-The run log records every tick and is exportable to CSV byte-stably.
+The run log is one event per tick, exportable to CSV byte-stably, plus the
+white-space pool each decision (a handover attempt or a stay) sensed,
+keyed by its tick.  Attempts, stays and losses live only in their events.
 
 Fear wiring: the appraised signal is the in-use provider's reading at the
 targeted bad-signal point, so within one approach episode fear responds to
@@ -35,6 +37,7 @@ from .automaton import (
 from .crsite import (
     CsmAction,
     HandoverAttempt,
+    PoolEntry,
     TimingModel,
     csm_dispatch,
     execute_handover,
@@ -138,58 +141,53 @@ class TickEvent(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True)
-class AttemptRecord:
-    tick: int
-    position_m: float
-    attempt: HandoverAttempt
-    pool: dict[str, tuple[float, float]]
-
-
-@dataclass(frozen=True)
-class StayRecord:
-    tick: int
-    position_m: float
-    stay: StayEpisode
-    pool: dict[str, tuple[float, float]]
-
-
-@dataclass(frozen=True)
-class LossRecord:
-    tick: int
-    position_m: float
-    provider: str
-    point_label: str
-
-
 @dataclass
 class RunLog:
+    """A run: its tick events, the pool each decision sensed and the time
+    spent per task.
+
+    A decision is a tick whose event carries an attempt or a stay;
+    ``pools`` maps its tick to the pool ``sense`` returned there.
+    ``attempts``, ``stays`` and ``losses`` are views over the events."""
+
     events: list[TickEvent] = field(default_factory=list)
-    attempts: list[AttemptRecord] = field(default_factory=list)
-    stays: list[StayRecord] = field(default_factory=list)
-    losses: list[LossRecord] = field(default_factory=list)
+    pools: dict[int, dict[str, PoolEntry]] = field(default_factory=dict)
     time_spent_s: dict[str, float] = field(default_factory=dict)
 
+    @property
+    def attempts(self) -> list[TickEvent]:
+        return [e for e in self.events if e.attempt is not None]
+
+    @property
+    def stays(self) -> list[TickEvent]:
+        return [e for e in self.events if e.stay is not None]
+
+    @property
+    def losses(self) -> list[TickEvent]:
+        return [e for e in self.events if e.loss]
+
     def summary_text(self) -> str:
-        successes = sum(1 for r in self.attempts if r.attempt.success)
+        attempts = self.attempts
+        stays = self.stays
+        successes = sum(1 for e in attempts if e.attempt.success)
         lines = [
             f"ticks: {len(self.events)}",
-            f"handover attempts: {len(self.attempts)}"
-            f" (successful: {successes}, failed: {len(self.attempts) - successes})",
-            f"stay episodes: {len(self.stays)}",
+            f"handover attempts: {len(attempts)}"
+            f" (successful: {successes}, failed: {len(attempts) - successes})",
+            f"stay episodes: {len(stays)}",
             f"communication losses: {len(self.losses)}",
         ]
-        for record in self.attempts:
-            a = record.attempt
+        for event in attempts:
+            a = event.attempt
             verdict = "success" if a.success else "failure"
             lines.append(
-                f"  tick {record.tick}: {a.from_provider} -> {a.to_provider} "
+                f"  tick {event.tick}: {a.from_provider} -> {a.to_provider} "
                 f"required {a.required_s:.6f}s, left {a.time_left_s:.6f}s: {verdict}"
             )
-        for record in self.stays:
-            s = record.stay
+        for event in stays:
+            s = event.stay
             lines.append(
-                f"  tick {record.tick}: stayed on {s.provider} "
+                f"  tick {event.tick}: stayed on {s.provider} "
                 f"({s.current_dbm:g} -> {s.future_dbm:g} dBm)"
             )
         for key, value in sorted(self.time_spent_s.items()):
@@ -256,15 +254,7 @@ class Simulation:
             return False
         resolution = self._resolutions.pop((provider, index), None)
         self._prev_target = None
-        if resolution == "stay":
-            return False
-        self.log.losses.append(LossRecord(
-            tick=self.tick_index,
-            position_m=self.position_m,
-            provider=provider,
-            point_label=self.db.points[index].label,
-        ))
-        return True
+        return resolution != "stay"
 
     # -- the tick pipeline --------------------------------------------------
 
@@ -340,18 +330,14 @@ class Simulation:
         pool = sense(self.db, self.position_m)
         self._spend("sensing", cfg.timing.crst_s)
         self._spend("optimization", cfg.timing.megaot_s)
+        self.log.pools[self.tick_index] = pool
         choice = select_whitespace(pool, provider)
-        snapshot = {p: (e.current_dbm, e.future_dbm) for p, e in pool.entries.items()}
         if choice == provider:
-            entry = pool.entries[provider]
-            stay = StayEpisode(provider, entry.current_dbm, entry.future_dbm)
-            self.log.stays.append(StayRecord(self.tick_index, self.position_m, stay, snapshot))
+            entry = pool[provider]
             self._resolutions[episode] = "stay"
-            return None, stay, False
+            return None, StayEpisode(provider, entry.current_dbm, entry.future_dbm), False
         attempt = execute_handover(
             provider, choice, time_left(distance, cfg.speed_mps), cfg.timing)
-        self.log.attempts.append(
-            AttemptRecord(self.tick_index, self.position_m, attempt, snapshot))
         if attempt.success:
             self._spend("handover", cfg.timing.hot_s)
             self.slots, slot, remapped = self.slots.adopt(provider, choice)
@@ -425,36 +411,45 @@ def check_invariant1(log: RunLog) -> InvariantReport:
 def check_invariant2(log: RunLog) -> InvariantReport:
     """Completed handovers must adopt the pool's best future signal and
     strictly improve on the in-use one; stays must have had no strictly
-    better option."""
+    better option.  A decision without a recorded pool cannot be judged
+    and is itself a violation."""
     violations = []
-    for record in log.attempts:
-        a = record.attempt
-        if not a.success:
+    handovers = stays = 0
+    for event in log.events:
+        a, stay = event.attempt, event.stay
+        if a is None and stay is None:
             continue
-        futures = {p: f for p, (_, f) in record.pool.items()}
-        best = max(futures.values())
-        if futures[a.to_provider] < best:
-            violations.append(
-                f"tick {record.tick}: adopted {a.to_provider} at {futures[a.to_provider]} dBm "
-                f"but the pool held {best} dBm")
-        if futures[a.to_provider] <= futures[a.from_provider]:
-            violations.append(
-                f"tick {record.tick}: adopted {a.to_provider} at {futures[a.to_provider]} dBm, "
-                f"no better than in-use {a.from_provider} at {futures[a.from_provider]} dBm")
-    for record in log.stays:
-        futures = {p: f for p, (_, f) in record.pool.items()}
-        in_use = record.stay.provider
-        better = {p: f for p, f in futures.items() if f > futures[in_use]}
-        if better:
-            violations.append(
-                f"tick {record.tick}: stayed on {in_use} at {futures[in_use]} dBm "
-                f"despite better option(s) {better}")
+        if stay is not None:
+            stays += 1
+        elif a.success:
+            handovers += 1
+        pool = log.pools.get(event.tick)
+        if pool is None:
+            violations.append(f"tick {event.tick}: decision without a recorded pool")
+            continue
+        futures = {p: entry.future_dbm for p, entry in pool.items()}
+        if stay is not None:
+            in_use = stay.provider
+            better = {p: f for p, f in futures.items() if f > futures[in_use]}
+            if better:
+                violations.append(
+                    f"tick {event.tick}: stayed on {in_use} at {futures[in_use]} dBm "
+                    f"despite better option(s) {better}")
+        elif a.success:
+            best = max(futures.values())
+            if futures[a.to_provider] < best:
+                violations.append(
+                    f"tick {event.tick}: adopted {a.to_provider} at {futures[a.to_provider]} dBm "
+                    f"but the pool held {best} dBm")
+            if futures[a.to_provider] <= futures[a.from_provider]:
+                violations.append(
+                    f"tick {event.tick}: adopted {a.to_provider} at {futures[a.to_provider]} dBm, "
+                    f"no better than in-use {a.from_provider} at {futures[a.from_provider]} dBm")
     return InvariantReport(
         name="Invariant2",
         passed=not violations,
         violations=tuple(violations),
-        stats={"handovers": sum(1 for r in log.attempts if r.attempt.success),
-               "stays": len(log.stays)},
+        stats={"handovers": handovers, "stays": stays},
     )
 
 
@@ -463,12 +458,12 @@ def check_invariant3(log: RunLog) -> InvariantReport:
     aggregate success/failure counts."""
     violations = []
     successes = failures = 0
-    for record in log.attempts:
-        a = record.attempt
+    for event in log.attempts:
+        a = event.attempt
         expected = a.time_left_s > a.required_s
         if a.success != expected:
             violations.append(
-                f"tick {record.tick}: success={a.success} but time_left {a.time_left_s!r} "
+                f"tick {event.tick}: success={a.success} but time_left {a.time_left_s!r} "
                 f"vs required {a.required_s!r} implies {expected}")
         if a.success:
             successes += 1
@@ -591,7 +586,8 @@ def parse_runlog_csv(text: str) -> list[TickEvent]:
 
     Lines split at ``\\n`` and fields at ``,``: the export quotes no field.
     A row that is not one the export writes raises ``ValueError`` naming its
-    line: a ``"`` or a CR anywhere, a wrong field count, an unknown state,
+    line: a ``"`` or a CR anywhere, a wrong field count, a tick other than
+    the row's index (its line number less 2), an unknown state,
     band, symbol or action, an empty provider, a number that does not parse
     or is not finite, or a boolean other than ``true``/``false`` (empty
     ``ho_success`` only, where no attempt exists)."""
@@ -619,6 +615,8 @@ def parse_runlog_csv(text: str) -> list[TickEvent]:
          ho_success, stay_provider, stay_current_dbm, stay_future_dbm, loss,
          remapped) = row
         try:
+            if tick != str(number - 2):
+                raise ValueError(f"tick {tick!r}, expected {number - 2}")
             if state not in _STATE_LABELS:
                 raise ValueError(f"unknown state {state!r}")
             if not provider:
@@ -645,7 +643,7 @@ def parse_runlog_csv(text: str) -> list[TickEvent]:
                 stay = StayEpisode(stay_provider, float(stay_current_dbm),
                                    float(stay_future_dbm))
             events.append(TickEvent(
-                int(tick), position, provider, state, level, _BANDS[band],
+                number - 2, position, provider, state, level, _BANDS[band],
                 _SYMBOLS[symbol], _ACTIONS[action], distance if distance_m else None,
                 threat if threat_dbm else None, now, future, attempt, stay, _BOOLS[loss],
                 _BOOLS[remapped]))

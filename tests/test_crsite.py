@@ -11,7 +11,6 @@ from fearover.crsite import (
     PoolEntry,
     TIMING_PRESETS,
     TimingModel,
-    WhiteSpacePool,
     csm_dispatch,
     execute_handover,
     required_mobility_time,
@@ -64,7 +63,7 @@ class TestCsmDispatch:
 class TestSense:
     def test_pool_at_start(self, survey_db):
         pool = sense(survey_db, 0.0)
-        assert pool.entries == {
+        assert pool == {
             "SP1": PoolEntry(-100.0, -60.0),
             "SP2": PoolEntry(-90.0, -70.0),
             "SP3": PoolEntry(-80.0, -50.0),
@@ -72,7 +71,7 @@ class TestSense:
 
     def test_future_clamps_at_route_end(self, survey_db):
         pool = sense(survey_db, survey_db.route_length_m)
-        for provider, entry in pool.entries.items():
+        for provider, entry in pool.items():
             assert entry.future_dbm == entry.current_dbm
 
 
@@ -86,51 +85,51 @@ class TestPoolEntry:
 
 class TestSelectWhitespace:
     def test_switches_to_stronger_future(self):
-        pool = WhiteSpacePool({
+        pool = {
             "Telenor": PoolEntry(-91, -70),
             "Zong": PoolEntry(-60, -50),
-        })
+        }
         assert select_whitespace(pool, "Telenor") == "Zong"
 
     def test_stays_when_nothing_beats_in_use(self):
-        pool = WhiteSpacePool({
+        pool = {
             "Ufone": PoolEntry(-45, -65),
             "Telenor": PoolEntry(-60, -70),
             "Zong": PoolEntry(-70, -75),
-        })
+        }
         assert select_whitespace(pool, "Ufone") == "Ufone"
 
     def test_all_equal_keeps_in_use(self):
-        pool = WhiteSpacePool({p: PoolEntry(-70, -70) for p in ("A", "B", "C")})
+        pool = {p: PoolEntry(-70, -70) for p in ("A", "B", "C")}
         assert select_whitespace(pool, "B") == "B"
 
     def test_tie_between_others_picks_first_in_order(self):
-        pool = WhiteSpacePool({
+        pool = {
             "A": PoolEntry(-50, -75),
             "B": PoolEntry(-50, -60),
             "C": PoolEntry(-50, -60),
-        })
+        }
         assert select_whitespace(pool, "A") == "B"
 
     def test_empty_pool(self):
         with pytest.raises(EmptyPool):
-            select_whitespace(WhiteSpacePool({}), "A")
+            select_whitespace({}, "A")
 
     def test_in_use_missing(self):
         with pytest.raises(EmptyPool):
-            select_whitespace(WhiteSpacePool({"A": PoolEntry(-50, -50)}), "B")
+            select_whitespace({"A": PoolEntry(-50, -50)}, "B")
 
     @given(st.lists(st.integers(-120, -1), min_size=2, max_size=6))
     def test_choice_dominates_pool(self, futures):
-        pool = WhiteSpacePool({
-            f"P{i}": PoolEntry(-60, float(f)) for i, f in enumerate(futures)})
+        pool = {
+            f"P{i}": PoolEntry(-60, float(f)) for i, f in enumerate(futures)}
         chosen = select_whitespace(pool, "P0")
-        best = max(entry.future_dbm for entry in pool.entries.values())
+        best = max(entry.future_dbm for entry in pool.values())
         if chosen == "P0":
-            assert pool.entries["P0"].future_dbm >= best
+            assert pool["P0"].future_dbm >= best
         else:
-            assert pool.entries[chosen].future_dbm == best
-            assert best > pool.entries["P0"].future_dbm
+            assert pool[chosen].future_dbm == best
+            assert best > pool["P0"].future_dbm
 
 
 class TestExecuteHandover:

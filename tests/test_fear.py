@@ -8,15 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fearover import fear
 from fearover.fear import (
     FearInputs,
     FearModel,
     FearParams,
     _default_systems,
     _surface_table_bytes,
-    compute_global_intensity,
-    compute_likelihood,
-    compute_undesirability,
     fear_intensity,
     five_level_variable,
     global_intensity_system,
@@ -31,6 +29,8 @@ from fearover.fuzzy import MONOTONE_NODES, FuzzySystem, LinguisticVariable, Rule
 from oracles import reference_rectified_subsystem
 
 PARAMS = FearParams()
+# The default subsystems, as every default FearModel grades with them.
+DEFAULT = FearModel()
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -100,58 +100,58 @@ class TestSubsystemGrades:
     the independent rectified-surface oracle."""
 
     def test_likelihood_worst_corner(self):
-        value = compute_likelihood(0.0, 0.0)
+        value = DEFAULT.likelihood_system.infer((0.0, 0.0))
         assert 0.76 <= value <= 1.0
         assert value == pytest.approx(reference_rectified_subsystem(-1, -1, 0.0, 0.0), abs=1e-9)
 
     def test_likelihood_best_corner(self):
-        value = compute_likelihood(1.0, 1.0)
+        value = DEFAULT.likelihood_system.infer((1.0, 1.0))
         assert 0.0 <= value <= 0.24
         assert value == pytest.approx(reference_rectified_subsystem(-1, -1, 1.0, 1.0), abs=1e-9)
 
     def test_likelihood_centre(self):
-        value = compute_likelihood(0.5, 0.5)
+        value = DEFAULT.likelihood_system.infer((0.5, 0.5))
         assert 0.25 <= value <= 0.73
         assert value == pytest.approx(reference_rectified_subsystem(-1, -1, 0.5, 0.5), abs=1e-9)
 
     def test_undesirability_worst(self):
-        value = compute_undesirability(1.0, 0.0)
+        value = DEFAULT.undesirability_system.infer((1.0, 0.0))
         assert 0.76 <= value <= 1.0
         assert value == pytest.approx(reference_rectified_subsystem(1, -1, 1.0, 0.0), abs=1e-9)
 
     def test_undesirability_best(self):
-        value = compute_undesirability(0.0, 1.0)
+        value = DEFAULT.undesirability_system.infer((0.0, 1.0))
         assert 0.0 <= value <= 0.24
         assert value == pytest.approx(reference_rectified_subsystem(1, -1, 0.0, 1.0), abs=1e-9)
 
     def test_undesirability_centre(self):
-        value = compute_undesirability(0.5, 0.5)
+        value = DEFAULT.undesirability_system.infer((0.5, 0.5))
         assert 0.25 <= value <= 0.73
         assert value == pytest.approx(reference_rectified_subsystem(1, -1, 0.5, 0.5), abs=1e-9)
 
-    @pytest.mark.parametrize("compute, polarity", [
-        (compute_likelihood, (-1, -1)), (compute_undesirability, (1, -1)),
-        (compute_global_intensity, (1, 1)),
+    @pytest.mark.parametrize("system, polarity", [
+        (DEFAULT.likelihood_system, (-1, -1)), (DEFAULT.undesirability_system, (1, -1)),
+        (DEFAULT.global_intensity_system, (1, 1)),
     ], ids=["likelihood", "undesirability", "global_intensity"])
-    def test_every_surface_node(self, compute, polarity):
+    def test_every_surface_node(self, system, polarity):
         axis = [k / (MONOTONE_NODES - 1) for k in range(MONOTONE_NODES)]
         for a in axis:
             for b in axis:
-                assert compute(a, b) == pytest.approx(
+                assert system.infer((a, b)) == pytest.approx(
                     reference_rectified_subsystem(*polarity, a, b), abs=1e-9)
 
     def test_global_intensity_high(self):
-        value = compute_global_intensity(1.0, 1.0)
+        value = DEFAULT.global_intensity_system.infer((1.0, 1.0))
         assert 0.76 <= value <= 1.0
         assert value == pytest.approx(reference_rectified_subsystem(1, 1, 1.0, 1.0), abs=1e-9)
 
     def test_global_intensity_low(self):
-        value = compute_global_intensity(0.0, 0.0)
+        value = DEFAULT.global_intensity_system.infer((0.0, 0.0))
         assert 0.0 <= value <= 0.24
         assert value == pytest.approx(reference_rectified_subsystem(1, 1, 0.0, 0.0), abs=1e-9)
 
     def test_global_intensity_mixed(self):
-        value = compute_global_intensity(1.0, 0.0)
+        value = DEFAULT.global_intensity_system.infer((1.0, 0.0))
         assert 0.25 <= value <= 0.73
         assert value == pytest.approx(reference_rectified_subsystem(1, 1, 1.0, 0.0), abs=1e-9)
 
@@ -212,9 +212,10 @@ def _inputs(**kwargs) -> FearInputs:
 def _grades(inputs: FearInputs, params: FearParams = PARAMS) -> tuple[float, float, float]:
     """(likelihood, undesirability, global intensity) of one appraisal."""
     signal = normalize_signal(inputs.signal_dbm, params)
-    return (compute_likelihood(normalize_distance(inputs.distance_m, params), signal),
-            compute_undesirability(inputs.comm_importance, signal),
-            compute_global_intensity(inputs.sor, inputs.vtp))
+    distance = normalize_distance(inputs.distance_m, params)
+    return (DEFAULT.likelihood_system.infer((distance, signal)),
+            DEFAULT.undesirability_system.infer((inputs.comm_importance, signal)),
+            DEFAULT.global_intensity_system.infer((inputs.sor, inputs.vtp)))
 
 
 def _constant_one_system() -> FuzzySystem:
@@ -293,7 +294,7 @@ class TestValidation:
     def test_nan_grade_input_raises_not_zero_fear(self, monotone):
         system = replace(likelihood_system(), monotone=monotone)
         with pytest.raises(ValueError, match="'distance' is NaN"):
-            compute_likelihood(float("nan"), 0.5, system)
+            fear._graded(system, float("nan"), 0.5)
 
     @pytest.mark.parametrize("signal", ["nan", "inf", "-inf"])
     def test_non_finite_signal_rejected_at_construction(self, signal):

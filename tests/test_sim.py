@@ -1,25 +1,25 @@
 import csv
 import io
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fearover.automaton import BandThresholds, FearBand, MobilitySymbol, classify
-from fearover.crsite import CsmAction, HandoverAttempt, TIMING_PRESETS, csm_dispatch
+from fearover.cli import load_scenario
+from fearover.crsite import CsmAction, HandoverAttempt, PoolEntry, TIMING_PRESETS, csm_dispatch
 from fearover.fear import FearInputs, FearModel, FearParams
 from fearover.route import GeoPoint, RouteDb, SurveyPoint
 from fearover.sim import (
     PATCH_M,
     RUNLOG_COLUMNS,
-    AttemptRecord,
     RouteExhausted,
     RunLog,
     SimConfig,
     Simulation,
     StayEpisode,
-    StayRecord,
     TickEvent,
     check_invariant1,
     check_invariant2,
@@ -312,10 +312,14 @@ class TestSurveyStartToK:
         assert len(log.stays) == 1
         stay = log.stays[0]
         assert stay.stay.provider == "SP3"
-        best_other = max(f for p, (_, f) in stay.pool.items() if p != "SP3")
-        assert best_other <= stay.pool["SP3"][1]
+        pool = log.pools[stay.tick]
+        best_other = max(e.future_dbm for p, e in pool.items() if p != "SP3")
+        assert best_other <= pool["SP3"].future_dbm
 
-        assert [(l.provider, l.point_label) for l in log.losses] == [("SP3", "H")]
+        (loss,) = log.losses
+        assert loss.provider == "SP3"
+        h = [p.label for p in survey_db.points].index("H")
+        assert survey_db.cumulative_m[h] <= loss.position_m < survey_db.cumulative_m[h + 1]
 
 
 class TestNarrativeTrace:
@@ -326,24 +330,24 @@ class TestNarrativeTrace:
 
         first, second, third = log.attempts
         (fourth,) = log.stays
-        assert isinstance(first, AttemptRecord)
+        assert isinstance(first.attempt, HandoverAttempt)
         assert (first.attempt.from_provider, first.attempt.to_provider) == ("Telenor", "Zong")
         assert first.attempt.success
-        assert first.pool["Telenor"] == (-91.0, -70.0)
-        assert first.pool["Zong"][1] == -50.0
+        assert log.pools[first.tick]["Telenor"] == PoolEntry(-91.0, -70.0)
+        assert log.pools[first.tick]["Zong"].future_dbm == -50.0
 
-        assert isinstance(second, AttemptRecord)
+        assert isinstance(second.attempt, HandoverAttempt)
         assert (second.attempt.from_provider, second.attempt.to_provider) == ("Zong", "Telenor")
         assert second.attempt.success
-        assert second.pool["Zong"][1] == -70.0
-        assert second.pool["Telenor"][1] == -29.0
+        assert log.pools[second.tick]["Zong"].future_dbm == -70.0
+        assert log.pools[second.tick]["Telenor"].future_dbm == -29.0
 
         # the bridge handover onto the white space of the final episode
-        assert isinstance(third, AttemptRecord)
+        assert isinstance(third.attempt, HandoverAttempt)
         assert (third.attempt.from_provider, third.attempt.to_provider) == ("Telenor", "Ufone")
         assert third.attempt.success
 
-        assert isinstance(fourth, StayRecord)
+        assert isinstance(fourth.stay, StayEpisode)
         assert fourth.tick > third.tick
         assert fourth.stay == StayEpisode("Ufone", -45.0, -65.0)
 
@@ -372,13 +376,13 @@ class TestSlotRemap:
         assert after[0].state.startswith("1")
 
 
-def _event(tick, distance, fear, provider="SP1", attempt=None):
+def _event(tick, distance, fear, provider="SP1", attempt=None, stay=None):
     return TickEvent(
         tick=tick, position_m=float(tick), provider=provider, state="1",
         fear=fear, band=classify(fear, BandThresholds()),
         symbol=MobilitySymbol.SELF, action=csm_dispatch(classify(fear, BandThresholds())),
         distance_to_bssp_m=distance, threat_dbm=-90.0,
-        signal_now_dbm=-60.0, signal_future_dbm=-70.0, attempt=attempt)
+        signal_now_dbm=-60.0, signal_future_dbm=-70.0, attempt=attempt, stay=stay)
 
 
 class TestInvariant1Checker:
@@ -403,21 +407,35 @@ class TestInvariant1Checker:
 
 
 class TestInvariant2Checker:
+    POOL = {"A": PoolEntry(-60.0, -50.0), "B": PoolEntry(-70.0, -65.0)}
+
     def test_weaker_target_fails(self):
         attempt = HandoverAttempt("A", "B", 5.2, 9.0, True)
-        record = AttemptRecord(0, 0.0, attempt, {"A": (-60.0, -50.0), "B": (-70.0, -65.0)})
-        report = check_invariant2(RunLog(attempts=[record]))
+        log = RunLog(events=[_event(0, 50.0, 0.9, attempt=attempt)], pools={0: self.POOL})
+        report = check_invariant2(log)
         assert not report.passed
 
     def test_failed_attempts_not_judged(self):
         attempt = HandoverAttempt("A", "B", 5.2, 1.0, False)
-        record = AttemptRecord(0, 0.0, attempt, {"A": (-60.0, -50.0), "B": (-70.0, -65.0)})
-        assert check_invariant2(RunLog(attempts=[record])).passed
+        log = RunLog(events=[_event(0, 50.0, 0.9, attempt=attempt)], pools={0: self.POOL})
+        assert check_invariant2(log).passed
 
     def test_stay_with_better_option_fails(self):
-        stay = StayRecord(0, 0.0, StayEpisode("A", -45.0, -65.0),
-                          {"A": (-45.0, -65.0), "B": (-50.0, -40.0)})
-        assert not check_invariant2(RunLog(stays=[stay])).passed
+        stay = StayEpisode("A", -45.0, -65.0)
+        pool = {"A": PoolEntry(-45.0, -65.0), "B": PoolEntry(-50.0, -40.0)}
+        log = RunLog(events=[_event(0, 50.0, 0.9, stay=stay)], pools={0: pool})
+        assert not check_invariant2(log).passed
+
+    @pytest.mark.parametrize("decision", [
+        {"attempt": HandoverAttempt("A", "B", 5.2, 9.0, True)},
+        {"attempt": HandoverAttempt("A", "B", 5.2, 1.0, False)},
+        {"stay": StayEpisode("A", -60.0, -50.0)},
+    ], ids=["success", "failure", "stay"])
+    def test_decision_without_pool_is_a_violation(self, decision):
+        log = RunLog(events=[_event(0, 50.0, 0.9), _event(1, 48.0, 0.9, **decision)],
+                     pools={0: self.POOL})
+        report = check_invariant2(log)
+        assert report.violations == ("tick 1: decision without a recorded pool",)
 
     def test_no_handovers_vacuous(self):
         assert check_invariant2(RunLog()).passed
@@ -426,8 +444,7 @@ class TestInvariant2Checker:
 class TestInvariant3Checker:
     def _log(self, preset):
         attempts = replay_attempts(TIMING_PRESETS[preset])
-        records = [AttemptRecord(i, 0.0, a, {}) for i, a in enumerate(attempts)]
-        return RunLog(attempts=records)
+        return RunLog(events=[_event(i, None, 0.0, attempt=a) for i, a in enumerate(attempts)])
 
     def test_worst_preset_counts(self):
         report = check_invariant3(self._log("worst"))
@@ -446,8 +463,7 @@ class TestInvariant3Checker:
 
     def test_contradictory_flag_fails(self):
         bad = HandoverAttempt("A", "B", required_s=5.0, time_left_s=9.0, success=False)
-        record = AttemptRecord(0, 0.0, bad, {})
-        assert not check_invariant3(RunLog(attempts=[record])).passed
+        assert not check_invariant3(RunLog(events=[_event(0, None, 0.0, attempt=bad)])).passed
 
 
 class TestRandomWorlds:
@@ -606,6 +622,43 @@ class TestRunLogBytes:
         assert spellings("threat_dbm") == {"", "-90", "-90.0"}
 
 
+class TestParsedRunLog:
+    """A log rebuilt from its own ``runlog.csv`` holds the same decisions and
+    the same Invariant1 and Invariant3 verdicts.  The CSV holds no pools, so
+    Invariant2 fails once per decision rather than passing unchecked."""
+
+    SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+    @staticmethod
+    def _check_round_trip(log):
+        rebuilt = RunLog(events=parse_runlog_csv(runlog_to_csv(log)))
+        assert rebuilt.attempts == log.attempts
+        assert rebuilt.stays == log.stays
+        assert rebuilt.losses == log.losses
+        assert check_invariant1(rebuilt) == check_invariant1(log)
+        assert check_invariant3(rebuilt) == check_invariant3(log)
+        decisions = sorted(e.tick for e in log.attempts + log.stays)
+        report = check_invariant2(rebuilt)
+        assert report.passed == (not decisions)
+        assert report.violations == tuple(
+            f"tick {tick}: decision without a recorded pool" for tick in decisions)
+        assert report.stats == check_invariant2(log).stats
+
+    @pytest.mark.parametrize("name", ["four_provider_trace", "seeded_violation",
+                                      "survey_default"])
+    def test_bundled_scenarios(self, name):
+        scenario = load_scenario(self.SCENARIOS / f"{name}.ini")
+        log = run(scenario.config, scenario.db, scenario.fear_model)
+        assert log.attempts and log.stays
+        self._check_round_trip(log)
+
+    @given(world=TestDifferentialOracle.worlds())
+    @settings(max_examples=60, deadline=None)
+    def test_any_world(self, world):
+        db, config, model = world
+        self._check_round_trip(run(config, db, model))
+
+
 class TestRunLogCsv:
     def test_round_trip_lossless(self, trace_db, fear_model):
         config = SimConfig(initial_provider="Telenor", stop_m=290.0)
@@ -708,6 +761,13 @@ class TestRunLogCsv:
         head, rest = log_text.split("\n", 1)
         with pytest.raises(ValueError, match=r"line 2: malformed row: a carriage return"):
             parse_runlog_csv(head + "\n" + rest.replace("\n", "\r\n"))
+
+    @pytest.mark.parametrize("tick", ["7", "-1", "1_0", "01", "+1", " 1", ""])
+    def test_tick_other_than_row_index_rejected(self, log_text, tick):
+        lines = log_text.split("\n")
+        lines[2] = tick + lines[2][lines[2].index(","):]
+        with pytest.raises(ValueError, match=r"line 3: malformed row: tick .*, expected 1"):
+            parse_runlog_csv("\n".join(lines))
 
     def test_untampered_rows_parse(self, log_rows):
         assert self._parse_tampered(log_rows, lambda row: None, attempt=True) > 2
