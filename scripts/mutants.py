@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Check that the tests kill each catalogued mutation of the program.
+
+A mutant is one exact text edit to a file under ``src/``.  This script
+copies ``src/`` and ``tests/`` (with the ``scenarios/`` and ``pyproject.toml``
+the tests read) to a temporary directory.  There it applies each edit in
+turn, runs pytest on the mutant's test files and reports the mutant as
+killed (a test failed) or survived.  The repository itself is never edited.
+
+    python scripts/mutants.py
+
+It exits 1 if any mutant survives, if an old text no longer occurs exactly
+once in its file (so a refactor must update the catalogue), or if the named
+test files do not pass unmutated.  Standard library only; pytest must be
+importable by the running interpreter.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+CATALOGUE = (
+    Mutant("crossing-strict", "src/fearover/sim.py",
+           "position >= cumulative[self._target]",
+           "position > cumulative[self._target]",
+           ("tests/test_sim.py",)),
+    Mutant("segment-bisect-left", "src/fearover/route.py",
+           "ahead = bisect_right(self.cumulative_m, position_m)",
+           "ahead = bisect_left(self.cumulative_m, position_m)",
+           ("tests/test_route.py", "tests/test_sim.py")),
+    Mutant("failed-episode-as-stay", "src/fearover/sim.py",
+           'loss = self._resolution != "stay"',
+           "loss = self._resolution is None",
+           ("tests/test_sim.py",)),
+    Mutant("decision-gate-always-open", "src/fearover/sim.py",
+           "if self._resolution is None:",
+           "if True:",
+           ("tests/test_sim.py",)),
+    Mutant("horizon-inclusive", "src/fearover/fear.py",
+           "return distance_m < self.params.distance_horizon_m",
+           "return distance_m <= self.params.distance_horizon_m",
+           ("tests/test_fear.py",)),
+    Mutant("invariant2-skips-poolless-decisions", "src/fearover/sim.py",
+           '            violations.append(f"tick {event.tick}: decision without a recorded pool")\n',
+           "",
+           ("tests/test_sim.py",)),
+    Mutant("stay-logged-as-loss", "src/fearover/sim.py",
+           'loss = self._resolution != "stay"',
+           "loss = True",
+           ("tests/test_sim.py",)),
+    Mutant("tie-leaves-in-use", "src/fearover/crsite.py",
+           "if pool[in_use].future_dbm >= best_future:",
+           "if pool[in_use].future_dbm > best_future:",
+           ("tests/test_crsite.py",)),
+    Mutant("horizon-gate-reads-simconfig", "src/fearover/sim.py",
+           "if self.fear_model.in_horizon(distance):",
+           "if distance < cfg.fear.distance_horizon_m:",
+           ("tests/test_sim.py",)),
+    Mutant("spelling-cache-by-value", "src/fearover/sim.py",
+           "now_s = spelled.get(id(now_dbm))\n"
+           "        if now_s is None:\n"
+           "            now_s = spelled[id(now_dbm)] = _spell(now_dbm)",
+           "now_s = spelled.get(now_dbm)\n"
+           "        if now_s is None:\n"
+           "            now_s = spelled[now_dbm] = _spell(now_dbm)",
+           ("tests/test_sim.py",)),
+)
+
+
+def pytest(workdir: Path, tests: tuple[str, ...]) -> int:
+    """Run pytest on ``tests`` inside ``workdir``; return its exit code.
+    Hypothesis's example database is cleared first, so no run replays an
+    example that another mutant failed on."""
+    shutil.rmtree(workdir / ".hypothesis", ignore_errors=True)
+    env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=workdir, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    stale = [m for m in CATALOGUE if (ROOT / m.path).read_text(encoding="utf-8").count(m.old) != 1]
+    for m in stale:
+        print(f"stale     {m.name}: old text does not occur exactly once in {m.path}")
+    if stale:
+        return 1
+
+    with tempfile.TemporaryDirectory(prefix="fearover-mutants-") as tmp:
+        work = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests", "scenarios"):
+            shutil.copytree(ROOT / part, work / part, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", work)
+
+        test_files = tuple(sorted({t for m in CATALOGUE for t in m.tests}))
+        code = pytest(work, test_files)
+        if code != 0:
+            print(f"baseline  pytest exited {code} on unmutated {' '.join(test_files)}")
+            return 1
+
+        survived = errors = 0
+        for m in CATALOGUE:
+            target = work / m.path
+            original = target.read_text(encoding="utf-8")
+            target.write_text(original.replace(m.old, m.new), encoding="utf-8")
+            began = time.perf_counter()
+            code = pytest(work, m.tests)
+            target.write_text(original, encoding="utf-8")
+            # pytest exits 1 when tests ran and some failed; any other
+            # failure code (collection or usage error) proves nothing.
+            if code == 1:
+                verdict = "killed"
+            elif code == 0:
+                verdict = "survived"
+                survived += 1
+            else:
+                verdict = f"error({code})"
+                errors += 1
+            print(f"{verdict:<9} {m.name:<36} {' '.join(m.tests)}"
+                  f"  ({time.perf_counter() - began:.1f} s)", flush=True)
+
+    print(f"{len(CATALOGUE)} mutants: {len(CATALOGUE) - survived - errors} killed, "
+          f"{survived} survived, {errors} errors")
+    return 1 if survived or errors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

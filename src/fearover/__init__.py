@@ -14,9 +14,8 @@ from .automaton import (
     MobilitySymbol,
     SlotMap,
     UnmappedProvider,
+    base_state,
     classify,
-    complete_handover,
-    initial_state,
     step,
 )
 from .crsite import (

@@ -89,20 +89,14 @@ class AutomatonState:
 
 
 # Slot-major: the state (slot, alert) is ALL_STATES[3 * (slot - 1) + alert].
-# ``step``, ``initial_state`` and ``complete_handover`` return these objects,
-# so a run builds no state and each label is formatted once.
+# ``step`` and ``base_state`` return these objects, so a run builds no state
+# and each label is formatted once.
 ALL_STATES = tuple(
     AutomatonState(slot, alert) for slot in (1, 2, 3) for alert in Alert
 )
 
 # Per band, the alert level it drives toward (B3 escalates like B2 until armed).
 _TARGET_ALERT = (Alert.BASE, Alert.A, Alert.B, Alert.B)
-
-
-def _state(slot: int, alert: int) -> AutomatonState:
-    if slot not in (1, 2, 3):
-        raise ValueError(f"slot must be 1..3, got {slot}")
-    return ALL_STATES[3 * slot - 3 + alert]
 
 
 def step(state: AutomatonState, band: FearBand) -> tuple[AutomatonState, MobilitySymbol]:
@@ -167,11 +161,9 @@ class SlotMap:
         return SlotMap(assignments), slot, True
 
 
-def initial_state(provider: str, slots: SlotMap) -> AutomatonState:
-    """Base state of the provider's slot; entry point of a run."""
-    return _state(slots.slot_of(provider), Alert.BASE)
-
-
-def complete_handover(state: AutomatonState, new_slot: int) -> AutomatonState:
-    """Base state of the adopted provider's slot (same slot on a stay)."""
-    return _state(new_slot, Alert.BASE)
+def base_state(slot: int) -> AutomatonState:
+    """Base state of ``slot``: where a run starts and where a completed
+    handover lands, in the adopted provider's slot."""
+    if slot not in (1, 2, 3):
+        raise ValueError(f"slot must be 1..3, got {slot}")
+    return ALL_STATES[3 * slot - 3]

@@ -200,10 +200,6 @@ class RouteDb:
     def route_length_m(self) -> float:
         return self.cumulative_m[-1]
 
-    def _check_provider(self, provider: str) -> None:
-        if provider not in self._bssps:
-            raise UnknownProvider(provider)
-
     def next_bad_index(self, position_m: float, provider: str) -> int | None:
         """Index of the first bad point strictly ahead of ``position_m``.
 
@@ -218,23 +214,23 @@ class RouteDb:
         return indices[k] if k < len(indices) else None
 
     def signal_at(self, index: int, provider: str) -> float:
-        self._check_provider(provider)
+        if provider not in self._bssps:
+            raise UnknownProvider(provider)
         if not 0 <= index < len(self.points):
             raise IndexOutOfRange(index)
         return self.points[index].signal(provider)
 
-    def index_at(self, position_m: float) -> int:
-        """Index of the nearest point at or behind ``position_m``."""
-        return max(bisect_right(self.cumulative_m, position_m) - 1, 0)
+    def segment(self, position_m: float) -> tuple[int, int]:
+        """Indices of the nearest point at or behind ``position_m`` and of the
+        next point strictly ahead.  Before the route starts the first point
+        counts as passed; past its end the last point counts as ahead."""
+        ahead = bisect_right(self.cumulative_m, position_m)
+        return max(ahead - 1, 0), min(ahead, len(self.cumulative_m) - 1)
 
     def current_signal(self, position_m: float, provider: str) -> float:
         """Reading at the nearest passed point."""
-        return self.signal_at(self.index_at(position_m), provider)
+        return self.signal_at(self.segment(position_m)[0], provider)
 
     def future_signal(self, position_m: float, provider: str) -> float:
         """Reading at the next point strictly ahead; last point's past the end."""
-        self._check_provider(provider)
-        index = bisect_right(self.cumulative_m, position_m)
-        if index >= len(self.points):
-            index = len(self.points) - 1
-        return self.points[index].signal(provider)
+        return self.signal_at(self.segment(position_m)[1], provider)

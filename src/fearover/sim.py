@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -29,9 +28,8 @@ from .automaton import (
     FearBand,
     MobilitySymbol,
     SlotMap,
+    base_state,
     classify,
-    complete_handover,
-    initial_state,
     step,
 )
 from .crsite import (
@@ -196,7 +194,16 @@ class RunLog:
 
 
 class Simulation:
-    """One vehicle run; owns its mutable state, shares the read-only db."""
+    """One vehicle run; owns its mutable state, shares the read-only db.
+
+    A threat episode is the approach to one bad point of the in-use
+    provider.  ``_target`` is that point's index as the last tick targeted
+    it (``None`` with no bad point ahead), and ``_resolution`` how its
+    episode was decided: ``None`` until then, ``"stay"`` or ``"failed"``.
+    A successful handover ends the episode without a resolution.  The tick
+    count is ``len(log.events)``, and the run is over once ``position_m``
+    reaches ``stop_m``.
+    """
 
     def __init__(self, config: SimConfig, db, fear_model: FearModel | None = None) -> None:
         self.config = config
@@ -228,12 +235,9 @@ class Simulation:
         if self.provider not in db.providers:
             raise ValueError(f"initial provider {self.provider!r} not in database")
         self.slots = SlotMap.from_providers(db.providers)
-        self.state = initial_state(self.provider, self.slots)
-        self.tick_index = 0
-        self.finished = False
-        # (provider, point index) -> "stay" | "failed"; one decision per episode
-        self._resolutions: dict[tuple[str, int], str] = {}
-        self._prev_target: tuple[str, int] | None = None
+        self.state = base_state(self.slots.slot_of(self.provider))
+        self._target: int | None = None
+        self._resolution: str | None = None
         self.log = RunLog()
 
     # -- helpers -----------------------------------------------------------
@@ -241,38 +245,27 @@ class Simulation:
     def _spend(self, key: str, seconds: float) -> None:
         self.log.time_spent_s[key] = self.log.time_spent_s.get(key, 0.0) + seconds
 
-    def _note_passed_threat(self) -> bool:
-        """Crossing the targeted bad point closes its episode; a crossing
-        without a successful handover or a deliberate stay is a loss."""
-        if self._prev_target is None:
-            return False
-        provider, index = self._prev_target
-        if provider != self.provider:
-            self._prev_target = None
-            return False
-        if self.position_m < self.db.cumulative_m[index]:
-            return False
-        resolution = self._resolutions.pop((provider, index), None)
-        self._prev_target = None
-        return resolution != "stay"
-
     # -- the tick pipeline --------------------------------------------------
 
     def tick(self) -> TickEvent:
-        if self.finished:
+        if self.position_m >= self.stop_m:
             raise RouteExhausted(f"vehicle already at stop position {self.stop_m}")
         cfg = self.config
         db = self.db
         position = self.position_m = min(self.position_m + cfg.speed_mps * cfg.tick_s,
                                          self.stop_m)
-        loss = self._note_passed_threat()
+        cumulative = db.cumulative_m
+        # Crossing the targeted point closes its episode: a loss unless stayed.
+        loss = False
+        if self._target is not None and position >= cumulative[self._target]:
+            loss = self._resolution != "stay"
+            self._target = self._resolution = None
 
         # ``next_bad_index`` rejects an unknown provider, so the readings
         # below are taken straight from the points.
         provider = self.provider
         target_index = db.next_bad_index(position, provider)
         points = db.points
-        cumulative = db.cumulative_m
         if target_index is None:
             distance = None
             threat_dbm = None
@@ -283,10 +276,9 @@ class Simulation:
             fear = 0.0
             if self.fear_model.in_horizon(distance):
                 fear = self.fear_model.intensity(cfg.appraisal(distance, threat_dbm))
-        # The nearest passed point and the next one ahead, from one bisection.
-        ahead = bisect_right(cumulative, position)
-        signal_now = points[max(ahead - 1, 0)].signals[provider]
-        signal_future = points[min(ahead, len(points) - 1)].signals[provider]
+        passed, ahead = db.segment(position)
+        signal_now = points[passed].signals[provider]
+        signal_future = points[ahead].signals[provider]
 
         band = classify(fear, cfg.bands)
         action = csm_dispatch(band)
@@ -297,59 +289,54 @@ class Simulation:
         stay = None
         remapped = False
         if symbol is MobilitySymbol.HANDOVER:
-            assert target_index is not None and distance is not None
-            episode = (provider, target_index)
-            if episode not in self._resolutions:
-                attempt, stay, remapped = self._decide_handover(episode, distance)
+            assert distance is not None
+            if self._resolution is None:
+                attempt, stay, remapped = self._decide_handover(provider, distance)
         elif action is CsmAction.INITIATE_SENSING:
             self._spend("sensing", cfg.timing.crst_s)
         elif action is CsmAction.INITIATE_OPTIMIZER:
             self._spend("sensing", cfg.timing.crst_s)
             self._spend("optimization", cfg.timing.megaot_s)
 
-        event = TickEvent(self.tick_index, position, provider, stepped.label, fear, band,
+        events = self.log.events
+        event = TickEvent(len(events), position, provider, stepped.label, fear, band,
                           symbol, action, distance, threat_dbm, signal_now, signal_future,
                           attempt, stay, loss, remapped)
-        self.log.events.append(event)
+        events.append(event)
 
-        if self.provider == provider and target_index is not None:
-            self._prev_target = (provider, target_index)
-        elif self.provider != provider:
-            self._prev_target = None
-            self._resolutions.clear()
-
-        self.tick_index += 1
-        if position >= self.stop_m:
-            self.finished = True
+        if self.provider == provider:
+            self._target = target_index
+        else:
+            self._target = self._resolution = None
         return event
 
-    def _decide_handover(self, episode: tuple[str, int],
+    def _decide_handover(self, provider: str,
                          distance: float) -> tuple[HandoverAttempt | None, StayEpisode | None, bool]:
         cfg = self.config
-        provider, _ = episode
         pool = sense(self.db, self.position_m)
         self._spend("sensing", cfg.timing.crst_s)
         self._spend("optimization", cfg.timing.megaot_s)
-        self.log.pools[self.tick_index] = pool
+        self.log.pools[len(self.log.events)] = pool
         choice = select_whitespace(pool, provider)
         if choice == provider:
             entry = pool[provider]
-            self._resolutions[episode] = "stay"
+            self._resolution = "stay"
             return None, StayEpisode(provider, entry.current_dbm, entry.future_dbm), False
         attempt = execute_handover(
             provider, choice, time_left(distance, cfg.speed_mps), cfg.timing)
         if attempt.success:
             self._spend("handover", cfg.timing.hot_s)
             self.slots, slot, remapped = self.slots.adopt(provider, choice)
-            self.state = complete_handover(self.state, slot)
+            self.state = base_state(slot)
             self.provider = choice
             return attempt, None, remapped
-        self._resolutions[episode] = "failed"
+        self._resolution = "failed"
         return attempt, None, False
 
     def run(self) -> RunLog:
-        while not self.finished:
-            if self.tick_index >= self.tick_bound:
+        events = self.log.events
+        while self.position_m < self.stop_m:
+            if len(events) >= self.tick_bound:
                 raise RuntimeError(
                     f"run exceeded its bound of {self.tick_bound} ticks at {self.position_m!r} m")
             self.tick()
@@ -411,8 +398,8 @@ def check_invariant1(log: RunLog) -> InvariantReport:
 def check_invariant2(log: RunLog) -> InvariantReport:
     """Completed handovers must adopt the pool's best future signal and
     strictly improve on the in-use one; stays must have had no strictly
-    better option.  A decision without a recorded pool cannot be judged
-    and is itself a violation."""
+    better option.  A decision without a recorded pool, or whose pool lacks
+    a provider it names, cannot be judged and is itself a violation."""
     violations = []
     handovers = stays = 0
     for event in log.events:
@@ -428,6 +415,12 @@ def check_invariant2(log: RunLog) -> InvariantReport:
             violations.append(f"tick {event.tick}: decision without a recorded pool")
             continue
         futures = {p: entry.future_dbm for p, entry in pool.items()}
+        named = ((stay.provider,) if stay is not None
+                 else (a.from_provider, a.to_provider) if a.success else ())
+        missing = [p for p in named if p not in futures]
+        if missing:
+            violations.append(f"tick {event.tick}: pool lacks {', '.join(missing)}")
+            continue
         if stay is not None:
             in_use = stay.provider
             better = {p: f for p, f in futures.items() if f > futures[in_use]}

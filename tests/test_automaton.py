@@ -11,9 +11,8 @@ from fearover.automaton import (
     MobilitySymbol,
     SlotMap,
     UnmappedProvider,
+    base_state,
     classify,
-    complete_handover,
-    initial_state,
     step,
 )
 
@@ -148,8 +147,8 @@ class TestStepProperties:
                 nxt, _ = step(state, classify(fear, CFG))
                 assert any(nxt is s for s in ALL_STATES), (state.label, fear)
         slots = SlotMap.from_providers(["SP1", "SP2", "SP3"])
-        assert initial_state("SP2", slots) is ALL_STATES[3]
-        assert complete_handover(ALL_STATES[2], 3) is ALL_STATES[6]
+        assert base_state(slots.slot_of("SP2")) is ALL_STATES[3]
+        assert base_state(3) is ALL_STATES[6]
 
     def test_labels(self):
         assert AutomatonState(1).label == "1"
@@ -164,13 +163,13 @@ class TestStepProperties:
 class TestSlotMap:
     def test_initial_assignment(self):
         slots = SlotMap.from_providers(["SP1", "SP2", "SP3"])
-        assert initial_state("SP1", slots) == AutomatonState(1)
-        assert initial_state("SP3", slots) == AutomatonState(3)
+        assert base_state(slots.slot_of("SP1")) == AutomatonState(1)
+        assert base_state(slots.slot_of("SP3")) == AutomatonState(3)
 
     def test_fourth_provider_unmapped(self):
         slots = SlotMap.from_providers(["Telenor", "Zong", "Ufone", "Mobilink"])
         with pytest.raises(UnmappedProvider):
-            initial_state("Mobilink", slots)
+            base_state(slots.slot_of("Mobilink"))
 
     def test_adopt_mapped_provider_keeps_map(self):
         slots = SlotMap.from_providers(["SP1", "SP2", "SP3"])
@@ -193,11 +192,13 @@ class TestSlotMap:
 
 
 class TestCompleteHandover:
+    """A completed handover lands in the base state of the adopted slot."""
+
     def test_to_other_slot(self):
-        assert complete_handover(AutomatonState(1, Alert.B), 2) == AutomatonState(2)
+        assert base_state(2) == AutomatonState(2)
 
     def test_to_third_slot(self):
-        assert complete_handover(AutomatonState(2, Alert.B), 3) == AutomatonState(3)
+        assert base_state(3) == AutomatonState(3)
 
     def test_stay_resets_alert_on_same_slot(self):
-        assert complete_handover(AutomatonState(1, Alert.B), 1) == AutomatonState(1)
+        assert base_state(1) == AutomatonState(1, Alert.BASE)

@@ -255,7 +255,7 @@ class TestTickBound:
         sim.tick_bound = 10
         with pytest.raises(RuntimeError, match="bound of 10 ticks"):
             sim.run()
-        assert sim.tick_index == 10 and not sim.finished
+        assert len(sim.log.events) == 10 and not sim.position_m >= sim.stop_m
 
     @given(stop=st.floats(1.0, 8400.0), ticks=st.integers(1, 30),
            spacings=st.floats(0.25, 4.0),
@@ -275,7 +275,7 @@ class TestTickBound:
             return
         assert sim.tick_bound <= 2 * ticks + 2
         log = sim.run()
-        assert sim.finished and len(log.events) <= sim.tick_bound
+        assert sim.position_m >= sim.stop_m and len(log.events) <= sim.tick_bound
         assert log.events[-1].position_m == stop
 
 
@@ -437,6 +437,17 @@ class TestInvariant2Checker:
         report = check_invariant2(log)
         assert report.violations == ("tick 1: decision without a recorded pool",)
 
+    @pytest.mark.parametrize("decision, lacks", [
+        ({"stay": StayEpisode("A", -60.0, -50.0)}, "A"),
+        ({"attempt": HandoverAttempt("B", "A", 5.2, 9.0, True)}, "A"),
+        ({"attempt": HandoverAttempt("A", "B", 5.2, 9.0, True)}, "A"),
+    ], ids=["stay", "success-lacks-to", "success-lacks-from"])
+    def test_pool_lacking_a_named_provider_is_a_violation(self, decision, lacks):
+        log = RunLog(events=[_event(0, 50.0, 0.9, **decision)],
+                     pools={0: {"B": PoolEntry(-50.0, -50.0)}})
+        report = check_invariant2(log)
+        assert report.violations == (f"tick 0: pool lacks {lacks}",)
+
     def test_no_handovers_vacuous(self):
         assert check_invariant2(RunLog()).passed
 
@@ -522,7 +533,10 @@ class TestDifferentialOracle:
     """``Simulation.run`` agrees event by event with the restated pipeline in
     ``oracles.reference_run`` on random routes.  Readings come from a small
     set so that future-signal ties occur; up to five providers exercise the
-    slot remap; the fear model's horizon differs from ``SimConfig.fear``'s."""
+    slot remap; the fear model's horizon differs from ``SimConfig.fear``'s.
+    Some worlds start a whole number of steps before a point: every step is
+    dyadic, so a tick lands exactly on it.  Some steps outrun the shortest
+    horizon."""
 
     READINGS = (-110, -95, -80, -70, -55, -40)
     LEVELS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -545,20 +559,29 @@ class TestDifferentialOracle:
         threshold = draw(st.sampled_from([-95.0, -80.0, -70.0]))
         db = RouteDb.from_csv("\n".join(rows) + "\n", bad_threshold_dbm=threshold)
 
+        tick_s = draw(st.sampled_from([0.25, 0.5, 1.0]))
+        speed_mps = draw(st.sampled_from([1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 128.0]))
+        step = speed_mps * tick_s
         start = draw(st.floats(0.0, 0.45)) * db.route_length_m
+        start_seed = draw(st.one_of(st.none(), st.integers(0, 10_000)))
+        landings = [at for at in db.cumulative_m[1:] if at >= step]
+        if landings and draw(st.booleans()):
+            at = draw(st.sampled_from(landings))
+            start = at - draw(st.integers(1, min(4, int(at // step)))) * step
+            start_seed = None
         stop = draw(st.one_of(st.none(), st.floats(0.5, 1.0).map(
             lambda f: f * db.route_length_m)))
+        if stop is not None and stop <= start:
+            stop = None
         low, mid, high = sorted(draw(st.lists(st.sampled_from(TestDifferentialOracle.LEVELS),
                                               min_size=3, max_size=3, unique=True)))
         config = SimConfig(
-            tick_s=draw(st.sampled_from([0.25, 0.5, 1.0])),
-            speed_mps=draw(st.sampled_from([1.0, 2.0, 4.0, 8.0, 16.0])),
-            start_m=start, stop_m=stop,
+            tick_s=tick_s, speed_mps=speed_mps, start_m=start, stop_m=stop,
             initial_provider=draw(st.sampled_from(providers[:3])),
             bands=BandThresholds(low, mid, high),
             timing=TIMING_PRESETS[draw(st.sampled_from(["worst", "average", "best"]))],
             comm_importance=draw(st.sampled_from([0.3, 1.0])),
-            start_seed=draw(st.one_of(st.none(), st.integers(0, 10_000))),
+            start_seed=start_seed,
         )
         model = FearModel(FearParams(
             fear_threshold=draw(st.sampled_from([0.0, 0.1])),
