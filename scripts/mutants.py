@@ -82,6 +82,38 @@ CATALOGUE = (
            "        if now_s is None:\n"
            "            now_s = spelled[now_dbm] = _spell(now_dbm)",
            ("tests/test_sim.py",)),
+    Mutant("coast-crossing-strict", "src/fearover/sim.py",
+           "if q >= end:",
+           "if q > end:",
+           ("tests/test_sim.py",)),
+    Mutant("coast-horizon-at-old-position", "src/fearover/sim.py",
+           "if in_horizon(distance):",
+           "if in_horizon(target_m - position):",
+           ("tests/test_sim.py",)),
+    Mutant("coast-at-raised-alert", "src/fearover/sim.py",
+           "if self.provider != last.provider or self.state.alert is not Alert.BASE:",
+           "if self.provider != last.provider:",
+           ("tests/test_sim.py",)),
+    Mutant("coast-after-handover", "src/fearover/sim.py",
+           "if self.provider != last.provider or self.state.alert is not Alert.BASE:",
+           "if self.state.alert is not Alert.BASE:",
+           ("tests/test_sim.py",)),
+    Mutant("coast-ignores-bound", "src/fearover/sim.py",
+           "while len(events) < bound:",
+           "while True:",
+           ("tests/test_sim.py",)),
+    Mutant("tick-bound-short-by-one", "src/fearover/sim.py",
+           "self.tick_bound = math.ceil((Fraction(self.stop_m) - Fraction(start)) / advance)",
+           "self.tick_bound = math.ceil((Fraction(self.stop_m) - Fraction(start)) / advance) - 1",
+           ("tests/test_sim.py",)),
+    Mutant("parse-accepts-bare-ho-success", "src/fearover/sim.py",
+           "elif ho_success:",
+           "elif False:",
+           ("tests/test_sim.py",)),
+    Mutant("clamp-lets-nan-through", "src/fearover/fuzzy.py",
+           "if x != x:",
+           "if False:",
+           ("tests/test_fuzzy.py", "tests/test_fear.py")),
 )
 
 

@@ -8,6 +8,13 @@ The run log is one event per tick, exportable to CSV byte-stably, plus the
 white-space pool each decision (a handover attempt or a stay) sensed,
 keyed by its tick.  Attempts, stays and losses live only in their events.
 
+Quiet ticks coast: most ticks change nothing but the position.  At base
+alert, with the target outside the fear horizon and no survey point or
+stop reached, a tick's fear is 0.0, its band B0, its step a self-loop and
+its action keep_current.  ``Simulation.run`` appends such ticks directly
+and calls ``tick``, the one place that appraises, steps, senses and
+decides, for every other tick.  The log is the same either way.
+
 Fear wiring: the appraised signal is the in-use provider's reading at the
 targeted bad-signal point, so within one approach episode fear responds to
 distance alone and rises monotonically.  The log still records the current
@@ -24,6 +31,7 @@ from typing import NamedTuple
 
 from .automaton import (
     ALL_STATES,
+    Alert,
     BandThresholds,
     FearBand,
     MobilitySymbol,
@@ -333,13 +341,55 @@ class Simulation:
         self._resolution = "failed"
         return attempt, None, False
 
+    def _coast(self, last: TickEvent) -> None:
+        """Append the quiet ticks that follow ``last`` without the pipeline.
+
+        A tick is quiet when the automaton is at base alert on the provider
+        ``last`` was logged on and the tick crosses no survey point, does
+        not reach stop and leaves the target outside the fear horizon.  Such
+        a tick appraises fear 0.0, classifies B0, self-loops (S) and keeps
+        the current white space: only its position and distance move.
+        Stops at the tick bound, so that ``run`` raises there."""
+        if self.provider != last.provider or self.state.alert is not Alert.BASE:
+            return
+        cumulative = self.db.cumulative_m
+        step_m = self.config.speed_mps * self.config.tick_s
+        position = self.position_m
+        # A quiet tick ends short of the next survey point and of stop, so
+        # ``tick``'s ``min(position + step, stop)`` is ``position + step``,
+        # and the target, the threat and the readings stay those of ``last``.
+        end = min(cumulative[self.db.segment(position)[1]], self.stop_m)
+        target_m = None if self._target is None else cumulative[self._target]
+        in_horizon = self.fear_model.in_horizon
+        events, bound = self.log.events, self.tick_bound
+        provider, state, threat_dbm = last.provider, last.state, last.threat_dbm
+        now_dbm, future_dbm = last.signal_now_dbm, last.signal_future_dbm
+        band, symbol, action = FearBand.B0, MobilitySymbol.SELF, CsmAction.KEEP_CURRENT
+        # ``tuple.__new__`` builds the event without the NamedTuple's
+        # argument binding, at about half the cost.
+        new = tuple.__new__
+        while len(events) < bound:
+            q = position + step_m
+            if q >= end:
+                break
+            distance = None
+            if target_m is not None:
+                distance = target_m - q
+                if in_horizon(distance):
+                    break
+            events.append(new(TickEvent, (len(events), q, provider, state, 0.0, band, symbol,
+                                          action, distance, threat_dbm, now_dbm, future_dbm,
+                                          None, None, False, False)))
+            position = q
+        self.position_m = position
+
     def run(self) -> RunLog:
         events = self.log.events
         while self.position_m < self.stop_m:
             if len(events) >= self.tick_bound:
                 raise RuntimeError(
                     f"run exceeded its bound of {self.tick_bound} ticks at {self.position_m!r} m")
-            self.tick()
+            self._coast(self.tick())
         return self.log
 
 

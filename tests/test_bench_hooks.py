@@ -6,13 +6,17 @@ names ``fearover.sim`` imported and patches ``Simulation.tick``, and
 that stops calling through those names would silently empty the per-layer
 metrics, so this test runs a short traced simulation the way the
 benchmark's warm-simulation operation does and checks the spans it records.
+``Simulation.run`` calls ``tick`` only for ticks that are not quiet and
+appends the quiet ones itself, so the per-tick layers count pipelined ticks.
 """
 
 import importlib.util
 from pathlib import Path
 
 from fearover import FearInputs, cli, sim
+from fearover.automaton import FearBand, MobilitySymbol
 from fearover.cli import load_scenario
+from fearover.crsite import CsmAction
 from fearover.sim import SimConfig, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,16 +33,45 @@ def _load_spans():
 def test_traced_survey_run_records_every_tick_layer(survey_db, fear_model):
     spans = _load_spans()
     tracer = spans.Tracer()
+    recorded = []
     with spans.installed(tracer):
-        db = spans.RouteProxy(survey_db, tracer)
-        model = spans.FearProxy(fear_model, tracer)
-        log = tracer.call("sim.run", sim.run, SimConfig(stop_m=150.0), db, model)
+        traced_tick = sim.Simulation.tick
+
+        def recording_tick(self):
+            event = traced_tick(self)
+            recorded.append(event)
+            return event
+
+        # Set and reset inside ``installed``, which restores the untraced tick.
+        sim.Simulation.tick = recording_tick
+        try:
+            db = spans.RouteProxy(survey_db, tracer)
+            model = spans.FearProxy(fear_model, tracer)
+            log = tracer.call("sim.run", sim.run, SimConfig(stop_m=150.0), db, model)
+        finally:
+            sim.Simulation.tick = traced_tick
     calls = {name: count for name, (count, _) in tracer.summarize().items()}
-    ticks = len(log.events)
+    ticks = len(recorded)
+    assert 0 < ticks < len(log.events)
     for name in ("sim.tick", "automaton.step", "automaton.classify", "crsite.dispatch",
                  "route.next_bad_index"):
         assert calls.get(name) == ticks, name
     assert 0 < calls.get("fear.intensity", 0) < ticks
+    # Every tick ``tick`` did not return was coasted, and is quiet.
+    pipelined = {event.tick for event in recorded}
+    assert all(log.events[event.tick] is event for event in recorded)
+
+    def carried(e):
+        return e.state, e.provider, e.threat_dbm, e.signal_now_dbm, e.signal_future_dbm
+
+    for before, event in zip(log.events, log.events[1:]):
+        if event.tick in pipelined:
+            continue
+        assert (event.fear, event.band, event.symbol, event.action) == (
+            0.0, FearBand.B0, MobilitySymbol.SELF, CsmAction.KEEP_CURRENT)
+        assert carried(event) == carried(before)
+        assert (event.attempt, event.stay, event.loss, event.slot_remapped) == (
+            None, None, False, False)
     # The patches are undone on exit: an untraced run records nothing more.
     before = len(tracer.buf)
     assert run(SimConfig(stop_m=150.0), survey_db, fear_model).events == log.events

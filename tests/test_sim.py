@@ -682,6 +682,93 @@ class TestParsedRunLog:
         self._check_round_trip(run(config, db, model))
 
 
+def _quiet_stretch_db():
+    """Three providers over 2 km: a long quiet stretch, then a bad point of
+    A and C at 420 m and one of B at 1,500 m."""
+    rows = [(0.0, -60, -60, -60), (400.0, -75, -50, -65), (420.0, -95, -50, -90),
+            (900.0, -60, -60, -60), (1500.0, -60, -85, -60), (1520.0, -60, -60, -60),
+            (2000.0, -60, -60, -60)]
+    points = [SurveyPoint(f"S{k}", GeoPoint(33.0 + at / TestRandomWorlds.M_PER_DEG_LAT, 73.5),
+                          dict(zip("ABC", dbms)))
+              for k, (at, *dbms) in enumerate(rows)]
+    return RouteDb(["A", "B", "C"], points)
+
+
+class TestCoasting:
+    """``run`` appends quiet ticks without calling ``tick``; the log is the
+    one a plain ``tick`` loop gives, event for event and byte for byte."""
+
+    SCENARIOS = TestParsedRunLog.SCENARIOS
+
+    class CountingSimulation(Simulation):
+        ticks = 0
+
+        def tick(self):
+            self.ticks += 1
+            return super().tick()
+
+    @staticmethod
+    def _check_run_matches_tick_loop(config, db, model):
+        ticked = Simulation(config, db, model)
+        while ticked.position_m < ticked.stop_m:
+            ticked.tick()
+        sim = TestCoasting.CountingSimulation(config, db, model)
+        log = sim.run()
+        assert log == ticked.log
+        assert runlog_to_csv(log) == runlog_to_csv(ticked.log)
+        return sim, log
+
+    @pytest.mark.parametrize("name", ["four_provider_trace", "seeded_violation",
+                                      "survey_default"])
+    def test_bundled_scenarios(self, name):
+        scenario = load_scenario(self.SCENARIOS / f"{name}.ini")
+        sim, log = self._check_run_matches_tick_loop(
+            scenario.config, scenario.db, scenario.fear_model)
+        assert sim.ticks < len(log.events)
+
+    def test_long_quiet_stretch(self, fear_model):
+        sim, log = self._check_run_matches_tick_loop(
+            SimConfig(initial_provider="A"), _quiet_stretch_db(), fear_model)
+        assert log.attempts
+        assert sim.ticks < len(log.events) // 4
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_tick_landing_on_a_survey_point_reads_it(self, fear_model, k):
+        """A tick that lands exactly on a survey point reads it, and one that
+        lands on the targeted bad point closes its episode there.  A's only
+        bad point is point 2 (420 m); with no prospect nothing is decided, so
+        crossing it is a loss, and past it every tick on A is quiet but the
+        ones that reach a point.  The start lies 20 whole 2 m steps before
+        point ``k``, so the 20th tick lands exactly on it."""
+        db = _quiet_stretch_db()
+        at = db.cumulative_m[k]
+        _, log = self._check_run_matches_tick_loop(
+            SimConfig(initial_provider="A", prospect=False, start_m=at - 40.0), db, fear_model)
+        before, landed = log.events[18:20]
+        assert landed.position_m == at
+        assert before.signal_future_dbm == landed.signal_now_dbm == db.points[k].signals["A"]
+        assert [e.tick for e in log.losses] == ([19] if k == 2 else [])
+
+    @given(world=TestDifferentialOracle.worlds())
+    @settings(max_examples=60, deadline=None)
+    def test_any_world(self, world):
+        db, config, model = world
+        self._check_run_matches_tick_loop(config, db, model)
+
+    def test_run_raises_at_its_bound_inside_a_coast(self, fear_model):
+        """On a route with no bad point the first tick is the only one
+        ``tick`` runs; the bound of 10 falls inside the coast after it."""
+        points = [SurveyPoint(f"E{k}", GeoPoint(33.0 + at / TestRandomWorlds.M_PER_DEG_LAT,
+                                                 73.5), {"A": -60.0})
+                  for k, at in enumerate((0.0, 1000.0))]
+        sim = self.CountingSimulation(SimConfig(), RouteDb(["A"], points), fear_model)
+        sim.tick_bound = 10
+        with pytest.raises(RuntimeError, match="bound of 10 ticks"):
+            sim.run()
+        assert len(sim.log.events) == 10 and sim.ticks == 1
+        assert sim.position_m == sim.log.events[-1].position_m < sim.stop_m
+
+
 class TestRunLogCsv:
     def test_round_trip_lossless(self, trace_db, fear_model):
         config = SimConfig(initial_provider="Telenor", stop_m=290.0)
