@@ -2,10 +2,11 @@
 """Check that the tests kill each catalogued mutation of the program.
 
 A mutant is one exact text edit to a file under ``src/``.  This script
-copies ``src/`` and ``tests/`` (with the ``scenarios/`` and ``pyproject.toml``
-the tests read) to a temporary directory.  There it applies each edit in
-turn, runs pytest on the mutant's test files and reports the mutant as
-killed (a test failed) or survived.  The repository itself is never edited.
+copies ``src/`` and ``tests/`` (with the ``scenarios/``, ``pyproject.toml``
+and ``README.md`` the tests read) to a temporary directory.  There it
+applies each edit in turn, runs pytest on the mutant's test files and
+reports the mutant as killed (a test failed) or survived.  The repository
+itself is never edited.
 
     python scripts/mutants.py
 
@@ -74,13 +75,21 @@ CATALOGUE = (
            "if self.fear_model.in_horizon(distance):",
            "if distance < cfg.fear.distance_horizon_m:",
            ("tests/test_sim.py",)),
-    Mutant("spelling-cache-by-value", "src/fearover/sim.py",
-           "now_s = spelled.get(id(now_dbm))\n"
-           "        if now_s is None:\n"
-           "            now_s = spelled[id(now_dbm)] = _spell(now_dbm)",
-           "now_s = spelled.get(now_dbm)\n"
-           "        if now_s is None:\n"
-           "            now_s = spelled[now_dbm] = _spell(now_dbm)",
+    Mutant("export-reuse-by-value", "src/fearover/sim.py",
+           "if not (fear is last_fear and now_dbm is last_now and future_dbm is last_future\n"
+           "                and threat_dbm is last_threat",
+           "if not (fear == last_fear and now_dbm == last_now and future_dbm == last_future\n"
+           "                and threat_dbm == last_threat",
+           ("tests/test_sim.py",)),
+    Mutant("export-reuse-ignores-marks", "src/fearover/sim.py",
+           " and attempt is None and stay is None\n"
+           "                and not loss and not remapped):",
+           "):",
+           ("tests/test_sim.py",)),
+    Mutant("export-reuse-after-marked-row", "src/fearover/sim.py",
+           "            if attempt is not None or stay is not None or loss or remapped:\n"
+           "                last_fear = nothing\n",
+           "",
            ("tests/test_sim.py",)),
     Mutant("coast-crossing-strict", "src/fearover/sim.py",
            "if q >= end:",
@@ -109,6 +118,19 @@ CATALOGUE = (
     Mutant("parse-accepts-bare-ho-success", "src/fearover/sim.py",
            "elif ho_success:",
            "elif False:",
+           ("tests/test_sim.py",)),
+    Mutant("parse-reuse-without-length-guard", "src/fearover/sim.py",
+           "if end >= mid_len and rest.startswith(mid)",
+           "if rest.startswith(mid)",
+           ("tests/test_sim.py",)),
+    Mutant("parse-reuse-skips-tick-check", "src/fearover/sim.py",
+           "                    if tick != str(number - 2):\n"
+           "                        raise ValueError(f\"tick {tick!r}, expected {number - 2}\")\n",
+           "",
+           ("tests/test_sim.py",)),
+    Mutant("parse-reuse-allows-comma-in-distance", "src/fearover/sim.py",
+           ' and "," not in distance_m:',
+           ":",
            ("tests/test_sim.py",)),
     Mutant("clamp-lets-nan-through", "src/fearover/fuzzy.py",
            "if x != x:",
@@ -140,7 +162,8 @@ def main() -> int:
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         for part in ("src", "tests", "scenarios"):
             shutil.copytree(ROOT / part, work / part, ignore=ignore)
-        shutil.copy(ROOT / "pyproject.toml", work)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, work)
 
         test_files = tuple(sorted({t for m in CATALOGUE for t in m.tests}))
         code = pytest(work, test_files)

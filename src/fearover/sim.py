@@ -569,37 +569,49 @@ def runlog_to_csv(log: RunLog) -> str:
     booleans are ``true``/``false``.  No field is ever quoted, because none
     needs it: states, bands, symbols, actions and booleans are fixed tokens,
     a number's spelling holds no comma, and ``RouteDb`` refuses a provider
-    name holding ``,``, ``"``, CR or LF."""
-    # Fear and the three readings repeat from tick to tick as the same
-    # objects, so each is spelled once per object.  The key is the identity,
-    # not the value: 0.0 == -0.0 and -90 == -90.0, but their spellings differ.
-    # Every keyed object stays alive in ``log`` while this runs.
-    spelled = {id(None): ""}
+    name holding ``,``, ``"``, CR or LF.
+
+    Most rows repeat the row before them but for tick, position and
+    distance: a coasted tick holds the very objects of the tick before.  A
+    row with no attempt, stay, loss or remap whose provider, state, fear,
+    band, symbol, action, threat and both readings are the objects the last
+    spelled row held reuses that row's middle text (``,provider,…,action,``)
+    and tail text (``,threat,…,slot_remapped``) and spells only its tick,
+    position and distance.  The comparison is by identity, never by value:
+    0.0 == -0.0 and -90 == -90.0, but their spellings differ."""
     lines = [_HEADER]
+    append = lines.append
+    # The objects ``mid`` and ``tail`` were spelled from.  ``nothing`` is no
+    # event's field, so the first row, and the row after one with an
+    # attempt, stay, loss or remap, is spelled in full.
+    nothing = object()
+    last_provider = last_state = last_fear = last_band = last_symbol = last_action = nothing
+    last_threat = last_now = last_future = nothing
     for (tick, position_m, provider, state, fear, band, symbol, action, distance_m,
          threat_dbm, now_dbm, future_dbm, attempt, stay, loss, remapped) in log.events:
-        fear_s = spelled.get(id(fear))
-        if fear_s is None:
-            fear_s = spelled[id(fear)] = _spell(fear)
-        threat_s = spelled.get(id(threat_dbm))
-        if threat_s is None:
-            threat_s = spelled[id(threat_dbm)] = _spell(threat_dbm)
-        now_s = spelled.get(id(now_dbm))
-        if now_s is None:
-            now_s = spelled[id(now_dbm)] = _spell(now_dbm)
-        future_s = spelled.get(id(future_dbm))
-        if future_s is None:
-            future_s = spelled[id(future_dbm)] = _spell(future_dbm)
-        attempt_s = _NO_ATTEMPT if attempt is None else (
-            f"{attempt.from_provider},{attempt.to_provider},{_spell(attempt.required_s)},"
-            f"{_spell(attempt.time_left_s)},{_BOOL_TEXT[attempt.success]}")
-        stay_s = _NO_STAY if stay is None else (
-            f"{stay.provider},{_spell(stay.current_dbm)},{_spell(stay.future_dbm)}")
-        lines.append(
-            f"{tick},{_spell(position_m)},{provider},{state},{fear_s},{band._name_},"
-            f"{symbol._value_},{action._value_},{_spell(distance_m)},{threat_s},{now_s},"
-            f"{future_s},{attempt_s},{stay_s},{_BOOL_TEXT[loss]},{_BOOL_TEXT[remapped]}")
-    lines.append("")
+        if not (fear is last_fear and now_dbm is last_now and future_dbm is last_future
+                and threat_dbm is last_threat and provider is last_provider
+                and state is last_state and band is last_band and symbol is last_symbol
+                and action is last_action and attempt is None and stay is None
+                and not loss and not remapped):
+            attempt_s = _NO_ATTEMPT if attempt is None else (
+                f"{attempt.from_provider},{attempt.to_provider},{_spell(attempt.required_s)},"
+                f"{_spell(attempt.time_left_s)},{_BOOL_TEXT[attempt.success]}")
+            stay_s = _NO_STAY if stay is None else (
+                f"{stay.provider},{_spell(stay.current_dbm)},{_spell(stay.future_dbm)}")
+            mid = (f",{provider},{state},{_spell(fear)},{band._name_},{symbol._value_},"
+                   f"{action._value_},")
+            tail = (f",{_spell(threat_dbm)},{_spell(now_dbm)},{_spell(future_dbm)},"
+                    f"{attempt_s},{stay_s},{_BOOL_TEXT[loss]},{_BOOL_TEXT[remapped]}")
+            last_provider, last_state, last_fear, last_band, last_symbol, last_action = (
+                provider, state, fear, band, symbol, action)
+            last_threat, last_now, last_future = threat_dbm, now_dbm, future_dbm
+            if attempt is not None or stay is not None or loss or remapped:
+                last_fear = nothing
+        append(f"{tick},{repr(position_m) if type(position_m) is float else _spell(position_m)}"
+               f"{mid}{repr(distance_m) if type(distance_m) is float else _spell(distance_m)}"
+               f"{tail}")
+    append("")
     return "\n".join(lines)
 
 
@@ -633,7 +645,19 @@ def parse_runlog_csv(text: str) -> list[TickEvent]:
     the row's index (its line number less 2), an unknown state,
     band, symbol or action, an empty provider, a number that does not parse
     or is not finite, or a boolean other than ``true``/``false`` (empty
-    ``ho_success`` only, where no attempt exists)."""
+    ``ho_success`` only, where no attempt exists).
+
+    Most rows repeat the row before them but for tick, position and
+    distance.  A line whose text after its second comma is the last fully
+    parsed row's middle text (``provider,…,action,``), then a distance
+    holding no comma, then that row's tail text (``,threat,…,slot_remapped``)
+    reuses that row's parsed fields; its tick is still checked and its
+    position and distance parsed and checked.  Such a line splits into the
+    same 22 fields as that row but for those three, and those fields were
+    accepted there, so every rejection, and the line it names, is the one
+    the full parse gives.  The length check keeps a row whose empty
+    distance was dropped (21 fields, the middle's last comma read as the
+    tail's first) from matching."""
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -647,16 +671,42 @@ def parse_runlog_csv(text: str) -> list[TickEvent]:
             raise ValueError(f"line {number}: malformed row: {what}")
     width = len(RUNLOG_COLUMNS)
     finite = math.isfinite
+    new_event = tuple.__new__
     events = []
+    append = events.append
+    # ``mid`` and ``tail`` hold the last fully parsed row's texts and that
+    # row's parsed fields stay in the locals below.  No line ends with
+    # "\n", so none matches before the first row is parsed.
+    tail = "\n"
     for number, line in enumerate(lines[1:], start=2):
+        if line.endswith(tail):
+            tick, position_m, rest = line.split(",", 2)
+            end = len(rest) - tail_len
+            distance_m = rest[mid_len:end]
+            if end >= mid_len and rest.startswith(mid) and "," not in distance_m:
+                try:
+                    if tick != str(number - 2):
+                        raise ValueError(f"tick {tick!r}, expected {number - 2}")
+                    position = float(position_m)
+                    distance = float(distance_m) if distance_m else None
+                    if not finite(position):
+                        raise ValueError(f"non-finite position_m {position_m!r}")
+                    if distance_m and not finite(distance):
+                        raise ValueError(f"non-finite distance_to_bssp_m {distance_m!r}")
+                except ValueError as exc:
+                    raise ValueError(f"line {number}: malformed row: {exc}") from None
+                append(new_event(TickEvent, (
+                    number - 2, position, provider, state, level, band, symbol, action,
+                    distance, threat, now, future, attempt, stay, loss, remapped)))
+                continue
         row = line.split(",")
         if len(row) != width:
             raise ValueError(f"line {number}: expected {width} fields, "
                              f"got {len(row) if line else 0}")
-        (tick, position_m, provider, state, fear, band, symbol, action, distance_m,
+        (tick, position_m, provider, state, fear, band_s, symbol_s, action_s, distance_m,
          threat_dbm, now_dbm, future_dbm, ho_from, ho_to, ho_required_s, ho_time_left_s,
-         ho_success, stay_provider, stay_current_dbm, stay_future_dbm, loss,
-         remapped) = row
+         ho_success, stay_provider, stay_current_dbm, stay_future_dbm, loss_s,
+         remapped_s) = row
         try:
             if tick != str(number - 2):
                 raise ValueError(f"tick {tick!r}, expected {number - 2}")
@@ -685,11 +735,22 @@ def parse_runlog_csv(text: str) -> list[TickEvent]:
             if stay_provider:
                 stay = StayEpisode(stay_provider, float(stay_current_dbm),
                                    float(stay_future_dbm))
-            events.append(TickEvent(
-                number - 2, position, provider, state, level, _BANDS[band],
-                _SYMBOLS[symbol], _ACTIONS[action], distance if distance_m else None,
-                threat if threat_dbm else None, now, future, attempt, stay, _BOOLS[loss],
-                _BOOLS[remapped]))
+            band = _BANDS[band_s]
+            symbol = _SYMBOLS[symbol_s]
+            action = _ACTIONS[action_s]
+            loss = _BOOLS[loss_s]
+            remapped = _BOOLS[remapped_s]
         except (KeyError, ValueError) as exc:
             raise ValueError(f"line {number}: malformed row: {exc}") from None
+        if not distance_m:
+            distance = None
+        if not threat_dbm:
+            threat = None
+        append(new_event(TickEvent, (
+            number - 2, position, provider, state, level, band, symbol, action, distance,
+            threat, now, future, attempt, stay, loss, remapped)))
+        mid = ",".join(row[2:8]) + ","
+        tail = "," + ",".join(row[9:])
+        mid_len = len(mid)
+        tail_len = len(tail)
     return events

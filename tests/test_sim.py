@@ -888,3 +888,113 @@ class TestRunLogCsv:
         text = log.summary_text()
         assert "handover attempts: 3" in text
         assert "stay episodes: 1" in text
+
+
+class TestRunLogCsvQuietRows:
+    """A row inside a quiet run repeats the row before it but for tick,
+    position and distance; the export reuses that row's text and the parse
+    its fields.  A row tampered there is rejected as the first data row is,
+    naming its own line, and rows after an attempt, a stay, a loss or a
+    remap are their own rows, not copies of the one before."""
+
+    DISTANCE = RUNLOG_COLUMNS.index("distance_to_bssp_m")
+
+    @pytest.fixture(scope="class")
+    def quiet_lines(self, fear_model):
+        log = run(SimConfig(initial_provider="A"), _quiet_stretch_db(), fear_model)
+        return runlog_to_csv(log).split("\n")
+
+    @classmethod
+    def _tamper(cls, lines, with_distance, edit):
+        """Parse ``lines`` after ``edit`` changed the middle one of the rows
+        that have a distance (or none) and repeat, but for tick, position and
+        distance, the two rows before and the row after; returns the tampered
+        row's line number."""
+        def repeated(k):
+            row = lines[k].split(",")
+            return row[2:cls.DISTANCE] + row[cls.DISTANCE + 1:]
+
+        quiet = [k for k in range(3, len(lines) - 2)
+                 if repeated(k - 2) == repeated(k - 1) == repeated(k) == repeated(k + 1)
+                 and bool(lines[k].split(",")[cls.DISTANCE]) == with_distance]
+        k = quiet[len(quiet) // 2]
+        row = lines[k].split(",")
+        edit(row)
+        parse_runlog_csv("\n".join(lines[:k] + [",".join(row)] + lines[k + 1:]))
+        return k + 1
+
+    @pytest.mark.parametrize("with_distance", [True, False])
+    def test_untampered_quiet_rows_parse(self, quiet_lines, with_distance):
+        assert self._tamper(quiet_lines, with_distance, lambda row: None) > 100
+
+    @pytest.mark.parametrize("with_distance", [True, False])
+    def test_wrong_tick_rejected(self, quiet_lines, with_distance):
+        line = self._tamper(quiet_lines, with_distance, lambda row: None)
+        with pytest.raises(ValueError, match=rf"^line {line}: malformed row: "
+                                             rf"tick '{line - 1}', expected {line - 2}$"):
+            self._tamper(quiet_lines, with_distance,
+                         lambda row: row.__setitem__(0, str(line - 1)))
+
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "non-finite position_m 'nan'"),
+        ("inf", "non-finite position_m 'inf'"),
+        ("x", "could not convert string to float: 'x'"),
+    ])
+    def test_bad_position_rejected(self, quiet_lines, value, message):
+        line = self._tamper(quiet_lines, True, lambda row: None)
+        with pytest.raises(ValueError, match=rf"^line {line}: malformed row: {message}$"):
+            self._tamper(quiet_lines, True, lambda row: row.__setitem__(1, value))
+
+    def test_non_finite_distance_rejected(self, quiet_lines):
+        line = self._tamper(quiet_lines, True, lambda row: None)
+        with pytest.raises(ValueError, match=rf"^line {line}: malformed row: "
+                                             r"non-finite distance_to_bssp_m 'nan'$"):
+            self._tamper(quiet_lines, True,
+                         lambda row: row.__setitem__(self.DISTANCE, "nan"))
+
+    def test_dropped_empty_distance_rejected(self, quiet_lines):
+        """Without its empty distance the row reads as the middle text of
+        the row before, then its tail, sharing the comma between them."""
+        line = self._tamper(quiet_lines, False, lambda row: None)
+        with pytest.raises(ValueError, match=rf"^line {line}: expected 22 fields, got 21$"):
+            self._tamper(quiet_lines, False, lambda row: row.pop(self.DISTANCE))
+
+    @pytest.mark.parametrize("with_distance", [True, False])
+    @pytest.mark.parametrize("at", [DISTANCE, DISTANCE + 1, len(RUNLOG_COLUMNS)])
+    def test_extra_field_rejected(self, quiet_lines, with_distance, at):
+        line = self._tamper(quiet_lines, with_distance, lambda row: None)
+        with pytest.raises(ValueError, match=rf"^line {line}: expected 22 fields, got 23$"):
+            self._tamper(quiet_lines, with_distance, lambda row: row.insert(at, "1.5"))
+
+    def test_equal_readings_in_a_quiet_run_keep_their_own_spellings(self, fear_model):
+        """Each survey point's readings equal the last point's in value but
+        not in spelling, and no point is bad, so the run stays quiet: a row
+        after a crossing equals the row before in every field but tick,
+        position and distance, by value, yet not in its text."""
+        readings = [0.0, -0.0, 0.0, -0.0, -60, -60.0, -60, -60.0]
+        points = [SurveyPoint(f"Z{k}", GeoPoint(33.0 + 20.0 * k / TestRandomWorlds.M_PER_DEG_LAT,
+                                                 73.5), {"A": dbm, "B": -110.0})
+                  for k, dbm in enumerate(readings)]
+        log = run(SimConfig(), RouteDb(["A", "B"], points), fear_model)
+        assert not log.attempts and not log.stays and not log.losses
+        text = runlog_to_csv(log)
+        assert text == reference_runlog_csv(log.events)
+        assert parse_runlog_csv(text) == log.events
+        now = RUNLOG_COLUMNS.index("signal_now_dbm")
+        assert {line.split(",")[now] for line in text.splitlines()[1:]} == {
+            "0.0", "-0.0", "-60", "-60.0"}
+
+    def test_quiet_rows_after_an_attempt_a_stay_a_loss_and_a_remap_round_trip(self):
+        """Each quiet row holds the very objects of the marked row before it,
+        but none of its marks."""
+        fear, threat, now, future = 0.0, -95.0, -60.0, -75.0
+        marks = [{}, {"attempt": HandoverAttempt("A", "B", 0.5, 2.0, True)}, {}, {},
+                 {"stay": StayEpisode("A", -60.0, -75.0)}, {}, {}, {"loss": True}, {}, {},
+                 {"slot_remapped": True}, {}, {}]
+        events = [TickEvent(k, 2.0 * k, "A", "1", fear, FearBand.B0, MobilitySymbol.SELF,
+                            CsmAction.KEEP_CURRENT, 400.0 - 2.0 * k if k % 3 else None,
+                            threat, now, future, **mark)
+                  for k, mark in enumerate(marks)]
+        text = runlog_to_csv(RunLog(events=events))
+        assert text == reference_runlog_csv(events)
+        assert parse_runlog_csv(text) == events
