@@ -133,9 +133,29 @@ CATALOGUE = (
            ":",
            ("tests/test_sim.py",)),
     Mutant("clamp-lets-nan-through", "src/fearover/fuzzy.py",
-           "if x != x:",
-           "if False:",
+           "if x != x:\n                raise ValueError(f\"input {name!r} is NaN\")",
+           "if False:\n                raise ValueError(f\"input {name!r} is NaN\")",
            ("tests/test_fuzzy.py", "tests/test_fear.py")),
+    Mutant("lookup-lets-nan-through", "src/fearover/fuzzy.py",
+           "if y != y:",
+           "if False:",
+           ("tests/test_fuzzy.py",)),
+    Mutant("last-cell-clamp-off-by-one", "src/fearover/fuzzy.py",
+           "MONOTONE_NODES - 2, nodes)",
+           "MONOTONE_NODES - 3, nodes)",
+           ("tests/test_fuzzy.py",)),
+    Mutant("last-cell-clamp-inclusive", "src/fearover/fuzzy.py",
+           "if i > last:",
+           "if i >= last:",
+           ("tests/test_fuzzy.py",)),
+    Mutant("plateau-excludes-its-end", "src/fearover/fuzzy.py",
+           "elif x <= c:",
+           "elif x < c:",
+           ("tests/test_fuzzy.py",)),
+    Mutant("firing-takes-max", "src/fearover/fuzzy.py",
+           "firing if firing < mu else mu",
+           "firing if firing > mu else mu",
+           ("tests/test_fuzzy.py",)),
 )
 
 

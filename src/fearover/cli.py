@@ -396,9 +396,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The ``FEAROVER_LOG`` values; any other falls back to WARNING.
+_LOG_LEVELS = {name: getattr(logging, name) for name in ("DEBUG", "INFO", "WARNING", "ERROR")}
+
+
 def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("FEAROVER_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    logging.basicConfig(level=_LOG_LEVELS.get(level, logging.WARNING))
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)

@@ -2,23 +2,27 @@
 
 Trapezoidal membership functions, min conjunction, min (clipping)
 implication, max aggregation and centroid defuzzification over a sampled
-output grid.  Systems are immutable after construction; the arrays and the
-rule table inference reads are built once per instance.
+output grid.  Systems are immutable after construction; the arrays and
+flat tables inference reads are built once per instance, as cached
+properties.
 
 Two paths compute the raw values, chosen by what the caller holds.  A raw
-``infer`` (no ``monotone``) gets one point: it takes each input term's
-membership with ``MembershipFunction.__call__``, fires only the rules whose
-terms all hold, and clips, max-combines and centroids only the output terms
+``infer`` (no ``monotone``) gets one point, through ``_point_value``.  It
+reads ``_point_tables``: per input its universe and each term's
+breakpoints as a tuple, with the term's offset into a rule table keyed by
+antecedent.  It takes each membership by ``MembershipFunction.__call__``'s
+arithmetic, written inline, folds the inputs' held terms into (antecedent,
+firing) pairs, and clips, max-combines and centroids only the output terms
 clipped above 0.  The batch kernel (``_levels`` / ``_aggregate``) runs a
-node grid as arrays and builds the rectified surface: the 4,225 node values
-of the likelihood subsystem took it about 12 ms (2-6 ms for the clip
-levels) where the one-point path took about 100 ms, while for one point its
-per-call array set-up made it about twice as slow.  The two agree under
-``==``: ``_trapezoids`` is ``__call__``'s arithmetic, min and max are exact,
-a term clipped at 0 cannot raise a max of memberships that are all >= 0,
-and the 1-D centroid sums the aggregate in the pairwise order the batch
-kernel sums each contiguous row.  A test compares them at every node and
-between nodes.
+node grid as arrays and builds the rectified surface.  On 2 vCPUs (Python
+3.11.7, numpy 2.4.6) the 4,225 node values of the likelihood subsystem
+took it about 12 ms (under 2 ms for the clip levels) where the one-point
+path took about 70 ms; for one point it took about 60 us to the one-point
+path's 18.  The two agree under ``==``: ``_trapezoids`` is ``__call__``'s
+arithmetic, min and max are exact, a term clipped at 0 cannot raise a max
+of memberships that are all >= 0, and the 1-D centroid sums the aggregate
+in the pairwise order the batch kernel sums each contiguous row.  A test
+compares them at every node and between nodes.
 
 Min/max aggregation with overlapping partitions is not exactly monotone:
 the defuzzified surface ripples where adjacent input terms that share a
@@ -27,14 +31,17 @@ strictly monotone response (e.g. threat appraisal driving a controller)
 declare a polarity for each of their two inputs via ``monotone``; inference
 then goes through a rectified surface: the raw pipeline is sampled on a
 65 x 65 node grid, tightened to its least monotone majorant by directional
-prefix maxima, and queried by bilinear interpolation.  It is exactly
-monotone; on the three default fear subsystems it sits up to 0.0295 above
-the raw surface at the nodes, and between them 0.033 above to 0.015 below.
+prefix maxima, and queried by bilinear interpolation from ``_lookup``, one
+flat tuple of each axis's universe, origin and step and the nodes.  It is
+exactly monotone; on the three default fear subsystems it sits up to 0.0295
+above the raw surface at the nodes, and between them 0.033 above to 0.015
+below.
 
 A node's raw value depends only on its clip levels, one per output term.
 The sampling therefore fires the rules at every node but runs the
-clip / max / centroid aggregation once per distinct row of levels: 774 to
-1,497 rows of the 4,225 on the default fear subsystems.
+clip / max / centroid aggregation once per distinct row of levels: of the
+4,225, 790 rows for likelihood, 1,497 for undesirability and 774 for global
+intensity.
 
 numpy is imported on the first kernel call, not with this module: a process
 that only reads rectified surfaces built elsewhere (``fear``'s shipped
@@ -43,9 +50,9 @@ defaults) never loads it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 from functools import cached_property
-from itertools import product
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -58,7 +65,7 @@ class AllZeroMembership(Exception):
 
 @dataclass(frozen=True)
 class MembershipFunction:
-    """Trapezoid with breakpoints a <= b <= c <= d; triangle when b == c.
+    """Trapezoid with finite breakpoints a <= b <= c <= d; triangle when b == c.
 
     Membership is 0 outside [a, d], 1 on [b, c] and linear on the flanks.
     A degenerate flank (a == b or c == d) is a vertical shoulder: the
@@ -71,6 +78,8 @@ class MembershipFunction:
     d: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.a, self.b, self.c, self.d))):
+            raise ValueError(f"breakpoints must be finite: {self}")
         if not (self.a <= self.b <= self.c <= self.d):
             raise ValueError(f"breakpoints must be non-decreasing: {self}")
 
@@ -94,7 +103,7 @@ def tri(a: float, b: float, c: float) -> MembershipFunction:
 
 @dataclass(frozen=True)
 class LinguisticVariable:
-    """A named universe [lo, hi] carrying an ordered list of labelled terms."""
+    """A named finite universe [lo, hi] carrying an ordered list of labelled terms."""
 
     name: str
     lo: float
@@ -103,6 +112,8 @@ class LinguisticVariable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple((str(l), mf) for l, mf in self.terms))
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"{self.name}: universe [{self.lo}, {self.hi}] must be finite")
         if not self.lo < self.hi:
             raise ValueError(f"{self.name}: empty universe [{self.lo}, {self.hi}]")
         if not self.terms:
@@ -247,37 +258,80 @@ class FuzzySystem:
         return x0, x1 - x0, y0, y1 - y0, work[flips].tolist()
 
     @cached_property
-    def _consequents(self) -> dict[tuple[int, ...], int]:
-        """The rule table for one point: antecedent term indices -> consequent."""
-        return dict(self.rule_base.rules)
+    def _lookup(self) -> tuple:
+        """``_surface`` as the rectified ``infer`` reads it: each input's name,
+        universe ends, origin and step, then the lower node index of the last
+        cell and the nodes."""
+        x0, dx, y0, dy, nodes = self._surface
+        x_var, y_var = self.inputs
+        return (x_var.name, x_var.lo, x_var.hi, x0, dx,
+                y_var.name, y_var.lo, y_var.hi, y0, dy, MONOTONE_NODES - 2, nodes)
 
-    def _point_value(self, xs: Sequence[float]) -> float:
-        """``_aggregate(_levels(...))`` of the one clamped point ``xs``, with no
-        arrays but the clipped output terms; the module docstring says why the
-        value is the same.  Raises AllZeroMembership where that gives NaN."""
-        import numpy as np
-        held = [[(k, mu) for k, (_, mf) in enumerate(var.terms) if (mu := mf(x)) > 0.0]
-                for var, x in zip(self.inputs, xs)]
-        consequents = self._consequents
-        levels: dict[int, float] = {}
-        for terms in product(*held):
-            ant, mus = zip(*terms)
-            cons = consequents.get(ant)
-            if cons is not None and (firing := min(mus)) > levels.get(cons, 0.0):
-                levels[cons] = firing
-        if not levels:
-            raise AllZeroMembership("aggregated membership is identically zero")
+    @cached_property
+    def _point_tables(self) -> tuple:
+        """The system as the one-point ``_point_value`` reads it: each input's
+        name, universe ends and terms, a term as ``(index, a, b, c, d)``; the
+        rule table, keyed by the sum of its antecedent terms' indices; each
+        sampled output term; the output grid.  A term's index is its position
+        times the term counts of the inputs after it, so every antecedent sums
+        to its own key."""
+        sizes = [len(var.terms) for var in self.inputs]
+        strides = [math.prod(sizes[v + 1:]) for v in range(len(sizes))]
+        inputs = tuple((var.name, var.lo, var.hi,
+                        tuple((k * stride, mf.a, mf.b, mf.c, mf.d)
+                              for k, (_, mf) in enumerate(var.terms)))
+                       for var, stride in zip(self.inputs, strides))
+        rules = {sum(k * stride for k, stride in zip(ant, strides)): cons
+                 for ant, cons in self.rule_base.rules}
         _, _, _, _, grid, samples = self._tables
+        return inputs, rules, tuple(samples), grid
+
+    def _point_value(self, values: Sequence[float]) -> float:
+        """``_aggregate(_levels(...))`` of the one point ``values``, clamped,
+        with no arrays but the clipped output terms; the module docstring says
+        why the value is the same.  Raises AllZeroMembership where that gives
+        NaN, ValueError naming the first NaN input."""
+        import numpy as np
+        inputs, rules, rows, grid = self._point_tables
+        # Each antecedent prefix held so far, as (rule table key, firing); the
+        # empty prefix fires at 1.0, which no membership exceeds.
+        fired = [(0, 1.0)]
+        for (name, lo, hi, terms), x in zip(inputs, values):
+            if x != x:
+                raise ValueError(f"input {name!r} is NaN")
+            x = float(lo if x < lo else hi if x > hi else x)
+            held = []
+            for index, a, b, c, d in terms:  # ``MembershipFunction.__call__``
+                if x < a or x > d:
+                    continue
+                if x < b:
+                    mu = (x - a) / (b - a)
+                elif x <= c:
+                    mu = 1.0
+                else:
+                    mu = (d - x) / (d - c)
+                if mu > 0.0:
+                    held.append((index, mu))
+            fired = [(key + index, firing if firing < mu else mu)
+                     for key, firing in fired for index, mu in held]
+        levels = [0.0] * len(rows)
+        for key, firing in fired:
+            cons = rules.get(key)
+            if cons is not None and firing > levels[cons]:
+                levels[cons] = firing
         agg = None
-        for cons, level in levels.items():
-            clipped = np.minimum(samples[cons], level)
-            agg = clipped if agg is None else np.maximum(agg, clipped, out=agg)
+        for row, level in zip(rows, levels):
+            if level > 0.0:
+                clipped = np.minimum(row, level)
+                agg = clipped if agg is None else np.maximum(agg, clipped, out=agg)
+        if agg is None:
+            raise AllZeroMembership("aggregated membership is identically zero")
         # ``defuzz_centroid``'s two sums, without its conversions and shape
         # check: ``agg`` is already a 1-D float row on ``grid``.
-        total = agg.sum()
+        total = np.add.reduce(agg)
         if total <= 0.0:  # fired terms that sample to 0 everywhere on the grid
             raise AllZeroMembership("aggregated membership is identically zero")
-        return float((grid * agg).sum() / total)
+        return float(np.add.reduce(grid * agg) / total)
 
     def infer(self, values: Sequence[float]) -> float:
         """Clamp to the universes -> fuzzify -> fire rules -> clip -> aggregate
@@ -290,26 +344,30 @@ class FuzzySystem:
         if len(values) != len(self.inputs):
             raise ValueError(f"expected {len(self.inputs)} inputs, got {len(values)}")
         if self.monotone is None:
-            return self._point_value([_clamp(x, var) for var, x in zip(self.inputs, values)])
-        x_var, y_var = self.inputs
-        x0, dx, y0, dy, nodes = self._surface
-        i, s = _cell((_clamp(values[0], x_var) - x0) / dx)
-        j, t = _cell((_clamp(values[1], y_var) - y0) / dy)
+            return self._point_value(values)
+        x_name, x_lo, x_hi, x0, dx, y_name, y_lo, y_hi, y0, dy, last, nodes = self._lookup
+        x, y = values
+        if x != x:
+            raise ValueError(f"input {x_name!r} is NaN")
+        if y != y:
+            raise ValueError(f"input {y_name!r} is NaN")
+        # Node coordinates, split into the cell's lower node and the fraction
+        # across it, which lies in [0, 1).  Only the universe's far end (or a
+        # rounding past it) falls beyond the last cell: it is that cell's end.
+        f = (float(x_lo if x < x_lo else x_hi if x > x_hi else x) - x0) / dx
+        i = int(f)
+        if i > last:
+            i, s = last, 1.0
+        else:
+            s = f - i
+        f = (float(y_lo if y < y_lo else y_hi if y > y_hi else y) - y0) / dy
+        j = int(f)
+        if j > last:
+            j, t = last, 1.0
+        else:
+            t = f - j
         return ((1.0 - s) * (1.0 - t) * nodes[i][j] + (1.0 - s) * t * nodes[i][j + 1]
                 + s * (1.0 - t) * nodes[i + 1][j] + s * t * nodes[i + 1][j + 1])
-
-
-def _clamp(x: float, var: LinguisticVariable) -> float:
-    """``x`` clamped to ``var``'s universe.  NaN has no place in it: it raises."""
-    if x != x:
-        raise ValueError(f"input {var.name!r} is NaN")
-    return float(min(max(x, var.lo), var.hi))
-
-
-def _cell(f: float) -> tuple[int, float]:
-    """Lower node index and in-cell fraction of the node coordinate ``f``."""
-    i = min(int(f), MONOTONE_NODES - 2)
-    return i, min(max(f - i, 0.0), 1.0)
 
 
 def _breakpoints(mfs) -> np.ndarray:

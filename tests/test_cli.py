@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import textwrap
 from pathlib import Path
 
@@ -354,6 +355,21 @@ class TestLogEnv:
         monkeypatch.setenv("FEAROVER_LOG", "DEBUG")
         code = main(["replay-tables"])
         assert code == 0
+
+    @pytest.mark.parametrize("value, level", [("basic_format", logging.WARNING),
+                                              ("_styles", logging.WARNING),
+                                              ("root", logging.WARNING),
+                                              ("critical", logging.WARNING),
+                                              ("info", logging.INFO)])
+    def test_only_documented_level_names_are_read(self, monkeypatch, value, level):
+        # Names other than DEBUG/INFO/WARNING/ERROR mean WARNING.  ``logging``
+        # has a string BASIC_FORMAT and a dict _STYLES: taken as a level,
+        # either made every command fail.
+        levels = []
+        monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+        monkeypatch.setenv("FEAROVER_LOG", value)
+        assert main(["replay-tables"]) == 0
+        assert levels == [level]
 
 
 class TestConsoleScript:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -49,6 +50,13 @@ class TestMembership:
     def test_invalid_breakpoints(self):
         with pytest.raises(ValueError):
             MembershipFunction(0.5, 0.3, 0.6, 0.7)
+
+    @pytest.mark.parametrize("quad", [(0, 0.5, 1, math.inf), (-math.inf, 0, 0.5, 1),
+                                      (-math.inf, -math.inf, 0, 1), (0, 0.5, 1, math.nan)])
+    def test_non_finite_breakpoints_rejected(self, quad):
+        # trap(0, 0.5, 1, inf)(2.0) would be (inf - 2) / (inf - 1), NaN.
+        with pytest.raises(ValueError, match="finite"):
+            trap(*quad)
 
     @given(
         st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)),
@@ -208,6 +216,14 @@ class TestVariableValidation:
             LinguisticVariable(
                 "v", 0.0, 1.0,
                 (("a", trap(0, 0, 0.1, 0.2)), ("b", trap(0.3, 0.4, 1, 1))))
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0),
+                                        (-math.inf, math.inf), (math.nan, 1.0)])
+    def test_non_finite_universe_rejected(self, lo, hi):
+        # A raw ``infer`` clamps an input to the universe; an infinite end
+        # would reach a term's arithmetic as inf.
+        with pytest.raises(ValueError, match="v: universe"):
+            LinguisticVariable("v", lo, hi, (("t", trap(0, 0, 0.5, 1)),))
 
 
 class TestMonotoneSurface:
@@ -395,3 +411,115 @@ class TestDefuzzOracleRandomised:
             ours = defuzz_centroid(xs, mus)
             oracle = reference_centroid_trapz(xs, mus)
             assert ours == pytest.approx(oracle, abs=1e-6)
+
+
+class TestDistinctLevelRowCounts:
+    """The module docstring's counts of distinct clip-level rows among the
+    4,225 nodes of each default subsystem."""
+
+    @pytest.mark.parametrize("subsystem, rows", [("likelihood_system", 790),
+                                                 ("undesirability_system", 1497),
+                                                 ("global_intensity_system", 774)])
+    def test_exact_count(self, fear_model, subsystem, rows):
+        system = getattr(fear_model, subsystem)
+        levels = system._levels(_node_points(system))
+        assert len(levels) == MONOTONE_NODES ** 2 == 4225
+        assert len(np.unique(levels, axis=0)) == rows
+
+
+def _reference_lookup(system: FuzzySystem, values) -> float:
+    """The rectified lookup as separate clamp and cell steps: the arithmetic
+    ``infer`` inlines, kept here to pin it exactly."""
+    def clamp(x, var):
+        if x != x:
+            raise ValueError(f"input {var.name!r} is NaN")
+        return float(min(max(x, var.lo), var.hi))
+
+    def cell(f):
+        i = min(int(f), MONOTONE_NODES - 2)
+        return i, min(max(f - i, 0.0), 1.0)
+
+    x0, dx, y0, dy, nodes = system._surface
+    i, s = cell((clamp(values[0], system.inputs[0]) - x0) / dx)
+    j, t = cell((clamp(values[1], system.inputs[1]) - y0) / dy)
+    return ((1.0 - s) * (1.0 - t) * nodes[i][j] + (1.0 - s) * t * nodes[i][j + 1]
+            + s * (1.0 - t) * nodes[i + 1][j] + s * t * nodes[i + 1][j + 1])
+
+
+def _lookup_axis(var: LinguisticVariable) -> list[float]:
+    """Every node of ``var``'s axis and its float neighbours, the inside of
+    the first and the last cell, and points beyond the universe."""
+    nodes = np.linspace(var.lo, var.hi, MONOTONE_NODES).tolist()
+    step = (var.hi - var.lo) / (MONOTONE_NODES - 1)
+    near = [math.nextafter(x, direction) for x in nodes for direction in (-math.inf, math.inf)]
+    cells = [var.lo + step * f for f in (0.25, 0.5, 0.999)]
+    cells += [var.hi - step * f for f in (0.001, 0.25, 0.5, 0.75)]
+    beyond = [var.lo - 1.0, var.hi + 1.0, -math.inf, math.inf]
+    return nodes + near + cells + beyond
+
+
+def _ramps() -> FuzzySystem:
+    # Terms that keep changing up to both universe ends, so no surface cell is flat.
+    ramp = lambda name: LinguisticVariable(
+        name, 0.0, 1.0, (("low", trap(0, 0, 0, 1)), ("high", trap(0, 1, 1, 1))))
+    return FuzzySystem(inputs=(ramp("x"), ramp("y")), output=_small_large(),
+                       rule_base=RuleBase((((0, 0), 0), ((0, 1), 0), ((1, 0), 0), ((1, 1), 1))),
+                       monotone=(1, 1))
+
+
+class TestRectifiedLookupExact:
+    """``infer`` on a rectified system equals the separate clamp / cell /
+    bilinear steps under ==, on and between the nodes and beyond the universe."""
+
+    @pytest.fixture(params=["likelihood_system", "undesirability_system",
+                            "global_intensity_system", "two_input", "ramps"])
+    def system(self, request, fear_model):
+        if request.param == "two_input":
+            return _two_input_system(monotone=(1, 1))
+        if request.param == "ramps":
+            return _ramps()
+        return getattr(fear_model, request.param)
+
+    def test_equals_reference_arithmetic(self, system):
+        x_axis, y_axis = (_lookup_axis(var) for var in system.inputs)
+        for x in x_axis:
+            for y in y_axis:
+                assert system.infer((x, y)) == _reference_lookup(system, (x, y)), (x, y)
+
+    def test_last_cell_is_interpolated(self):
+        # The ramps surface rises across its last cell on both axes.
+        system = _ramps()
+        _, _, _, _, nodes = system._surface
+        assert nodes[-2][-1] < nodes[-1][-1] and nodes[-1][-2] < nodes[-1][-1]
+        inside = 1.0 - 0.5 / (MONOTONE_NODES - 1)
+        assert nodes[-2][-1] < system.infer((inside, 1.0)) < nodes[-1][-1]
+        assert nodes[-1][-2] < system.infer((1.0, inside)) < nodes[-1][-1]
+
+
+# Trapezoids with sloped and vertical flanks, triangles and a single point.
+_MEMBERSHIP_CASES = [trap(0.1, 0.3, 0.5, 0.9), tri(0.2, 0.5, 0.8), trap(0, 0, 0.4, 0.6),
+                     trap(0.4, 0.6, 1, 1), trap(0.2, 0.2, 0.5, 0.5), trap(0.3, 0.3, 0.3, 0.7),
+                     trap(0.3, 0.7, 0.7, 0.7), trap(0.5, 0.5, 0.5, 0.5), trap(0, 1 / 3, 2 / 3, 1)]
+
+
+class TestInlineMemberships:
+    """The one-point path's membership arithmetic equals
+    ``MembershipFunction.__call__`` at every breakpoint and at its float
+    neighbours.  A one-input, one-rule system passes the membership on as the
+    clip level of an asymmetric output term, whose centroid moves with it."""
+
+    @pytest.mark.parametrize("mf", _MEMBERSHIP_CASES, ids=lambda mf: "trap{}".format(
+        tuple(round(v, 3) for v in (mf.a, mf.b, mf.c, mf.d))))
+    def test_equals_call_at_breakpoints(self, mf):
+        output = LinguisticVariable("out", 0.0, 1.0, (("falling", trap(0, 0, 0, 1)),))
+        system = FuzzySystem(inputs=(LinguisticVariable("v", -1.0, 2.0, (("t", mf),)),),
+                             output=output, rule_base=RuleBase((((0,), 0),)))
+        xs = sorted({x for v in (mf.a, mf.b, mf.c, mf.d)
+                     for x in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))})
+        for x in xs:
+            expected = system._aggregate(np.array([[mf(x)]]))[0]
+            if np.isnan(expected):
+                with pytest.raises(AllZeroMembership):
+                    system.infer((x,))
+            else:
+                assert system.infer((x,)) == expected, x
