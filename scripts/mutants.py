@@ -107,6 +107,21 @@ CATALOGUE = (
            "if self.provider != last.provider or self.state.alert is not Alert.BASE:",
            "if self.state.alert is not Alert.BASE:",
            ("tests/test_sim.py",)),
+    Mutant("coast-keeps-readings-across-a-point", "src/fearover/sim.py",
+           "                now_dbm = points[passed].signals[provider]\n"
+           "                future_dbm = points[ahead].signals[provider]\n",
+           "",
+           ("tests/test_sim.py",)),
+    Mutant("coast-runs-past-the-target", "src/fearover/sim.py",
+           "if in_horizon(distance):",
+           "if distance > 0.0 and in_horizon(distance):",
+           ("tests/test_sim.py",)),
+    Mutant("appraiser-kept-across-targets", "src/fearover/sim.py",
+           'loss = self._resolution != "stay"\n'
+           "            self._target = self._resolution = self._appraise = None",
+           'loss = self._resolution != "stay"\n'
+           "            self._target = self._resolution = None",
+           ("tests/test_sim.py",)),
     Mutant("coast-ignores-bound", "src/fearover/sim.py",
            "while len(events) < bound:",
            "while True:",

@@ -32,7 +32,7 @@ Scenario files are INI-style text with one section per subsystem::
     th_high = 0.8
 
     [timing]
-    preset = worst                 ; worst|average|best, or crst_s/megaot_s/hot_s
+    preset = worst                 ; worst|average|best, or custom with crst_s/megaot_s/hot_s
 
     [output]
     dir = out
@@ -270,7 +270,12 @@ def load_scenario(path: str | Path, preset_override: str | None = None,
         except ValueError as exc:
             raise ScenarioError(f"{csv_path}: {exc}") from None
 
-    preset = preset_override or parser.get("timing", "preset", fallback="custom")
+    named = parser.get("timing", "preset", fallback="custom")
+    custom = [key for key in _FIELDS["timing"] if parser.has_option("timing", key)]
+    if named != "custom" and custom:
+        raise ScenarioError(f"{path}: [timing] {custom[0]} is set, but preset {named!r} "
+                            "fixes every latency; use preset = custom")
+    preset = preset_override or named
     if preset == "custom":
         timing = _build(parser, path, "timing")
     elif preset in TIMING_PRESETS:

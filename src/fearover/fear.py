@@ -13,6 +13,9 @@ intensity is the potential less a configurable threshold, floored at zero.
 Points at or beyond the horizon raise no fear at all: there is no concrete
 prospect to appraise yet.
 
+Within one approach only the distance moves: ``FearModel.approach`` grades
+the rest once and gives fear by distance, as ``intensity`` does, bit for bit.
+
 All three subsystems share the same five-level unit-interval partition and
 use the rectified monotone inference surface, so fear responds monotonically
 to every input by construction.
@@ -276,18 +279,35 @@ class FearModel:
         appraisal horizon; at or beyond it fear is exactly 0.0."""
         return distance_m < self.params.distance_horizon_m
 
-    def potential(self, inputs: FearInputs) -> float:
+    def _grades(self, inputs: FearInputs) -> tuple[float, float, float] | None:
+        """The normalised signal, undesirability and global intensity of the
+        threat of ``inputs``, which no distance moves; ``None`` without an
+        undesirable prospect."""
         if not inputs.prospect or inputs.desirability >= 0.0:
-            return 0.0
-        if not self.in_horizon(inputs.distance_m):
-            return 0.0
-        distance_norm = normalize_distance(inputs.distance_m, self.params)
+            return None
         signal_norm = normalize_signal(inputs.signal_dbm, self.params)
+        return (signal_norm,
+                _graded(self.undesirability_system, inputs.comm_importance, signal_norm),
+                _graded(self.global_intensity_system, inputs.sor, inputs.vtp))
+
+    def _potential_at(self, distance_m: float, grades: tuple[float, float, float] | None) -> float:
+        if grades is None or not self.in_horizon(distance_m):
+            return 0.0
+        signal_norm, undesirability, global_intensity = grades
+        distance_norm = normalize_distance(distance_m, self.params)
         likelihood = _graded(self.likelihood_system, distance_norm, signal_norm)
-        undesirability = _graded(self.undesirability_system, inputs.comm_importance, signal_norm)
-        global_intensity = _graded(self.global_intensity_system, inputs.sor, inputs.vtp)
         return _combine(self.params.combiner, undesirability, likelihood, global_intensity)
+
+    def potential(self, inputs: FearInputs) -> float:
+        return self._potential_at(inputs.distance_m, self._grades(inputs))
 
     def intensity(self, inputs: FearInputs) -> float:
         """Fear intensity in [0, 1] for one appraisal."""
         return fear_intensity(self.potential(inputs), self.params)
+
+    def approach(self, inputs: FearInputs):
+        """Fear intensity as a function of distance alone for the threat of
+        ``inputs``, graded once: its value at any ``d >= 0`` equals
+        ``intensity(dataclasses.replace(inputs, distance_m=d))``."""
+        grades, potential_at, params = self._grades(inputs), self._potential_at, self.params
+        return lambda distance_m: fear_intensity(potential_at(distance_m, grades), params)

@@ -9,16 +9,18 @@ white-space pool each decision (a handover attempt or a stay) sensed,
 keyed by its tick.  Attempts, stays and losses live only in their events.
 
 Quiet ticks coast: most ticks change nothing but the position.  At base
-alert, with the target outside the fear horizon and no survey point or
-stop reached, a tick's fear is 0.0, its band B0, its step a self-loop and
-its action keep_current.  ``Simulation.run`` appends such ticks directly
-and calls ``tick``, the one place that appraises, steps, senses and
-decides, for every other tick.  The log is the same either way.
+alert, with the target outside the fear horizon and stop not reached, a
+tick's fear is 0.0, its band B0, its step a self-loop and its action
+keep_current; one that reaches an ordinary survey point only reads it.
+``Simulation.run`` appends such ticks directly and calls ``tick``, the one
+place that appraises, steps, senses and decides, for every other tick.
+The log is the same either way.
 
 Fear wiring: the appraised signal is the in-use provider's reading at the
 targeted bad-signal point, so within one approach episode fear responds to
-distance alone and rises monotonically.  The log still records the current
-and next-point readings of the in-use white space at every tick.
+distance alone and rises monotonically; ``tick`` grades each episode once
+(``FearModel.approach``).  The log still records the current and next-point
+readings of the in-use white space at every tick.
 """
 
 from __future__ import annotations
@@ -208,6 +210,8 @@ class Simulation:
     provider.  ``_target`` is that point's index as the last tick targeted
     it (``None`` with no bad point ahead), and ``_resolution`` how its
     episode was decided: ``None`` until then, ``"stay"`` or ``"failed"``.
+    ``_appraise`` is its ``FearModel.approach``, built at its first
+    in-horizon tick and dropped with ``_target``.
     A successful handover ends the episode without a resolution.  The tick
     count is ``len(log.events)``, and the run is over once ``position_m``
     reaches ``stop_m``.
@@ -246,6 +250,7 @@ class Simulation:
         self.state = base_state(self.slots.slot_of(self.provider))
         self._target: int | None = None
         self._resolution: str | None = None
+        self._appraise = None
         self.log = RunLog()
 
     # -- helpers -----------------------------------------------------------
@@ -267,7 +272,7 @@ class Simulation:
         loss = False
         if self._target is not None and position >= cumulative[self._target]:
             loss = self._resolution != "stay"
-            self._target = self._resolution = None
+            self._target = self._resolution = self._appraise = None
 
         # ``next_bad_index`` rejects an unknown provider, so the readings
         # below are taken straight from the points.
@@ -283,7 +288,9 @@ class Simulation:
             threat_dbm = points[target_index].signals[provider]
             fear = 0.0
             if self.fear_model.in_horizon(distance):
-                fear = self.fear_model.intensity(cfg.appraisal(distance, threat_dbm))
+                if self._appraise is None:
+                    self._appraise = self.fear_model.approach(cfg.appraisal(distance, threat_dbm))
+                fear = self._appraise(distance)
         passed, ahead = db.segment(position)
         signal_now = points[passed].signals[provider]
         signal_future = points[ahead].signals[provider]
@@ -315,7 +322,7 @@ class Simulation:
         if self.provider == provider:
             self._target = target_index
         else:
-            self._target = self._resolution = None
+            self._target = self._resolution = self._appraise = None
         return event
 
     def _decide_handover(self, provider: str,
@@ -345,20 +352,22 @@ class Simulation:
         """Append the quiet ticks that follow ``last`` without the pipeline.
 
         A tick is quiet when the automaton is at base alert on the provider
-        ``last`` was logged on and the tick crosses no survey point, does
-        not reach stop and leaves the target outside the fear horizon.  Such
-        a tick appraises fear 0.0, classifies B0, self-loops (S) and keeps
-        the current white space: only its position and distance move.
-        Stops at the tick bound, so that ``run`` raises there."""
+        ``last`` was logged on and the tick does not reach stop and leaves
+        the target outside the fear horizon.  Such a tick appraises fear
+        0.0, classifies B0, self-loops (S) and keeps the current white
+        space: only its position, distance and readings move.  A tick that
+        reaches a survey point reads it; that point is not the target, as
+        any position at or past the target is inside the horizon.  Stops at
+        the tick bound, so that ``run`` raises there."""
         if self.provider != last.provider or self.state.alert is not Alert.BASE:
             return
-        cumulative = self.db.cumulative_m
+        db, stop = self.db, self.stop_m
+        cumulative, points, segment = db.cumulative_m, db.points, db.segment
         step_m = self.config.speed_mps * self.config.tick_s
         position = self.position_m
-        # A quiet tick ends short of the next survey point and of stop, so
-        # ``tick``'s ``min(position + step, stop)`` is ``position + step``,
-        # and the target, the threat and the readings stay those of ``last``.
-        end = min(cumulative[self.db.segment(position)[1]], self.stop_m)
+        # Short of stop, ``tick``'s ``min(position + step, stop)`` is
+        # ``position + step``, and the target and threat stay those of ``last``.
+        end = min(cumulative[segment(position)[1]], stop)
         target_m = None if self._target is None else cumulative[self._target]
         in_horizon = self.fear_model.in_horizon
         events, bound = self.log.events, self.tick_bound
@@ -370,13 +379,18 @@ class Simulation:
         new = tuple.__new__
         while len(events) < bound:
             q = position + step_m
-            if q >= end:
-                break
             distance = None
             if target_m is not None:
                 distance = target_m - q
                 if in_horizon(distance):
                     break
+            if q >= end:
+                if q >= stop:
+                    break
+                passed, ahead = segment(q)
+                now_dbm = points[passed].signals[provider]
+                future_dbm = points[ahead].signals[provider]
+                end = min(cumulative[ahead], stop)
             events.append(new(TickEvent, (len(events), q, provider, state, 0.0, band, symbol,
                                           action, distance, threat_dbm, now_dbm, future_dbm,
                                           None, None, False, False)))

@@ -8,6 +8,9 @@ metrics, so this test runs a short traced simulation the way the
 benchmark's warm-simulation operation does and checks the spans it records.
 ``Simulation.run`` calls ``tick`` only for ticks that are not quiet and
 appends the quiet ones itself, so the per-tick layers count pipelined ticks.
+``tick`` appraises through one ``FearModel.approach`` per threat episode,
+which ``FearProxy`` does not wrap, so its appraisals show as the fuzzy
+inference spans, not as ``fear.intensity``.
 """
 
 import importlib.util
@@ -47,6 +50,8 @@ def test_traced_survey_run_records_every_tick_layer(survey_db, fear_model):
         try:
             db = spans.RouteProxy(survey_db, tracer)
             model = spans.FearProxy(fear_model, tracer)
+            # The tracer names each system's first lookup a build.
+            model.intensity(FearInputs(distance_m=30.0, signal_dbm=-90.0))
             log = tracer.call("sim.run", sim.run, SimConfig(stop_m=150.0), db, model)
         finally:
             sim.Simulation.tick = traced_tick
@@ -56,13 +61,19 @@ def test_traced_survey_run_records_every_tick_layer(survey_db, fear_model):
     for name in ("sim.tick", "automaton.step", "automaton.classify", "crsite.dispatch",
                  "route.next_bad_index"):
         assert calls.get(name) == ticks, name
-    assert 0 < calls.get("fear.intensity", 0) < ticks
+    # Each appraised tick grades the likelihood; each episode grades
+    # undesirability and global intensity once, so fewer than three lookups
+    # fall to a tick.  The warm-up is the one ``fear.intensity``.
+    appraised = sum(1 for e in recorded if e.distance_to_bssp_m is not None
+                    and fear_model.in_horizon(e.distance_to_bssp_m))
+    assert 0 < appraised <= calls.get("fuzzy.infer.rectified", 0) < 3 * appraised
+    assert calls["fear.intensity"] == 1
     # Every tick ``tick`` did not return was coasted, and is quiet.
     pipelined = {event.tick for event in recorded}
     assert all(log.events[event.tick] is event for event in recorded)
 
     def carried(e):
-        return e.state, e.provider, e.threat_dbm, e.signal_now_dbm, e.signal_future_dbm
+        return e.state, e.provider, e.threat_dbm
 
     for before, event in zip(log.events, log.events[1:]):
         if event.tick in pipelined:
@@ -70,6 +81,11 @@ def test_traced_survey_run_records_every_tick_layer(survey_db, fear_model):
         assert (event.fear, event.band, event.symbol, event.action) == (
             0.0, FearBand.B0, MobilitySymbol.SELF, CsmAction.KEEP_CURRENT)
         assert carried(event) == carried(before)
+        # A coasted tick may cross a survey point: its readings are those of
+        # the points around its own position, the objects ``tick`` reads.
+        passed, ahead = survey_db.segment(event.position_m)
+        assert event.signal_now_dbm is survey_db.points[passed].signals[event.provider]
+        assert event.signal_future_dbm is survey_db.points[ahead].signals[event.provider]
         assert (event.attempt, event.stay, event.loss, event.slot_remapped) == (
             None, None, False, False)
     # The patches are undone on exit: an untraced run records nothing more.

@@ -97,6 +97,23 @@ class TestScenarioLoading:
         scenario = load_scenario(path)
         assert scenario.config.timing.crst_s == 0.15
 
+    @pytest.mark.parametrize("key", ["crst_s", "megaot_s", "hot_s"])
+    def test_latency_beside_a_named_preset_rejected(self, tmp_path, key):
+        """A named preset fixes every latency, so a latency set beside it
+        would be dropped without a word: the load fails naming the key."""
+        path = _write(tmp_path, "s.ini", f"[timing]\npreset = worst\n{key} = 0.01\n")
+        with pytest.raises(ScenarioError, match=f"{key} is set, but preset 'worst'"):
+            load_scenario(path)
+
+    def test_latency_beside_the_custom_preset_loads(self, tmp_path):
+        path = _write(tmp_path, "s.ini", "[timing]\npreset = custom\ncrst_s = 0.01\n")
+        assert load_scenario(path).config.timing.crst_s == 0.01
+
+    def test_preset_override_replaces_custom_latencies(self, tmp_path):
+        path = _write(tmp_path, "s.ini", "[timing]\ncrst_s = 0.01\n")
+        scenario = load_scenario(path, preset_override="worst")
+        assert scenario.config.timing == TIMING_PRESETS["worst"]
+
     def test_fuzzy_override_changes_model(self, tmp_path):
         plain = load_scenario(SCENARIOS / "survey_default.ini")
         path = _write(tmp_path, "s.ini", "\n".join([

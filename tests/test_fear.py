@@ -1,4 +1,5 @@
 import fnmatch
+import math
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -24,7 +25,14 @@ from fearover.fear import (
     normalize_signal,
     undesirability_system,
 )
-from fearover.fuzzy import MONOTONE_NODES, FuzzySystem, LinguisticVariable, RuleBase, trap
+from fearover.fuzzy import (
+    MONOTONE_NODES,
+    AllZeroMembership,
+    FuzzySystem,
+    LinguisticVariable,
+    RuleBase,
+    trap,
+)
 
 from oracles import reference_rectified_subsystem
 
@@ -256,6 +264,86 @@ class TestFearPotential:
         likelihood, undesirability, global_intensity = _grades(_inputs(), params)
         value = FearModel(params).intensity(_inputs())
         assert value == pytest.approx(likelihood * undesirability * global_intensity)
+
+
+def _appraised_the_long_way(model: FearModel, inputs: FearInputs) -> float:
+    """``intensity`` as written before ``approach`` existed: every grade
+    taken afresh from the one appraisal."""
+    params = model.params
+    if not inputs.prospect or inputs.desirability >= 0.0:
+        return fear_intensity(0.0, params)
+    if not model.in_horizon(inputs.distance_m):
+        return fear_intensity(0.0, params)
+    signal = normalize_signal(inputs.signal_dbm, params)
+    potential = fear._combine(
+        params.combiner,
+        fear._graded(model.undesirability_system, inputs.comm_importance, signal),
+        fear._graded(model.likelihood_system, normalize_distance(inputs.distance_m, params),
+                     signal),
+        fear._graded(model.global_intensity_system, inputs.sor, inputs.vtp))
+    return fear_intensity(potential, params)
+
+
+def _partial_likelihood_system() -> FuzzySystem:
+    """A raw likelihood whose rules cover only V-Near distances: farther
+    out no rule fires and the grade is AllZeroMembership."""
+    system = likelihood_system()
+    rules = RuleBase(tuple(((0, j), 4 - j) for j in range(5)))
+    return replace(system, rule_base=rules, monotone=None)
+
+
+class TestApproach:
+    """``approach(inputs)(d)`` is ``intensity(replace(inputs, distance_m=d))``
+    bit for bit, on both sides of the horizon."""
+
+    DISTANCES = (0.0, 5e-324, 3.0, 10.0, 24.0, 37.5, 60.0, math.nextafter(75.0, 0.0), 75.0,
+                 math.nextafter(75.0, math.inf), 76.0, 150.0, 1e9)
+    SEEDED = ROOT / "scenarios" / "seeded_violation.ini"
+
+    @staticmethod
+    def _check(model: FearModel, inputs: FearInputs) -> None:
+        appraise = model.approach(inputs)
+        for d in TestApproach.DISTANCES:
+            at = replace(inputs, distance_m=d)
+            expected = repr(model.intensity(at))
+            assert repr(appraise(d)) == expected, d
+            assert repr(_appraised_the_long_way(model, at)) == expected, d
+
+    @pytest.mark.parametrize("combiner", fear.COMBINERS)
+    @pytest.mark.parametrize("threshold", [0.0, 0.3])
+    @pytest.mark.parametrize("signal", [-110.0, -90.0, -72.5, -50.0, -20.0])
+    def test_default_systems(self, combiner, threshold, signal):
+        model = FearModel(FearParams(fear_threshold=threshold, combiner=combiner))
+        for importance, sor, vtp in ((1.0, 1.0, 1.0), (0.3, 0.8, 0.2), (0.0, 0.0, 0.0)):
+            self._check(model, FearInputs(0.0, signal, importance, sor, vtp))
+
+    @pytest.mark.parametrize("inputs", [_inputs(prospect=False), _inputs(desirability=0.0),
+                                        _inputs(desirability=0.5)],
+                             ids=["no-prospect", "neutral", "desirable"])
+    def test_no_prospect_is_zero_everywhere(self, inputs):
+        model = FearModel(FearParams(fear_threshold=0.2))
+        self._check(model, inputs)
+        assert {repr(model.approach(inputs)(d)) for d in self.DISTANCES} == {"0.0"}
+
+    def test_seeded_violation_raw_likelihood(self):
+        from fearover.cli import load_scenario
+        model = load_scenario(self.SEEDED).fear_model
+        assert model.likelihood_system.monotone is None
+        for signal in (-100.0, -85.0, -60.0):
+            self._check(model, FearInputs(0.0, signal, 0.6, 0.8, 0.3))
+
+    @pytest.mark.parametrize("combiner", fear.COMBINERS)
+    def test_all_zero_likelihood_grades_zero(self, combiner):
+        model = FearModel(FearParams(combiner=combiner),
+                          likelihood=_partial_likelihood_system())
+        inputs = FearInputs(0.0, -90.0)
+        with pytest.raises(AllZeroMembership):
+            model.likelihood_system.infer((normalize_distance(60.0, PARAMS), 0.1))
+        self._check(model, inputs)
+        undesirability, global_intensity = _grades(inputs)[1:]
+        # Only the likelihood is zero at 60 m, graded 0.0 rather than raised.
+        assert model.approach(inputs)(60.0) == fear._combine(
+            combiner, undesirability, 0.0, global_intensity)
 
 
 class TestFearIntensity:

@@ -611,6 +611,35 @@ class TestDifferentialOracle:
         assert len(actual) == len(expected)
 
 
+class TestEpisodeAppraiser:
+    """``tick`` grades each threat episode once and reads fear by distance;
+    every event inside the horizon still holds, bit for bit, the fear that
+    ``intensity`` gives for its own appraisal."""
+
+    @staticmethod
+    def _check_appraised_fear(config, db, model):
+        appraised = 0
+        for event in run(config, db, model).events:
+            distance = event.distance_to_bssp_m
+            if distance is not None and model.in_horizon(distance):
+                appraised += 1
+                expected = model.intensity(config.appraisal(distance, event.threat_dbm))
+                assert repr(event.fear) == repr(expected), event.tick
+        return appraised
+
+    @pytest.mark.parametrize("name", ["four_provider_trace", "seeded_violation",
+                                      "survey_default"])
+    def test_bundled_scenarios(self, name):
+        scenario = load_scenario(TestParsedRunLog.SCENARIOS / f"{name}.ini")
+        assert self._check_appraised_fear(scenario.config, scenario.db, scenario.fear_model)
+
+    @given(world=TestDifferentialOracle.worlds())
+    @settings(max_examples=60, deadline=None)
+    def test_any_world(self, world):
+        db, config, model = world
+        self._check_appraised_fear(config, db, model)
+
+
 class TestRunLogBytes:
     """``runlog_to_csv`` writes the bytes ``csv.writer`` writes, and
     ``parse_runlog_csv`` reads them back into the same events."""
@@ -754,6 +783,41 @@ class TestCoasting:
     def test_any_world(self, world):
         db, config, model = world
         self._check_run_matches_tick_loop(config, db, model)
+
+    @staticmethod
+    def _ordinary_points_db(n):
+        """Providers A and B over 2 km: ``n`` ordinary points of varying
+        readings up to 900 m, then the same tail on every route: A's one
+        bad point at 1,500 m, a point at 1,520 m and the end at 2 km."""
+        stretch = [(900.0 * k / n, -50 - 5 * (k % 4), -60 - 5 * (k % 3)) for k in range(n + 1)]
+        rows = stretch + [(1500.0, -95, -60), (1520.0, -60, -55), (2000.0, -60, -60)]
+        points = [SurveyPoint(f"O{k}", GeoPoint(33.0 + at / TestRandomWorlds.M_PER_DEG_LAT,
+                                                 73.5), {"A": a, "B": b})
+                  for k, (at, a, b) in enumerate(rows)]
+        return RouteDb(["A", "B"], points)
+
+    def test_crossing_an_ordinary_point_stays_in_the_coast(self, fear_model):
+        """A quiet tick that reaches a survey point other than the target
+        only reads it, so 20 such points cost ``tick`` no more than 2."""
+        runs = [self._check_run_matches_tick_loop(
+            SimConfig(initial_provider="A"), self._ordinary_points_db(n), fear_model)
+            for n in (20, 2)]
+        (many, many_log), (few, few_log) = runs
+        assert many.ticks == few.ticks < len(many_log.events) // 4
+        assert len({e.signal_now_dbm for e in many_log.events if e.position_m < 900.0}) > 2
+        assert many_log.attempts and len(many_log.attempts) == len(few_log.attempts)
+
+    def test_step_past_the_horizon_stops_at_the_target(self, fear_model):
+        """A 100 m step jumps from 90 m short of B's bad point (outside the
+        75 m horizon) to 10 m past it: the coast stops there, and ``tick``
+        closes the undecided episode with a loss."""
+        db = _quiet_stretch_db()
+        at = db.cumulative_m[4]
+        _, log = self._check_run_matches_tick_loop(
+            SimConfig(tick_s=1.0, speed_mps=100.0, start_m=at - 490.0, initial_provider="B"),
+            db, fear_model)
+        assert [e.position_m > at for e in log.losses] == [True]
+        assert all(e.fear == 0.0 for e in log.events)
 
     def test_run_raises_at_its_bound_inside_a_coast(self, fear_model):
         """On a route with no bad point the first tick is the only one
