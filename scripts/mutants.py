@@ -171,6 +171,18 @@ CATALOGUE = (
            "firing if firing < mu else mu",
            "firing if firing > mu else mu",
            ("tests/test_fuzzy.py",)),
+    Mutant("record-eq-ignores-class", "src/fearover/_records.py",
+           "if other.__class__ is self.__class__ else NotImplemented",
+           'if hasattr(other, "_fields") else NotImplemented',
+           ("tests/test_records.py",)),
+    Mutant("frozen-record-assignable", "src/fearover/_records.py",
+           "        cls.__setattr__ = cls.__delattr__ = refuse\n",
+           "        pass\n",
+           ("tests/test_records.py",)),
+    Mutant("record-default-factory-shared", "src/fearover/_records.py",
+           "body[k].default_factory if isinstance(body[k], field)",
+           "(lambda v=body[k].default_factory(): v) if isinstance(body[k], field)",
+           ("tests/test_records.py",)),
 )
 
 

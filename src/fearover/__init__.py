@@ -31,7 +31,7 @@ from .crsite import (
     select_whitespace,
     sense,
 )
-from .datasets import four_provider_trace_route, load_builtin, survey_route
+from .datasets import load_builtin
 from .fear import (
     FearInputs,
     FearModel,

@@ -9,9 +9,10 @@ per tick, so a handover request can only arise from an armed state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
+
+from ._records import record
 
 
 class UnmappedProvider(KeyError):
@@ -45,7 +46,7 @@ class MobilitySymbol(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BandThresholds:
     """Fear-band boundaries.
 
@@ -74,7 +75,7 @@ def classify(fear: float, thresholds: BandThresholds) -> FearBand:
     return FearBand.B3
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AutomatonState:
     slot: int
     alert: Alert = Alert.BASE

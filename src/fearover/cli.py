@@ -46,23 +46,24 @@ Optional ``[fuzzy:likelihood]``, ``[fuzzy:undesirability]`` and
 ``[fuzzy:ig]`` sections replace a subsystem's membership functions and
 rule base; see ``parse_fuzzy_section``.
 
-Subcommands: ``run``, ``validate``, ``replay-tables``.  The env var
-``FEAROVER_LOG`` sets log verbosity (DEBUG/INFO/WARNING/ERROR).
+Subcommands: ``run``, ``validate``, ``replay-tables``, as ``fearover`` or
+``python -m fearover.cli``.  Exit codes: 0 done; 1 an invariant failed or a
+table's total is off; 2 an unusable scenario, route source or output directory,
+reported on one line.  ``FEAROVER_LOG=INFO`` or ``DEBUG`` logs each scenario
+loaded and run finished; any other value leaves ``logging`` unimported.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
-import logging
 import os
 import sys
 import typing
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import datasets
+from ._records import record, replace
 from .automaton import BandThresholds, UnmappedProvider
 from .crsite import TIMING_PRESETS, TimingModel
 from .fear import FearModel, FearParams
@@ -77,14 +78,11 @@ from .sim import (
     runlog_to_csv,
 )
 
-log = logging.getLogger("fearover")
-
-
 class ScenarioError(Exception):
-    """A scenario file failed to load; the message is anchored to its source."""
+    """A scenario failed to load; the message names the section, key or CSV line at fault."""
 
 
-@dataclass
+@record
 class Scenario:
     db: RouteDb
     config: SimConfig
@@ -187,18 +185,18 @@ def parse_fuzzy_section(parser: configparser.ConfigParser, section: str,
 
 
 def _ini_fields(cls) -> dict[str, tuple[str, object]]:
-    """INI key -> (field name, cast) for each non-dataclass field of ``cls``."""
+    """INI key -> (field name, cast) for each field of ``cls`` that is not a record."""
     hints = typing.get_type_hints(cls)
     keys = {}
-    for f in dataclasses.fields(cls):
-        hint = hints[f.name]
-        if dataclasses.is_dataclass(hint):
+    for name in cls._fields:
+        hint = hints[name]
+        if hasattr(hint, "_fields"):
             continue
         # ``float | None`` casts as float; an absent key keeps the default.
         cast = _bool if hint is bool else next(
             t for t in typing.get_args(hint) or (hint,) if t is not type(None))
         # The one key that differs from its field name: ``seed`` sets ``start_seed``.
-        keys["seed" if f.name == "start_seed" else f.name] = (f.name, cast)
+        keys["seed" if name == "start_seed" else name] = (name, cast)
     return keys
 
 
@@ -219,14 +217,14 @@ _KNOWN_KEYS = {
 
 
 def _build(parser: configparser.ConfigParser, path: Path, section: str, **given):
-    """The section's config dataclass from the keys present; its constructor validates."""
+    """The section's config record from the keys present; its constructor validates."""
     kwargs = {name: _get(parser, section, key, cast)
               for key, (name, cast) in _FIELDS[section].items()
               if parser.has_option(section, key)}
     try:
         return _CONFIG_SECTIONS[section](**kwargs, **given)
     except ValueError as exc:
-        raise ScenarioError(f"{path}: [{section}] {exc}") from None
+        raise ScenarioError(f"[{section}] {exc}") from None
 
 
 def load_scenario(path: str | Path, preset_override: str | None = None,
@@ -237,17 +235,17 @@ def load_scenario(path: str | Path, preset_override: str | None = None,
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
+        raise ScenarioError(f"cannot read the scenario: {exc.strerror}") from None
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
+        raise ScenarioError(str(exc)) from None
     for section in parser.sections():
         if section not in _KNOWN_KEYS:
-            raise ScenarioError(f"{path}: unknown section [{section}]")
+            raise ScenarioError(f"unknown section [{section}]")
         for key in parser.options(section):
             if key not in _KNOWN_KEYS[section]:
-                raise ScenarioError(f"{path}: [{section}] unknown key {key!r}")
+                raise ScenarioError(f"[{section}] unknown key {key!r}")
 
     threshold = _get(parser, "route", "bad_threshold_dbm", float, DEFAULT_BAD_THRESHOLD_DBM)
     source = parser.get("route", "source", fallback="builtin:survey")
@@ -256,24 +254,24 @@ def load_scenario(path: str | Path, preset_override: str | None = None,
         try:
             db = datasets.load_builtin(name, threshold)
         except KeyError as exc:
-            raise ScenarioError(f"{path}: [route] source: {exc.args[0]}") from None
+            raise ScenarioError(f"[route] source: {exc.args[0]}") from None
         except ValueError as exc:
-            raise ScenarioError(f"{path}: [route] {exc}") from None
+            raise ScenarioError(f"[route] {exc}") from None
     else:
         csv_path = Path(source)
         if not csv_path.is_absolute():
             csv_path = path.parent / csv_path
-        if not csv_path.exists():
-            raise ScenarioError(f"{path}: [route] source: no such file {csv_path}")
         try:
             db = RouteDb.load(csv_path, threshold)
+        except OSError as exc:  # missing, a directory, unreadable
+            raise ScenarioError(f"[route] source: {csv_path}: {exc.strerror}") from None
         except ValueError as exc:
             raise ScenarioError(f"{csv_path}: {exc}") from None
 
     named = parser.get("timing", "preset", fallback="custom")
     custom = [key for key in _FIELDS["timing"] if parser.has_option("timing", key)]
     if named != "custom" and custom:
-        raise ScenarioError(f"{path}: [timing] {custom[0]} is set, but preset {named!r} "
+        raise ScenarioError(f"[timing] {custom[0]} is set, but preset {named!r} "
                             "fixes every latency; use preset = custom")
     preset = preset_override or named
     if preset == "custom":
@@ -282,12 +280,12 @@ def load_scenario(path: str | Path, preset_override: str | None = None,
         timing = TIMING_PRESETS[preset]
     else:
         raise ScenarioError(
-            f"{path}: [timing] preset {preset!r} not one of {sorted(TIMING_PRESETS)}")
+            f"[timing] preset {preset!r} not one of {sorted(TIMING_PRESETS)}")
     fear = _build(parser, path, "fear")
     config = _build(parser, path, "sim", fear=fear, bands=_build(parser, path, "pdfa"),
                     timing=timing)
     if seed_override is not None:
-        config = dataclasses.replace(config, start_seed=seed_override)
+        config = replace(config, start_seed=seed_override)
 
     model = FearModel(fear)
     for section, attr in _FUZZY_SECTIONS.items():
@@ -297,8 +295,9 @@ def load_scenario(path: str | Path, preset_override: str | None = None,
     out_dir = Path(out_override or parser.get("output", "dir", fallback="out"))
     if not out_dir.is_absolute():
         out_dir = Path.cwd() / out_dir
-    log.info("scenario %s: %d route points over %.0f m, providers %s",
-             path, len(db.points), db.route_length_m, ", ".join(db.providers))
+    if (log := _logger()) is not None:
+        log.info("scenario %s: %d route points over %.0f m, providers %s",
+                 path, len(db.points), db.route_length_m, ", ".join(db.providers))
     return Scenario(db=db, config=config, fear_model=model, out_dir=out_dir)
 
 
@@ -323,8 +322,9 @@ def _load_and_run(args: argparse.Namespace):
         detail = exc.args[0] if exc.args else exc
         print(f"error: {args.scenario}: {detail}", file=sys.stderr)
         return None, None, 2
-    log.info("run finished: %d ticks, %d attempts, %d stays, %d losses",
-             len(log_.events), len(log_.attempts), len(log_.stays), len(log_.losses))
+    if (log := _logger()) is not None:
+        log.info("run finished: %d ticks, %d attempts, %d stays, %d losses",
+                 len(log_.events), len(log_.attempts), len(log_.stays), len(log_.losses))
     return scenario, log_, 0
 
 
@@ -401,13 +401,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The ``FEAROVER_LOG`` values; any other falls back to WARNING.
-_LOG_LEVELS = {name: getattr(logging, name) for name in ("DEBUG", "INFO", "WARNING", "ERROR")}
+def _logger():
+    """The ``fearover`` logger if ``FEAROVER_LOG`` is DEBUG or INFO, else None."""
+    if os.environ.get("FEAROVER_LOG", "").upper() not in ("DEBUG", "INFO"):
+        return None
+    import logging
+    return logging.getLogger("fearover")
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("FEAROVER_LOG", "WARNING").upper()
-    logging.basicConfig(level=_LOG_LEVELS.get(level, logging.WARNING))
+    if _logger() is not None:
+        import logging
+        logging.basicConfig(level=getattr(logging, os.environ["FEAROVER_LOG"].upper()))
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
@@ -417,8 +422,15 @@ def main(argv: list[str] | None = None) -> int:
         # quietly; stdout goes to devnull so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:  # an output directory that cannot be written
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     return code
 
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

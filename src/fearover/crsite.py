@@ -8,9 +8,9 @@ their latency constants from the real subsystems they stand in for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._records import record
 from .automaton import FearBand
 from .route import RouteDb
 
@@ -19,7 +19,7 @@ class EmptyPool(ValueError):
     """select_whitespace called with no sensed white spaces."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TimingModel:
     """Latency budget of one spectrum-mobility task, in seconds."""
 
@@ -64,7 +64,7 @@ def csm_dispatch(band: FearBand) -> CsmAction:
     return _DISPATCH[band]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PoolEntry:
     current_dbm: float
     future_dbm: float
@@ -93,13 +93,10 @@ def select_whitespace(pool: dict[str, PoolEntry], in_use: str) -> str:
     best_future = max(entry.future_dbm for entry in pool.values())
     if pool[in_use].future_dbm >= best_future:
         return in_use
-    for provider, entry in pool.items():
-        if entry.future_dbm == best_future:
-            return provider
-    raise AssertionError("unreachable")
+    return next(provider for provider, entry in pool.items() if entry.future_dbm == best_future)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HandoverAttempt:
     """One spectrum-mobility attempt and its timing verdict."""
 
@@ -113,12 +110,7 @@ class HandoverAttempt:
 def execute_handover(from_provider: str, to_provider: str, time_left_s: float,
                      timing: TimingModel) -> HandoverAttempt:
     """Attempt a handover; it succeeds iff it finishes strictly before the
-    vehicle reaches the bad-signal point."""
+    vehicle reaches the bad-signal point.  Positional: ``record``'s fast path."""
     required = required_mobility_time(timing)
-    return HandoverAttempt(
-        from_provider=from_provider,
-        to_provider=to_provider,
-        required_s=required,
-        time_left_s=time_left_s,
-        success=time_left_s > required,
-    )
+    return HandoverAttempt(from_provider, to_provider, required, time_left_s,
+                           time_left_s > required)

@@ -15,8 +15,6 @@ from importlib import resources
 
 from .route import DEFAULT_BAD_THRESHOLD_DBM, RouteDb
 
-BUILTIN_NAMES = ("survey", "four_provider_trace")
-
 _FILES = {
     "survey": "f2_mangla_survey.csv",
     "four_provider_trace": "four_provider_trace.csv",
@@ -28,20 +26,10 @@ def builtin_csv(name: str) -> str:
     try:
         filename = _FILES[name]
     except KeyError:
-        raise KeyError(f"no builtin route {name!r}; choose from {BUILTIN_NAMES}") from None
+        raise KeyError(f"no builtin route {name!r}; choose from {tuple(_FILES)}") from None
     return resources.files(__package__).joinpath("data", filename).read_text(encoding="utf-8")
 
 
 def load_builtin(name: str,
                  bad_threshold_dbm: float = DEFAULT_BAD_THRESHOLD_DBM) -> RouteDb:
     return RouteDb.from_csv(builtin_csv(name), bad_threshold_dbm)
-
-
-def survey_route(bad_threshold_dbm: float = DEFAULT_BAD_THRESHOLD_DBM) -> RouteDb:
-    """The surveyed F2-Mangla road database."""
-    return load_builtin("survey", bad_threshold_dbm)
-
-
-def four_provider_trace_route(bad_threshold_dbm: float = DEFAULT_BAD_THRESHOLD_DBM) -> RouteDb:
-    """The synthetic four-provider trace route."""
-    return load_builtin("four_provider_trace", bad_threshold_dbm)

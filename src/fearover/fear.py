@@ -32,10 +32,10 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
+from ._records import record
 from .fuzzy import (
     MONOTONE_NODES,
     AllZeroMembership,
@@ -167,7 +167,7 @@ def _default_systems() -> tuple[FuzzySystem, FuzzySystem, FuzzySystem]:
     return systems
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FearParams:
     """Appraisal configuration.
 
@@ -192,7 +192,7 @@ class FearParams:
             raise ValueError("signal_floor_dbm must lie below signal_ceiling_dbm, both finite")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FearInputs:
     """One appraisal: the agent/event state at a single tick.
 
@@ -249,9 +249,8 @@ def _combine(combiner: str, undesirability: float, likelihood: float,
         return (undesirability + likelihood + global_intensity) / 3.0
     if combiner == "min":
         return min(undesirability, likelihood, global_intensity)
-    if combiner == "product":
-        return undesirability * likelihood * global_intensity
-    raise ValueError(f"unknown combiner {combiner!r}")
+    # "product": ``FearParams`` admits no other combiner.
+    return undesirability * likelihood * global_intensity
 
 
 def fear_intensity(potential: float, params: FearParams) -> float:
@@ -308,6 +307,6 @@ class FearModel:
     def approach(self, inputs: FearInputs):
         """Fear intensity as a function of distance alone for the threat of
         ``inputs``, graded once: its value at any ``d >= 0`` equals
-        ``intensity(dataclasses.replace(inputs, distance_m=d))``."""
+        ``intensity(replace(inputs, distance_m=d))``."""
         grades, potential_at, params = self._grades(inputs), self._potential_at, self.params
         return lambda distance_m: fear_intensity(potential_at(distance_m, grades), params)

@@ -51,9 +51,10 @@ defaults) never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
+
+from ._records import record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,7 +64,7 @@ class AllZeroMembership(Exception):
     """No rule fired: the aggregated output membership is identically zero."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MembershipFunction:
     """Trapezoid with finite breakpoints a <= b <= c <= d; triangle when b == c.
 
@@ -101,7 +102,7 @@ def tri(a: float, b: float, c: float) -> MembershipFunction:
     return MembershipFunction(a, b, b, c)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LinguisticVariable:
     """A named finite universe [lo, hi] carrying an ordered list of labelled terms."""
 
@@ -129,7 +130,7 @@ class LinguisticVariable:
 Rule = tuple[tuple[int, ...], int]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RuleBase:
     """Antecedent term indices (one per input variable) -> consequent index.
 
@@ -158,7 +159,7 @@ _CHUNK = 16
 _LEVELS_CHUNK = 640
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FuzzySystem:
     """A complete multi-input single-output Mamdani system.
 
@@ -374,7 +375,7 @@ def _breakpoints(mfs) -> np.ndarray:
     """Rows a, b, c, d and the two flank widths of the trapezoids ``mfs``.  A
     vertical flank gets width 1: its branch is never taken there."""
     import numpy as np
-    a, b, c, d = np.array([astuple(mf) for mf in mfs]).T
+    a, b, c, d = np.array([(mf.a, mf.b, mf.c, mf.d) for mf in mfs]).T
     return np.array([a, b, c, d, np.where(b > a, b - a, 1.0), np.where(d > c, d - c, 1.0)])
 
 

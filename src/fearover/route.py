@@ -17,9 +17,10 @@ import csv
 import math
 from bisect import bisect_right
 from collections.abc import Mapping
-from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
+
+from ._records import record
 
 EARTH_RADIUS_M = 6371008.8
 
@@ -56,7 +57,7 @@ def _check_provider_name(name: str) -> None:
         raise ValueError(f"provider name {name!r} is empty or holds a comma, quote, CR or LF")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GeoPoint:
     latitude: float
     longitude: float
@@ -78,7 +79,7 @@ def haversine_m(p1: GeoPoint, p2: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SurveyPoint:
     """One surveyed location and its per-provider readings.
 

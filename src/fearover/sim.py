@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
+from ._records import field, record
 from .automaton import (
     ALL_STATES,
     Alert,
@@ -70,7 +69,7 @@ def time_left(distance_m: float, speed_mps: float) -> float:
     return distance_m / speed_mps
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SimConfig:
     tick_s: float = 0.5
     speed_mps: float = 4.0
@@ -106,7 +105,7 @@ class SimConfig:
                           self.prospect, self.desirability)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StayEpisode:
     """A deliberate keep-using decision at a threat: no better white space."""
 
@@ -119,7 +118,7 @@ class TickEvent(NamedTuple):
     """One tick of the run log, one row of ``runlog.csv``.
 
     A ``typing.NamedTuple``: immutable, and several times cheaper to build
-    than a frozen dataclass.  Equality is strict: an event equals only a
+    than a frozen record.  Equality is strict: an event equals only a
     ``TickEvent`` with equal fields, never the plain tuple of them.
     """
 
@@ -149,7 +148,7 @@ class TickEvent(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-@dataclass
+@record
 class RunLog:
     """A run: its tick events, the pool each decision sensed and the time
     spent per task.
@@ -240,6 +239,7 @@ class Simulation:
             raise ValueError(
                 f"step speed_mps * tick_s = {step!r} is below the float spacing "
                 f"{math.ulp(self.stop_m)!r} at stop {self.stop_m!r}; the vehicle would never arrive")
+        from fractions import Fraction  # here: ``replay-tables`` builds no run
         advance = Fraction(step) - Fraction(math.ulp(self.stop_m)) / 2
         self.tick_bound = math.ceil((Fraction(self.stop_m) - Fraction(start)) / advance)
         self.position_m = start
@@ -418,7 +418,7 @@ def run(config: SimConfig, db, fear_model: FearModel | None = None) -> RunLog:
 _FP_EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InvariantReport:
     name: str
     passed: bool
@@ -451,12 +451,8 @@ def check_invariant1(log: RunLog) -> InvariantReport:
             violations.append(
                 f"tick {cur.tick}: fear fell {prev.fear!r} -> {cur.fear!r} "
                 f"while distance fell {prev.distance_to_bssp_m!r} -> {cur.distance_to_bssp_m!r}")
-    return InvariantReport(
-        name="Invariant1",
-        passed=not violations,
-        violations=tuple(violations),
-        stats={"approaching_pairs": pairs},
-    )
+    return InvariantReport("Invariant1", not violations, tuple(violations),
+                           {"approaching_pairs": pairs})
 
 
 def check_invariant2(log: RunLog) -> InvariantReport:
@@ -502,12 +498,8 @@ def check_invariant2(log: RunLog) -> InvariantReport:
                 violations.append(
                     f"tick {event.tick}: adopted {a.to_provider} at {futures[a.to_provider]} dBm, "
                     f"no better than in-use {a.from_provider} at {futures[a.from_provider]} dBm")
-    return InvariantReport(
-        name="Invariant2",
-        passed=not violations,
-        violations=tuple(violations),
-        stats={"handovers": handovers, "stays": stays},
-    )
+    return InvariantReport("Invariant2", not violations, tuple(violations),
+                           {"handovers": handovers, "stays": stays})
 
 
 def check_invariant3(log: RunLog) -> InvariantReport:
@@ -526,12 +518,8 @@ def check_invariant3(log: RunLog) -> InvariantReport:
             successes += 1
         else:
             failures += 1
-    return InvariantReport(
-        name="Invariant3",
-        passed=not violations,
-        violations=tuple(violations),
-        stats={"successes": successes, "failures": failures},
-    )
+    return InvariantReport("Invariant3", not violations, tuple(violations),
+                           {"successes": successes, "failures": failures})
 
 
 def check_all_invariants(log: RunLog) -> list[InvariantReport]:

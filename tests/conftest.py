@@ -1,16 +1,16 @@
 import pytest
 
-from fearover import FearModel, four_provider_trace_route, survey_route
+from fearover import FearModel, load_builtin
 
 
 @pytest.fixture(scope="session")
 def survey_db():
-    return survey_route()
+    return load_builtin("survey")
 
 
 @pytest.fixture(scope="session")
 def trace_db():
-    return four_provider_trace_route()
+    return load_builtin("four_provider_trace")
 
 
 @pytest.fixture(scope="session")

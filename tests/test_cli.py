@@ -46,6 +46,13 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="nowhere.csv"):
             load_scenario(path)
 
+    def test_directory_as_route_source(self, tmp_path, capsys):
+        path = _write(tmp_path, "s.ini", f"[route]\nsource = {tmp_path}\n")
+        with pytest.raises(ScenarioError, match=r"\[route\] source: .*: Is a directory"):
+            load_scenario(path)
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_relative_route_csv(self, tmp_path):
         _write(tmp_path, "mini.csv",
                "label,lat,lon,SP1\nA,33.0,73.0,-90\nB,33.001,73.0,-50\n")
@@ -296,6 +303,14 @@ class TestRunCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_unwritable_output_directory_exits_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "x"
+        code = main(["run", "--scenario", str(SCENARIOS / "four_provider_trace.ini"),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: Not a directory\n"
+
     def test_seeded_violation_without_strict_exits_0(self, tmp_path):
         code = main(["run", "--scenario", str(SCENARIOS / "seeded_violation.ini"),
                      "--out", str(tmp_path / "v")])
@@ -333,6 +348,20 @@ class TestValidateCommand:
         path = tmp_path / "bad.ini"
         path.write_text("[sim]\ntick_s = never\n")
         assert main(["validate", "--scenario", str(path)]) == 2
+
+    @pytest.mark.parametrize("text, detail", [
+        ("[sim]\nsor = 2\n", "[sim] sor must lie in [0, 1]"),
+        ("[fear]\ncombiner = median\n", "[fear] combiner must be one of"),
+        ("[pdfa]\nth_low = 0.9\n", "[pdfa] thresholds must satisfy"),
+        ("[timing]\ncrst_s = -1\n", "[timing] crst_s, megaot_s and hot_s must be"),
+        ("[bogus]\n", "unknown section [bogus]"),
+    ], ids=["sim", "fear", "pdfa", "timing", "unknown-section"])
+    def test_error_names_the_scenario_once(self, tmp_path, capsys, text, detail):
+        path = _write(tmp_path, "s.ini", text)
+        assert main(["validate", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {detail}")
+        assert err.count(str(path)) == 1 and err.count("\n") == 1
 
     def test_stop_beyond_route_exits_2(self, tmp_path, capsys):
         path = tmp_path / "s.ini"
@@ -378,15 +407,21 @@ class TestLogEnv:
                                               ("root", logging.WARNING),
                                               ("critical", logging.WARNING),
                                               ("info", logging.INFO)])
-    def test_only_documented_level_names_are_read(self, monkeypatch, value, level):
-        # Names other than DEBUG/INFO/WARNING/ERROR mean WARNING.  ``logging``
-        # has a string BASIC_FORMAT and a dict _STYLES: taken as a level,
-        # either made every command fail.
+    def test_only_documented_level_names_are_read(self, monkeypatch, caplog, value, level):
+        # Only DEBUG and INFO log: any other name runs at WARNING, which
+        # configures no logging and logs nothing.  ``logging`` has a string
+        # BASIC_FORMAT and a dict _STYLES: taken as a level, either once made
+        # every command fail.
         levels = []
         monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
         monkeypatch.setenv("FEAROVER_LOG", value)
-        assert main(["replay-tables"]) == 0
-        assert levels == [level]
+        caplog.set_level(logging.DEBUG, logger="fearover")
+        assert main(["validate", "--scenario", str(SCENARIOS / "survey_default.ini")]) == 0
+        verbose = level < logging.WARNING
+        assert levels == ([level] if verbose else [])
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == (
+            ["scenario " + str(SCENARIOS / "survey_default.ini"), "run finished"]
+            if verbose else [])
 
 
 class TestConsoleScript:
@@ -406,6 +441,23 @@ class TestConsoleScript:
             assert proc.returncode == 0, proc.stderr
             runs.append((tmp_path / out / "runlog.csv").read_bytes())
         assert runs[0] == runs[1]
+
+    def test_module_runs_as_a_script(self, tmp_path):
+        import subprocess
+        import sys
+
+        env = _child_env()
+        ok = subprocess.run(
+            [sys.executable, "-m", "fearover.cli", "run",
+             "--scenario", str(SCENARIOS / "four_provider_trace.ini"), "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert ok.returncode == 0, ok.stderr
+        runlog = (tmp_path / "runlog.csv").read_bytes()
+        assert hashlib.sha256(runlog).hexdigest() == RUNLOG_SHA256["four_provider_trace"]
+        bad = subprocess.run([sys.executable, "-m", "fearover.cli", "validate", "--scenario",
+                              str(tmp_path / "none.ini")],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert bad.returncode == 2 and bad.stderr.startswith("error: ")
 
     def test_closed_stdout_exits_quietly(self, tmp_path):
         import subprocess
@@ -429,33 +481,48 @@ class TestConsoleScript:
 
 
 # Runs ``main`` on its arguments (with none, only imports ``fearover``), then
-# reports on stderr whether numpy was loaded.
-_NUMPY_CHILD = """\
+# lists on stderr the modules loaded.
+_MODULES_CHILD = """\
 import sys
 import fearover
 code = 0
 if sys.argv[1:]:
     from fearover.cli import main
     code = main(sys.argv[1:])
-print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+print("loaded:", *sorted(sys.modules), file=sys.stderr)
 sys.exit(code)
 """
 
 
-def _numpy_loaded(*args: str) -> bool:
-    """Whether a fresh interpreter loads numpy to run ``fearover`` with ``args``."""
+def _child_env() -> dict[str, str]:
+    """This environment, with ``src`` first on the child's PYTHONPATH."""
     import os
+
+    pythonpath = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+
+
+def _loaded_modules(*args: str, log: str | None = None) -> set[str]:
+    """The modules a fresh interpreter loads to run ``fearover`` with ``args``,
+    with ``FEAROVER_LOG`` set to ``log`` (unset for None)."""
     import subprocess
     import sys
 
-    pythonpath = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_CHILD, *args],
+    env = _child_env()
+    env.pop("FEAROVER_LOG", None)
+    if log is not None:
+        env["FEAROVER_LOG"] = log
+    proc = subprocess.run([sys.executable, "-c", _MODULES_CHILD, *args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    verdict = proc.stderr.splitlines()[-1]
-    assert verdict in ("numpy loaded: True", "numpy loaded: False"), proc.stderr
-    return verdict == "numpy loaded: True"
+    verdict = proc.stderr.splitlines()[-1].split()
+    assert verdict[0] == "loaded:", proc.stderr
+    return set(verdict[1:])
+
+
+def _numpy_loaded(*args: str) -> bool:
+    """Whether a fresh interpreter loads numpy to run ``fearover`` with ``args``."""
+    return "numpy" in _loaded_modules(*args)
 
 
 class TestColdStartWithoutNumpy:
@@ -476,3 +543,24 @@ class TestColdStartWithoutNumpy:
         # seeded_violation's raw likelihood override is built by the kernel.
         assert _numpy_loaded("run", "--scenario", str(SCENARIOS / "seeded_violation.ini"),
                              "--out", str(tmp_path))
+
+
+class TestColdStartImports:
+    """Records are built without generated code, ``fractions`` is imported
+    where a run's tick bound is computed and ``logging`` only when
+    ``FEAROVER_LOG`` asks for INFO or DEBUG: a cold command loads none of
+    ``dataclasses`` (with ``inspect``), and none it does not run."""
+
+    @pytest.mark.parametrize("command", ["run", "validate", "replay-tables"])
+    def test_cold_command_loads_only_what_it_runs(self, tmp_path, command):
+        scenario = str(SCENARIOS / "survey_default.ini")
+        args = {"run": ["run", "--scenario", scenario, "--out", str(tmp_path)],
+                "validate": ["validate", "--scenario", scenario],
+                "replay-tables": ["replay-tables"]}[command]
+        loaded = _loaded_modules(*args)
+        assert not loaded & {"dataclasses", "inspect", "logging"}
+        if command == "replay-tables":
+            assert "fractions" not in loaded
+
+    def test_verbose_log_loads_logging(self):
+        assert "logging" in _loaded_modules("replay-tables", log="INFO")

@@ -1,6 +1,5 @@
 import fnmatch
 import math
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -10,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fearover import fear
+from fearover._records import replace
 from fearover.fear import (
     FearInputs,
     FearModel,

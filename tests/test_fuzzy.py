@@ -1,11 +1,11 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fearover._records import replace
 from fearover.fuzzy import (
     MAX_GRID_RESOLUTION,
     MONOTONE_NODES,
