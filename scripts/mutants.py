@@ -171,6 +171,31 @@ CATALOGUE = (
            "firing if firing < mu else mu",
            "firing if firing > mu else mu",
            ("tests/test_fuzzy.py",)),
+    Mutant("pairwise-block-64", "src/fearover/fuzzy.py",
+           "if n > 128:",
+           "if n > 64:",
+           ("tests/test_fuzzy.py",)),
+    Mutant("pairwise-combine-in-sequence", "src/fearover/fuzzy.py",
+           "((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))",
+           "((((((r0 + r1) + r2) + r3) + r4) + r5) + r6) + r7",
+           ("tests/test_fuzzy.py",)),
+    Mutant("pairwise-tail-first", "src/fearover/fuzzy.py",
+           "        res += ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))\n",
+           "        for i in range(tail, lo + n):\n"
+           "            res += a[i]\n"
+           "        res += ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))\n"
+           "        tail = lo + n\n",
+           ("tests/test_fuzzy.py",)),
+    Mutant("plain-clip-at-neighbour-level", "src/fearover/fuzzy.py",
+           "rows, grid = self._point_tables\n        agg = None\n"
+           "        for row, level in zip(rows, levels):",
+           "rows, grid = self._point_tables\n        agg = None\n"
+           "        for row, level in zip(rows, levels[1:] + levels[:1]):",
+           ("tests/test_fuzzy.py",)),
+    Mutant("plain-value-limit-ignored", "src/fearover/fuzzy.py",
+           "and _plain_values < PLAIN_VALUE_LIMIT:",
+           "and True:",
+           ("tests/test_cli.py",)),
     Mutant("record-eq-ignores-class", "src/fearover/_records.py",
            "if other.__class__ is self.__class__ else NotImplemented",
            'if hasattr(other, "_fields") else NotImplemented',

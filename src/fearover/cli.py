@@ -227,6 +227,21 @@ def _build(parser: configparser.ConfigParser, path: Path, section: str, **given)
         raise ScenarioError(f"[{section}] {exc}") from None
 
 
+def _syntax_error(exc: configparser.Error, lines: list[str]) -> str:
+    """A ``read_string`` error on the scenario ``lines`` as ``line N: reason``,
+    on one line: its own text names the file again and may take three."""
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"line {exc.lineno}: section [{exc.section}] appears twice"
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"line {exc.lineno}: [{exc.section}] {exc.option} is set twice"
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: {exc.line.strip()!r} comes before any [section] header"
+    if isinstance(exc, configparser.ParsingError):
+        lineno = exc.errors[0][0]
+        return f"line {lineno}: cannot parse {lines[lineno - 1].strip()!r}"
+    return " ".join(str(exc).split())
+
+
 def load_scenario(path: str | Path, preset_override: str | None = None,
                   seed_override: int | None = None,
                   out_override: str | None = None) -> Scenario:
@@ -239,7 +254,7 @@ def load_scenario(path: str | Path, preset_override: str | None = None,
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
-        raise ScenarioError(str(exc)) from None
+        raise ScenarioError(_syntax_error(exc, text.split("\n"))) from None
     for section in parser.sections():
         if section not in _KNOWN_KEYS:
             raise ScenarioError(f"unknown section [{section}]")

@@ -24,6 +24,21 @@ of memberships that are all >= 0, and the 1-D centroid sums the aggregate
 in the pairwise order the batch kernel sums each contiguous row.  A test
 compares them at every node and between nodes.
 
+That one-point centroid has two kernels over the one sampling of the output
+terms in ``_point_tables`` (``_tables`` holds it as arrays).  The array
+kernel clips and sums numpy rows, about 10-15 us a point warm.
+``_plain_centroid`` does the same in lists of floats, about 0.3 ms a point,
+but needs no numpy, whose import costs about 150 ms.  ``_point_value``
+takes the array kernel once numpy is loaded, or once the process has
+computed ``PLAIN_VALUE_LIMIT`` plain values, and the plain one before: a
+short cold raw run (the ``seeded_violation`` scenario appraises 41 points)
+never imports numpy.  The choice is made per call, not cached, because a
+process may load numpy after its first appraisal.  The kernels agree under
+``==`` (and by ``repr``): the samples and grid are the same floats, a min or
+max of two floats is exact either way, each product is one IEEE
+multiplication, and ``_pairwise_sum`` adds the aggregate and its moments in
+the order numpy's float64 ``add.reduce`` does.
+
 Min/max aggregation with overlapping partitions is not exactly monotone:
 the defuzzified surface ripples where adjacent input terms that share a
 consequent cross below full membership.  Systems that must expose a
@@ -43,15 +58,17 @@ clip / max / centroid aggregation once per distinct row of levels: of the
 4,225, 790 rows for likelihood, 1,497 for undesirability and 774 for global
 intensity.
 
-numpy is imported on the first kernel call, not with this module: a process
-that only reads rectified surfaces built elsewhere (``fear``'s shipped
-defaults) never loads it.
+numpy is imported on the first array-kernel call, not with this module: a
+process that only reads rectified surfaces built elsewhere (``fear``'s
+shipped defaults) and appraises few raw points never loads it.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+import sys
+from functools import cached_property, reduce
+from operator import add
 from typing import TYPE_CHECKING, Sequence
 
 from ._records import record
@@ -157,6 +174,12 @@ MONOTONE_NODES = 65
 _CHUNK = 16
 # Nodes per levels pass; its largest temporary is about as large as the aggregation's.
 _LEVELS_CHUNK = 640
+# One-point values a process computes in plain floats before it imports numpy
+# and keeps to the array kernel.  On 2 vCPUs the plain centroid costs about
+# 0.28 ms a call more than the array one and the import about 150 ms: at this
+# ski-rental point a long raw run has paid at most about twice the import.
+PLAIN_VALUE_LIMIT = 500
+_plain_values = 0
 
 
 @record(frozen=True)
@@ -198,7 +221,8 @@ class FuzzySystem:
     @cached_property
     def _tables(self) -> tuple[np.ndarray, ...]:
         """The system as arrays: each input term's input and breakpoints, each
-        rule's membership columns and consequent, and the sampled output terms."""
+        rule's membership columns and consequent, the output grid, and the
+        sampled output terms as one array and as its rows."""
         import numpy as np
         sizes = [len(var.terms) for var in self.inputs]
         reads = np.repeat(np.arange(len(sizes)), sizes)
@@ -206,15 +230,16 @@ class FuzzySystem:
         ants = np.array([ant for ant, _ in self.rule_base.rules], dtype=int).reshape(-1, len(sizes))
         routes = np.equal.outer(np.arange(len(self.output.terms)),
                                 [cons for _, cons in self.rule_base.rules])
-        grid = np.linspace(self.output.lo, self.output.hi, self.grid_resolution)
-        samples = _trapezoids(grid, *_breakpoints(mf for _, mf in self.output.terms)[:, :, None])
-        return reads, quads, ants + np.cumsum([0, *sizes[:-1]]), routes, grid, samples
+        _, _, rows, grid = self._point_tables
+        samples = np.array(rows)
+        return (reads, quads, ants + np.cumsum([0, *sizes[:-1]]), routes,
+                np.array(grid), samples, tuple(samples))
 
     def _levels(self, points: np.ndarray) -> np.ndarray:
         """Clip level of each output term at clamped ``points[N, n_in]``: the
         strongest firing among the rules that conclude it, 0 where none fires."""
         import numpy as np
-        reads, quads, columns, routes, _, _ = self._tables
+        reads, quads, columns, routes, _, _, _ = self._tables
         firing = _trapezoids(points[:, reads], *quads)[:, columns].min(axis=2)
         return np.where(routes, firing[:, None, :], 0.0).max(axis=2, initial=0.0)
 
@@ -223,7 +248,7 @@ class FuzzySystem:
         rule fires.  Each centroid sums a C-contiguous row, in the order a 1-D
         call sums it, so a row's value does not depend on the rows beside it."""
         import numpy as np
-        _, _, _, _, grid, samples = self._tables
+        _, _, _, _, grid, samples, _ = self._tables
         values = np.full(len(levels), np.nan)
         for lo in range(0, len(levels), _CHUNK):
             agg = np.minimum(samples, levels[lo:lo + _CHUNK, :, None]).max(axis=1)
@@ -273,9 +298,10 @@ class FuzzySystem:
         """The system as the one-point ``_point_value`` reads it: each input's
         name, universe ends and terms, a term as ``(index, a, b, c, d)``; the
         rule table, keyed by the sum of its antecedent terms' indices; each
-        sampled output term; the output grid.  A term's index is its position
-        times the term counts of the inputs after it, so every antecedent sums
-        to its own key."""
+        output term sampled by ``MembershipFunction.__call__`` on the output
+        grid, spaced as ``np.linspace`` spaces it; the grid.  A term's index is
+        its position times the term counts of the inputs after it, so every
+        antecedent sums to its own key.  ``_tables`` reads the same samples."""
         sizes = [len(var.terms) for var in self.inputs]
         strides = [math.prod(sizes[v + 1:]) for v in range(len(sizes))]
         inputs = tuple((var.name, var.lo, var.hi,
@@ -284,16 +310,21 @@ class FuzzySystem:
                        for var, stride in zip(self.inputs, strides))
         rules = {sum(k * stride for k, stride in zip(ant, strides)): cons
                  for ant, cons in self.rule_base.rules}
-        _, _, _, _, grid, samples = self._tables
-        return inputs, rules, tuple(samples), grid
+        lo, hi, last = self.output.lo, self.output.hi, self.grid_resolution - 1
+        step = (hi - lo) / last
+        grid = (*(i * step + lo for i in range(last)), hi)
+        return inputs, rules, tuple(tuple(map(mf, grid)) for _, mf in self.output.terms), grid
 
     def _point_value(self, values: Sequence[float]) -> float:
-        """``_aggregate(_levels(...))`` of the one point ``values``, clamped,
-        with no arrays but the clipped output terms; the module docstring says
-        why the value is the same.  Raises AllZeroMembership where that gives
-        NaN, ValueError naming the first NaN input."""
-        import numpy as np
-        inputs, rules, rows, grid = self._point_tables
+        """``_aggregate(_levels(...))`` of the one point ``values``, clamped: its
+        clip levels, then the plain centroid while the process has no numpy
+        and has computed fewer than ``PLAIN_VALUE_LIMIT`` plain values, else
+        the same centroid of only the clipped output terms as arrays; the
+        module docstring says why the value is the same.  Raises
+        AllZeroMembership where that gives NaN, ValueError naming the first
+        NaN input."""
+        global _plain_values
+        inputs, rules, rows, _ = self._point_tables
         # Each antecedent prefix held so far, as (rule table key, firing); the
         # empty prefix fires at 1.0, which no membership exceeds.
         fired = [(0, 1.0)]
@@ -320,6 +351,11 @@ class FuzzySystem:
             cons = rules.get(key)
             if cons is not None and firing > levels[cons]:
                 levels[cons] = firing
+        if "numpy" not in sys.modules and _plain_values < PLAIN_VALUE_LIMIT:
+            _plain_values += 1
+            return self._plain_centroid(levels)
+        import numpy as np
+        _, _, _, _, grid, _, rows = self._tables
         agg = None
         for row, level in zip(rows, levels):
             if level > 0.0:
@@ -333,6 +369,23 @@ class FuzzySystem:
         if total <= 0.0:  # fired terms that sample to 0 everywhere on the grid
             raise AllZeroMembership("aggregated membership is identically zero")
         return float(np.add.reduce(grid * agg) / total)
+
+    def _plain_centroid(self, levels: list[float]) -> float:
+        """``_aggregate`` of the one level row ``levels`` in plain floats, as
+        ``_point_value`` takes it with arrays: the same clips and maxima, and
+        the two sums in numpy's order by ``_pairwise_sum``."""
+        _, _, rows, grid = self._point_tables
+        agg = None
+        for row, level in zip(rows, levels):
+            if level > 0.0:
+                clipped = [s if s < level else level for s in row]
+                agg = clipped if agg is None else [a if a > c else c for a, c in zip(agg, clipped)]
+        if agg is None:
+            raise AllZeroMembership("aggregated membership is identically zero")
+        total = _pairwise_sum(agg, 0, len(agg))
+        if total <= 0.0:
+            raise AllZeroMembership("aggregated membership is identically zero")
+        return _pairwise_sum([x * m for x, m in zip(grid, agg)], 0, len(agg)) / total
 
     def infer(self, values: Sequence[float]) -> float:
         """Clamp to the universes -> fuzzify -> fire rules -> clip -> aggregate
@@ -385,6 +438,24 @@ def _trapezoids(x: np.ndarray, a, b, c, d, left, right) -> np.ndarray:
     import numpy as np
     mu = np.where(x < b, (x - a) / left, np.where(x <= c, 1.0, (d - x) / right))
     return np.maximum(mu, 0.0)
+
+
+def _pairwise_sum(a: Sequence[float], lo: int, n: int) -> float:
+    """numpy's float64 ``add.reduce`` of ``a[lo:lo + n]``, in its order: under 8
+    items in sequence, up to 128 in eight strided partial sums and then the
+    tail, above that the two halves split at a multiple of 8.  A zero sum is
+    +0.0, as numpy's reduction starts from 0.0."""
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
+    res, tail = 0.0, lo
+    if n >= 8:
+        tail = lo + n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = (reduce(add, a[j:tail:8]) for j in range(lo, lo + 8))
+        res += ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for i in range(tail, lo + n):
+        res += a[i]
+    return res
 
 
 def defuzz_centroid(xs: Sequence[float] | np.ndarray,

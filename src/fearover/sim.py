@@ -54,6 +54,10 @@ from .crsite import (
 from .fear import FearInputs, FearModel, FearParams
 
 PATCH_M = 5.0
+# The most ticks a ``Simulation.run`` may be bound to.  A run log holds about
+# 260 bytes a tick, so this caps its log near 260 MB: about a 100 km route at
+# 0.1 m a tick.  The bundled survey takes 4,220 ticks.
+MAX_RUN_TICKS = 1_000_000
 
 
 class RouteExhausted(Exception):
@@ -398,6 +402,13 @@ class Simulation:
         self.position_m = position
 
     def run(self) -> RunLog:
+        """Tick to stop.  Refuses, before its first tick, a run bound to more
+        than ``MAX_RUN_TICKS`` ticks: its log could outgrow memory."""
+        if self.tick_bound > MAX_RUN_TICKS:
+            raise ValueError(
+                f"step speed_mps * tick_s = {self.config.speed_mps * self.config.tick_s!r} m "
+                f"over {self.position_m!r} .. {self.stop_m!r} m bounds the run at "
+                f"{self.tick_bound} ticks, above the cap of {MAX_RUN_TICKS}")
         events = self.log.events
         while self.position_m < self.stop_m:
             if len(events) >= self.tick_bound:

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 import fearover.cli
+import fearover.sim
 from fearover.cli import ScenarioError, load_scenario, main
 from fearover.crsite import TIMING_PRESETS
+from fearover.fuzzy import PLAIN_VALUE_LIMIT
 from fearover.sim import SimConfig, parse_runlog_csv, run, runlog_to_csv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -355,13 +357,22 @@ class TestValidateCommand:
         ("[pdfa]\nth_low = 0.9\n", "[pdfa] thresholds must satisfy"),
         ("[timing]\ncrst_s = -1\n", "[timing] crst_s, megaot_s and hot_s must be"),
         ("[bogus]\n", "unknown section [bogus]"),
-    ], ids=["sim", "fear", "pdfa", "timing", "unknown-section"])
+        ("[sim]\nsor = 0.5\n[sim]\n", "line 3: section [sim] appears twice"),
+        ("garbage\n[sim]\n", "line 1: 'garbage' comes before any [section] header"),
+    ], ids=["sim", "fear", "pdfa", "timing", "unknown-section", "duplicate-section",
+            "no-section-header"])
     def test_error_names_the_scenario_once(self, tmp_path, capsys, text, detail):
         path = _write(tmp_path, "s.ini", text)
         assert main(["validate", "--scenario", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {detail}")
         assert err.count(str(path)) == 1 and err.count("\n") == 1
+
+    def test_run_past_the_tick_cap_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(fearover.sim, "MAX_RUN_TICKS", 100)
+        assert main(["validate", "--scenario", str(SCENARIOS / "survey_default.ini")]) == 2
+        err = capsys.readouterr().err
+        assert "above the cap of 100" in err and err.count("\n") == 1
 
     def test_stop_beyond_route_exits_2(self, tmp_path, capsys):
         path = tmp_path / "s.ini"
@@ -485,6 +496,8 @@ class TestConsoleScript:
 _MODULES_CHILD = """\
 import sys
 import fearover
+import fearover.fuzzy
+fearover.fuzzy.PLAIN_VALUE_LIMIT = int(sys.argv.pop(1))
 code = 0
 if sys.argv[1:]:
     from fearover.cli import main
@@ -502,9 +515,12 @@ def _child_env() -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
 
 
-def _loaded_modules(*args: str, log: str | None = None) -> set[str]:
+def _loaded_modules(*args: str, log: str | None = None, code: int = 0,
+                    plain_values: int | None = None) -> set[str]:
     """The modules a fresh interpreter loads to run ``fearover`` with ``args``,
-    with ``FEAROVER_LOG`` set to ``log`` (unset for None)."""
+    with ``FEAROVER_LOG`` set to ``log`` (unset for None) and
+    ``fuzzy.PLAIN_VALUE_LIMIT`` to ``plain_values`` (None keeps it); the
+    command must exit with ``code``."""
     import subprocess
     import sys
 
@@ -512,23 +528,27 @@ def _loaded_modules(*args: str, log: str | None = None) -> set[str]:
     env.pop("FEAROVER_LOG", None)
     if log is not None:
         env["FEAROVER_LOG"] = log
-    proc = subprocess.run([sys.executable, "-c", _MODULES_CHILD, *args],
+    limit = PLAIN_VALUE_LIMIT if plain_values is None else plain_values
+    proc = subprocess.run([sys.executable, "-c", _MODULES_CHILD, str(limit), *args],
                           capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     verdict = proc.stderr.splitlines()[-1].split()
     assert verdict[0] == "loaded:", proc.stderr
     return set(verdict[1:])
 
 
-def _numpy_loaded(*args: str) -> bool:
-    """Whether a fresh interpreter loads numpy to run ``fearover`` with ``args``."""
-    return "numpy" in _loaded_modules(*args)
+def _numpy_loaded(*args: str, **kwargs) -> bool:
+    """Whether a fresh interpreter loads numpy to run ``fearover`` with ``args``;
+    ``kwargs`` as ``_loaded_modules`` takes them."""
+    return "numpy" in _loaded_modules(*args, **kwargs)
 
 
 class TestColdStartWithoutNumpy:
-    """numpy is imported on the first fuzzy-kernel call, and the default model's
-    surfaces ship as package data: a fresh process on the default fear model
-    never loads numpy."""
+    """numpy is imported on the first array-kernel call, the default model's
+    surfaces ship as package data, and a raw system's first
+    ``PLAIN_VALUE_LIMIT`` one-point values take the plain kernel: a fresh
+    process on the default fear model never loads numpy, nor one that
+    appraises a few raw points."""
 
     @pytest.mark.parametrize("command", ["import", "run", "validate", "replay-tables"])
     def test_default_model_never_imports_numpy(self, tmp_path, command):
@@ -539,10 +559,30 @@ class TestColdStartWithoutNumpy:
                 "replay-tables": ["replay-tables"]}[command]
         assert not _numpy_loaded(*args)
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_short_raw_run_never_imports_numpy(self, tmp_path, command):
+        # seeded_violation's raw likelihood appraises 41 points, and its
+        # Invariant1 fails: ``validate`` exits 1.
+        scenario = str(SCENARIOS / "seeded_violation.ini")
+        args = {"run": ["run", "--scenario", scenario, "--out", str(tmp_path)],
+                "validate": ["validate", "--scenario", scenario]}[command]
+        assert not _numpy_loaded(*args, code=1 if command == "validate" else 0)
+        if command == "run":
+            runlog = (tmp_path / "runlog.csv").read_bytes()
+            assert hashlib.sha256(runlog).hexdigest() == RUNLOG_SHA256["seeded_violation"]
+
     def test_overridden_fuzzy_system_imports_numpy(self, tmp_path):
-        # seeded_violation's raw likelihood override is built by the kernel.
+        # An override that stays monotone builds its rectified surface.
+        path = _write(tmp_path, "s.ini", "[fuzzy:ig]\ngrid_resolution = 501\n")
+        assert _numpy_loaded("validate", "--scenario", str(path))
+
+    def test_long_raw_run_imports_numpy_and_writes_the_same_log(self, tmp_path):
+        # Past the plain-value limit (lowered from 500 to 5 in the child) the
+        # array kernel takes over and gives the same values.
         assert _numpy_loaded("run", "--scenario", str(SCENARIOS / "seeded_violation.ini"),
-                             "--out", str(tmp_path))
+                             "--out", str(tmp_path), plain_values=5)
+        runlog = (tmp_path / "runlog.csv").read_bytes()
+        assert hashlib.sha256(runlog).hexdigest() == RUNLOG_SHA256["seeded_violation"]
 
 
 class TestColdStartImports:

@@ -14,6 +14,9 @@ from fearover.fuzzy import (
     LinguisticVariable,
     MembershipFunction,
     RuleBase,
+    _breakpoints,
+    _pairwise_sum,
+    _trapezoids,
     defuzz_centroid,
     trap,
     tri,
@@ -322,16 +325,24 @@ def _vertical_flanks() -> FuzzySystem:
                        monotone=(1, -1))
 
 
-def _assert_point_path_equals_batch(raw: FuzzySystem, points: list) -> None:
-    """``raw.infer`` of each point equals the batch kernel's value, under ==;
-    it raises AllZeroMembership exactly where the kernel gives NaN."""
+def _assert_point_path_equals_batch(raw: FuzzySystem, points: list, infer=None) -> None:
+    """``infer`` (``raw.infer`` by default) of each point equals the batch
+    kernel's value, under ==; it raises AllZeroMembership exactly where the
+    kernel gives NaN."""
+    infer = infer or raw.infer
     expected = raw._aggregate(raw._levels(np.array(points, dtype=float)))
     for point, value in zip(points, expected.tolist()):
         if np.isnan(value):
             with pytest.raises(AllZeroMembership):
-                raw.infer(point)
+                infer(point)
         else:
-            assert raw.infer(point) == value, point
+            assert infer(point) == value, point
+
+
+def _plain_infer(raw: FuzzySystem):
+    """``raw.infer`` with the plain one-point centroid, which ``infer`` skips in
+    a process that has loaded numpy, on the batch kernel's clip levels."""
+    return lambda point: raw._plain_centroid(raw._levels(np.array([point], dtype=float))[0].tolist())
 
 
 class TestDistinctLevelRows:
@@ -375,6 +386,29 @@ class TestDistinctLevelRows:
                   for u, v in fractions]
         _assert_point_path_equals_batch(replace(system, monotone=None), points)
 
+    def test_plain_centroid_equals_batch_kernel_at_every_node(self, system):
+        raw = replace(system, monotone=None)
+        _assert_point_path_equals_batch(raw, _node_points(system).tolist(), _plain_infer(raw))
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=40))
+    def test_plain_centroid_equals_batch_kernel_between_nodes(self, system, fractions):
+        x_var, y_var = system.inputs
+        points = [(x_var.lo + u * (x_var.hi - x_var.lo), y_var.lo + v * (y_var.hi - y_var.lo))
+                  for u, v in fractions]
+        raw = replace(system, monotone=None)
+        _assert_point_path_equals_batch(raw, points, _plain_infer(raw))
+
+    def test_one_sampling_equals_the_array_sampling(self, system):
+        """The output grid and terms, sampled in plain floats for both
+        kernels, are ``np.linspace`` and ``_trapezoids``' arrays."""
+        _, _, rows, grid = system._point_tables
+        linspace = np.linspace(system.output.lo, system.output.hi, system.grid_resolution)
+        quads = _breakpoints(mf for _, mf in system.output.terms)[:, :, None]
+        assert grid == tuple(linspace.tolist())
+        assert rows == tuple(map(tuple, _trapezoids(linspace, *quads).tolist()))
+
     def test_unfired_nodes_stay_zero(self):
         system = _partial_rules()
         raw = system._node_values(_node_points(system)).reshape(MONOTONE_NODES, MONOTONE_NODES)
@@ -383,6 +417,22 @@ class TestDistinctLevelRows:
         nodes = np.array(system._surface[4])
         assert (nodes[0] == 0.0).all() and (nodes[:, 0] == 0.0).all()
         assert system.infer((0.0, 0.0)) == 0.0
+
+
+class TestPairwiseSum:
+    """``_pairwise_sum`` is numpy's float64 ``add.reduce``, to the last bit and
+    the sign of a zero, at every length to 300 (each branch and block edge)
+    and at grid resolutions 1001 and 3001: memberships, and their moments on a
+    signed grid, where a zero membership below 0 gives a -0.0 product."""
+
+    def test_equals_add_reduce(self):
+        rng = np.random.default_rng(17)
+        for n in [*range(1, 301), 1001, 3001]:
+            grid = np.linspace(-1.0, 1.0, n)
+            mus = np.where(rng.random(n) < 0.4, 0.0, rng.random(n))
+            for items in (mus, grid * mus, grid * 0.0, -mus):
+                expected = np.add.reduce(items)
+                assert repr(_pairwise_sum(items.tolist(), 0, n)) == repr(float(expected)), n
 
 
 class TestGridResolution:

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fearover.sim
 from fearover.automaton import BandThresholds, FearBand, MobilitySymbol, classify
 from fearover.cli import load_scenario
 from fearover.crsite import CsmAction, HandoverAttempt, PoolEntry, TIMING_PRESETS, csm_dispatch
 from fearover.fear import FearInputs, FearModel, FearParams
 from fearover.route import GeoPoint, RouteDb, SurveyPoint
 from fearover.sim import (
+    MAX_RUN_TICKS,
     PATCH_M,
     RUNLOG_COLUMNS,
     RouteExhausted,
@@ -256,6 +258,26 @@ class TestTickBound:
         with pytest.raises(RuntimeError, match="bound of 10 ticks"):
             sim.run()
         assert len(sim.log.events) == 10 and not sim.position_m >= sim.stop_m
+
+    def test_run_bound_past_the_cap_refused_before_its_first_tick(self, survey_db, fear_model):
+        # 0.1 um a tick over the whole survey: a log of terabytes.
+        sim = Simulation(SimConfig(speed_mps=1e-4, tick_s=1e-3), survey_db, fear_model)
+        assert sim.tick_bound == 84_397_883_750
+        expected = (f"step speed_mps * tick_s = {1e-4 * 1e-3!r} m over 0.0 .. "
+                    f"{survey_db.route_length_m!r} m bounds the run at 84397883750 ticks, "
+                    f"above the cap of {MAX_RUN_TICKS}")
+        with pytest.raises(ValueError) as refused:
+            sim.run()
+        assert str(refused.value) == expected
+        assert not sim.log.events
+
+    def test_cap_admits_a_run_bound_to_it(self, survey_db, fear_model, monkeypatch):
+        sim = Simulation(SimConfig(), survey_db, fear_model)
+        monkeypatch.setattr(fearover.sim, "MAX_RUN_TICKS", sim.tick_bound - 1)
+        with pytest.raises(ValueError, match="above the cap"):
+            sim.run()
+        monkeypatch.setattr(fearover.sim, "MAX_RUN_TICKS", sim.tick_bound)
+        assert sim.run().events[-1].position_m == sim.stop_m
 
     @given(stop=st.floats(1.0, 8400.0), ticks=st.integers(1, 30),
            spacings=st.floats(0.25, 4.0),
