@@ -1,10 +1,13 @@
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fearover import fear
 from fearover._records import replace
 from fearover.fuzzy import (
     MAX_GRID_RESOLUTION,
@@ -345,21 +348,31 @@ def _plain_infer(raw: FuzzySystem):
     return lambda point: raw._plain_centroid(raw._levels(np.array([point], dtype=float))[0].tolist())
 
 
+# Fresh monotone systems by name: the default subsystems, fixtures with
+# unfired nodes, a signed output and vertical flanks, and output grids from
+# 2 to 3001 points.
+_SURFACE_SYSTEMS = {
+    "likelihood_system": fear.likelihood_system,
+    "undesirability_system": fear.undesirability_system,
+    "global_intensity_system": fear.global_intensity_system,
+    "partial_rules": _partial_rules,
+    "signed_output": _signed_output,
+    "vertical_flanks": _vertical_flanks,
+    **{f"resolution_{n}": lambda n=n: _two_input_system(monotone=(1, 1), grid_resolution=n)
+       for n in (2, 3, 9, 3001)},
+}
+
+
 class TestDistinctLevelRows:
     """The surface aggregates each distinct clip-level row once; its raw node
     values must equal the aggregation run over every node."""
 
-    @pytest.fixture(params=["likelihood_system", "undesirability_system",
-                            "global_intensity_system", "partial_rules", "signed_output",
-                            "vertical_flanks", "resolution_2", "resolution_3001"])
+    @pytest.fixture(params=list(_SURFACE_SYSTEMS))
     def system(self, request, fear_model):
         name = request.param
         if name.endswith("_system"):
             return getattr(fear_model, name)
-        if name.startswith("resolution_"):
-            return _two_input_system(monotone=(1, 1), grid_resolution=int(name.split("_")[1]))
-        return {"partial_rules": _partial_rules, "signed_output": _signed_output,
-                "vertical_flanks": _vertical_flanks}[name]()
+        return _SURFACE_SYSTEMS[name]()
 
     def test_raw_nodes_equal_undeduplicated_aggregation(self, system):
         points = _node_points(system)
@@ -417,6 +430,49 @@ class TestDistinctLevelRows:
         nodes = np.array(system._surface[4])
         assert (nodes[0] == 0.0).all() and (nodes[:, 0] == 0.0).all()
         assert system.infer((0.0, 0.0)) == 0.0
+
+
+def _seeded_likelihood(polarity: tuple[int, int]) -> FuzzySystem:
+    """``seeded_violation``'s raw likelihood rules (an inverted distance
+    polarity), rectified under ``polarity``."""
+    from fearover.cli import load_scenario
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "seeded_violation.ini"
+    return replace(load_scenario(scenario).fear_model.likelihood_system, monotone=polarity)
+
+
+class TestSurfacePins:
+    """The sha256 of each fresh system's rectified surface, as
+    ``fear._surface_table_bytes`` lays it out: how ``_surface`` is computed
+    may change, its bits may not."""
+
+    PINS = {
+        "likelihood_system": "7a08a7fcf20e421f8d628fb0d8884cee95bc07aa0f23a9262d645b39d86f49ff",
+        "undesirability_system": "5f74eb2c082d61a3bb4aa089361b937abf6c34daaff72690d2bae2d2d5b9828d",
+        "global_intensity_system": "9f77f0a9be745b837343c59962eea493dde997770eb0fc3dc624072160852456",
+        "partial_rules": "e7a880e9fc868db48f45b625d212836d0aa1eba1eeb52b38f54600c895f2393c",
+        "signed_output": "08fc6847851984e1c78ee3648586a701c9e15afa0fa7fb1717724144c015bf6b",
+        "vertical_flanks": "97c024a1205960bb5410b495e760b15a1ffc45a7b8fac5a35a4b53395a2bd0bb",
+        "resolution_2": "538d2723be78a7c46eda9ec03e459fe061f45f5630cc60c6c19c3051ebd65d86",
+        "resolution_3": "eed48f40358948070641063dbf6fbfd47dc2ded7560236db854ed6801be34c72",
+        "resolution_9": "52746a28014605fa39daeced8f44557bff8dfd6e484dc3a65574b6e469da717f",
+        "resolution_3001": "be258f818927e29e065530b58bd4635e0d721c615da68ae44ee2a06b1f12063d",
+        # The seeded rules' input and output terms are the undesirability
+        # subsystem's, and so are its rules under (+1, -1).
+        "seeded_likelihood_up_up": "f39fd92c062f77f037e53623f01a68ce431bbdd206f5500ae1acd70c1a899016",
+        "seeded_likelihood_up_down": "5f74eb2c082d61a3bb4aa089361b937abf6c34daaff72690d2bae2d2d5b9828d",
+        "seeded_likelihood_down_up": "10a2c1ac42c7f2249f2545cc7d0100ab6b08cf0bcb13703125e561a1553eeff1",
+        "seeded_likelihood_down_down": "7861a2410b68c8e0a0678d7319ca8e71690fabc1bdc35f22a7fb0087c4a7407e",
+    }
+
+    @pytest.mark.parametrize("name", list(PINS))
+    def test_surface_sha256(self, name):
+        if name.startswith("seeded_likelihood_"):
+            signs = {"up": 1, "down": -1}
+            system = _seeded_likelihood(tuple(signs[s] for s in name.split("_")[2:]))
+        else:
+            system = _SURFACE_SYSTEMS[name]()
+        digest = hashlib.sha256(fear._surface_table_bytes((system,))).hexdigest()
+        assert digest == self.PINS[name]
 
 
 class TestPairwiseSum:
