@@ -196,6 +196,20 @@ CATALOGUE = (
            "and _plain_values < PLAIN_VALUE_LIMIT:",
            "and True:",
            ("tests/test_cli.py",)),
+    Mutant("array-clip-at-neighbour-level", "src/fearover/fuzzy.py",
+           "grid, rows = self._tables\n        agg = None\n"
+           "        for row, level in zip(rows, levels):",
+           "grid, rows = self._tables\n        agg = None\n"
+           "        for row, level in zip(rows, levels[1:] + levels[:1]):",
+           ("tests/test_fuzzy.py",)),
+    Mutant("surface-key-drops-last-level", "src/fearover/fuzzy.py",
+           "key = tuple(levels)",
+           "key = tuple(levels[:-1])",
+           ("tests/test_fuzzy.py",)),
+    Mutant("surface-prefix-max-ignores-monotone", "src/fearover/fuzzy.py",
+           "flips = tuple(slice(None, None, p) for p in self.monotone)",
+           "flips = (slice(None), slice(None))",
+           ("tests/test_fuzzy.py",)),
     Mutant("record-eq-ignores-class", "src/fearover/_records.py",
            "if other.__class__ is self.__class__ else NotImplemented",
            'if hasattr(other, "_fields") else NotImplemented',

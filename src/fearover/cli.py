@@ -37,7 +37,8 @@ Scenario files are INI-style text with one section per subsystem::
     [output]
     dir = out
 
-Every key is optional.  The ``[sim]``, ``[fear]``, ``[pdfa]`` and ``[timing]``
+Every key is optional, and every value is read as written (``%`` is not
+special).  The ``[sim]``, ``[fear]``, ``[pdfa]`` and ``[timing]``
 keys are the fields of ``SimConfig``, ``FearParams``, ``BandThresholds`` and
 ``TimingModel``, whose defaults are shown, except that ``seed`` sets
 ``SimConfig.start_seed``.  Unknown sections and keys are errors.
@@ -246,7 +247,8 @@ def load_scenario(path: str | Path, preset_override: str | None = None,
                   seed_override: int | None = None,
                   out_override: str | None = None) -> Scenario:
     path = Path(path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # No interpolation: a value reaches its cast as written, ``%`` and all.
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:

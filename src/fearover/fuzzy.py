@@ -2,42 +2,32 @@
 
 Trapezoidal membership functions, min conjunction, min (clipping)
 implication, max aggregation and centroid defuzzification over a sampled
-output grid.  Systems are immutable after construction; the arrays and
-flat tables inference reads are built once per instance, as cached
-properties.
+output grid.  Systems are immutable after construction; the tables
+inference reads are built once per instance, as cached properties.
 
-Two paths compute the raw values, chosen by what the caller holds.  A raw
-``infer`` (no ``monotone``) gets one point, through ``_point_value``.  It
-reads ``_point_tables``: per input its universe and each term's
-breakpoints as a tuple, with the term's offset into a rule table keyed by
-antecedent.  It takes each membership by ``MembershipFunction.__call__``'s
-arithmetic, written inline, folds the inputs' held terms into (antecedent,
-firing) pairs, and clips, max-combines and centroids only the output terms
-clipped above 0.  The batch kernel (``_levels`` / ``_aggregate``) runs a
-node grid as arrays and builds the rectified surface.  On 2 vCPUs (Python
-3.11.7, numpy 2.4.6) the 4,225 node values of the likelihood subsystem
-took it about 12 ms (under 2 ms for the clip levels) where the one-point
-path took about 70 ms; for one point it took about 60 us to the one-point
-path's 18.  The two agree under ``==``: ``_trapezoids`` is ``__call__``'s
-arithmetic, min and max are exact, a term clipped at 0 cannot raise a max
-of memberships that are all >= 0, and the 1-D centroid sums the aggregate
-in the pairwise order the batch kernel sums each contiguous row.  A test
-compares them at every node and between nodes.
+One path computes clip levels.  ``_point_levels`` takes one point to the
+clip level of each output term, reading ``_point_tables``: per input its
+universe and each term's breakpoints as a tuple, with the term's offset
+into a rule table keyed by antecedent.  It takes each membership by
+``MembershipFunction.__call__``'s arithmetic, written inline, and folds the
+inputs' held terms into (antecedent, firing) pairs.
 
-That one-point centroid has two kernels over the one sampling of the output
-terms in ``_point_tables`` (``_tables`` holds it as arrays).  The array
-kernel clips and sums numpy rows, about 10-15 us a point warm.
-``_plain_centroid`` does the same in lists of floats, about 0.3 ms a point,
-but needs no numpy, whose import costs about 150 ms.  ``_point_value``
-takes the array kernel once numpy is loaded, or once the process has
-computed ``PLAIN_VALUE_LIMIT`` plain values, and the plain one before: a
-short cold raw run (the ``seeded_violation`` scenario appraises 41 points)
-never imports numpy.  The choice is made per call, not cached, because a
-process may load numpy after its first appraisal.  The kernels agree under
-``==`` (and by ``repr``): the samples and grid are the same floats, a min or
-max of two floats is exact either way, each product is one IEEE
-multiplication, and ``_pairwise_sum`` adds the aggregate and its moments in
-the order numpy's float64 ``add.reduce`` does.
+Two kernels take the centroid of a row of levels, over the one sampling of
+the output terms in ``_point_tables``.  Each clips and max-combines only the
+terms clipped above 0, since a term clipped at 0 cannot raise a max of
+memberships that are all >= 0.  ``_array_centroid`` works on numpy rows
+(``_tables``), about 10-15 us a point warm.  ``_plain_centroid`` works on
+lists of floats, about 0.3 ms a point, but needs no numpy, whose import
+costs about 150 ms.  A raw ``infer`` (no ``monotone``) goes through
+``_point_value``, which takes the array kernel once numpy is loaded, or once
+the process has computed ``PLAIN_VALUE_LIMIT`` plain values, and the plain
+one before: a short cold raw run (the ``seeded_violation`` scenario
+appraises 41 points) never imports numpy.  The choice is made per call, not
+cached, because a process may load numpy after its first appraisal.  The
+kernels agree under ``==`` (and by ``repr``): the samples and grid are the
+same floats, a min or max of two floats is exact either way, each product
+is one IEEE multiplication, and ``_pairwise_sum`` adds the aggregate and
+its moments in the order numpy's float64 ``add.reduce`` does.
 
 Min/max aggregation with overlapping partitions is not exactly monotone:
 the defuzzified surface ripples where adjacent input terms that share a
@@ -52,11 +42,12 @@ exactly monotone; on the three default fear subsystems it sits up to 0.0295
 above the raw surface at the nodes, and between them 0.033 above to 0.015
 below.
 
-A node's raw value depends only on its clip levels, one per output term.
-The sampling therefore fires the rules at every node but runs the
-clip / max / centroid aggregation once per distinct row of levels: of the
-4,225, 790 rows for likelihood, 1,497 for undesirability and 774 for global
-intensity.
+The surface is built from the same two steps: ``_point_levels`` at each of
+the 4,225 nodes, then ``_array_centroid`` once per distinct row of levels,
+since a node's raw value depends on nothing else.  Of the 4,225 rows, 790
+are distinct for likelihood, 1,497 for undesirability and 774 for global
+intensity.  On 2 vCPUs (Python 3.11.7, numpy 2.4.6) a default subsystem's
+surface takes about 20-25 ms to build.
 
 numpy is imported on the first array-kernel call, not with this module: a
 process that only reads rectified surfaces built elsewhere (``fear``'s
@@ -169,11 +160,6 @@ class RuleBase:
 
 MAX_GRID_RESOLUTION = 10_001
 MONOTONE_NODES = 65
-# Level rows per aggregation pass: bounds the peak memory of a surface build at
-# no cost in speed.
-_CHUNK = 16
-# Nodes per levels pass; its largest temporary is about as large as the aggregation's.
-_LEVELS_CHUNK = 640
 # One-point values a process computes in plain floats before it imports numpy
 # and keeps to the array kernel.  On 2 vCPUs the plain centroid costs about
 # 0.28 ms a call more than the array one and the import about 150 ms: at this
@@ -219,68 +205,40 @@ class FuzzySystem:
                 raise ValueError("polarities must be +1 or -1")
 
     @cached_property
-    def _tables(self) -> tuple[np.ndarray, ...]:
-        """The system as arrays: each input term's input and breakpoints, each
-        rule's membership columns and consequent, the output grid, and the
-        sampled output terms as one array and as its rows."""
+    def _tables(self) -> tuple:
+        """``_point_tables``' output grid and sampled output terms as arrays,
+        one per term, as ``_array_centroid`` reads them."""
         import numpy as np
-        sizes = [len(var.terms) for var in self.inputs]
-        reads = np.repeat(np.arange(len(sizes)), sizes)
-        quads = _breakpoints(mf for var in self.inputs for _, mf in var.terms)
-        ants = np.array([ant for ant, _ in self.rule_base.rules], dtype=int).reshape(-1, len(sizes))
-        routes = np.equal.outer(np.arange(len(self.output.terms)),
-                                [cons for _, cons in self.rule_base.rules])
         _, _, rows, grid = self._point_tables
-        samples = np.array(rows)
-        return (reads, quads, ants + np.cumsum([0, *sizes[:-1]]), routes,
-                np.array(grid), samples, tuple(samples))
-
-    def _levels(self, points: np.ndarray) -> np.ndarray:
-        """Clip level of each output term at clamped ``points[N, n_in]``: the
-        strongest firing among the rules that conclude it, 0 where none fires."""
-        import numpy as np
-        reads, quads, columns, routes, _, _, _ = self._tables
-        firing = _trapezoids(points[:, reads], *quads)[:, columns].min(axis=2)
-        return np.where(routes, firing[:, None, :], 0.0).max(axis=2, initial=0.0)
-
-    def _aggregate(self, levels: np.ndarray) -> np.ndarray:
-        """Raw Mamdani values of clip-level rows ``levels[N, n_out]``; NaN where no
-        rule fires.  Each centroid sums a C-contiguous row, in the order a 1-D
-        call sums it, so a row's value does not depend on the rows beside it."""
-        import numpy as np
-        _, _, _, _, grid, samples, _ = self._tables
-        values = np.full(len(levels), np.nan)
-        for lo in range(0, len(levels), _CHUNK):
-            agg = np.minimum(samples, levels[lo:lo + _CHUNK, :, None]).max(axis=1)
-            fired = agg.any(axis=1)
-            values[lo:lo + _CHUNK][fired] = defuzz_centroid(grid, agg[fired])
-        return values
-
-    def _node_values(self, points: np.ndarray) -> np.ndarray:
-        """``_aggregate(_levels(points))``, aggregating each distinct level row
-        once.  Rows are equal when their bytes are, so the values are exact."""
-        import numpy as np
-        levels = np.ascontiguousarray(np.concatenate(
-            [self._levels(points[lo:lo + _LEVELS_CHUNK])
-             for lo in range(0, len(points), _LEVELS_CHUNK)]))
-        keys = levels.view(np.dtype((np.void, levels.itemsize * levels.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        return self._aggregate(levels[first])[inverse]
+        return np.array(grid), tuple(np.array(rows))
 
     @cached_property
     def _surface(self) -> tuple[float, float, float, float, list[list[float]]]:
         """Each axis's origin and step, then the rectified node values; 0 where no
-        rule fires.  The nodes' clip levels come first; the clip / max / centroid
-        aggregation then runs once per distinct level row, not once per node."""
+        rule fires.  Each node's clip levels come from ``_point_levels``; the
+        centroid runs once per distinct row of levels, not once per node."""
         import numpy as np
-        axes = [np.linspace(var.lo, var.hi, MONOTONE_NODES) for var in self.inputs]
-        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
-        work = np.nan_to_num(self._node_values(points), nan=0.0).reshape(MONOTONE_NODES, -1)
+        axes = [np.linspace(var.lo, var.hi, MONOTONE_NODES).tolist() for var in self.inputs]
+        centroids: dict[tuple[float, ...], float] = {}
+        work = []
+        for x in axes[0]:
+            for y in axes[1]:
+                levels = self._point_levels((x, y))
+                key = tuple(levels)
+                value = centroids.get(key)
+                if value is None:
+                    try:
+                        value = self._array_centroid(levels)
+                    except AllZeroMembership:
+                        value = 0.0
+                    centroids[key] = value
+                work.append(value)
+        work = np.array(work).reshape(MONOTONE_NODES, -1)
         # Orient every axis so the target slope is non-decreasing, take the
         # running prefix maximum per axis, then orient back.
         flips = tuple(slice(None, None, p) for p in self.monotone)
         work = np.maximum.accumulate(np.maximum.accumulate(work[flips], axis=0), axis=1)
-        (x0, x1), (y0, y1) = (ax[:2].tolist() for ax in axes)
+        (x0, x1), (y0, y1) = (ax[:2] for ax in axes)
         return x0, x1 - x0, y0, y1 - y0, work[flips].tolist()
 
     @cached_property
@@ -295,13 +253,13 @@ class FuzzySystem:
 
     @cached_property
     def _point_tables(self) -> tuple:
-        """The system as the one-point ``_point_value`` reads it: each input's
+        """The system as ``_point_levels`` and the centroids read it: each input's
         name, universe ends and terms, a term as ``(index, a, b, c, d)``; the
         rule table, keyed by the sum of its antecedent terms' indices; each
         output term sampled by ``MembershipFunction.__call__`` on the output
         grid, spaced as ``np.linspace`` spaces it; the grid.  A term's index is
         its position times the term counts of the inputs after it, so every
-        antecedent sums to its own key.  ``_tables`` reads the same samples."""
+        antecedent sums to its own key."""
         sizes = [len(var.terms) for var in self.inputs]
         strides = [math.prod(sizes[v + 1:]) for v in range(len(sizes))]
         inputs = tuple((var.name, var.lo, var.hi,
@@ -315,15 +273,11 @@ class FuzzySystem:
         grid = (*(i * step + lo for i in range(last)), hi)
         return inputs, rules, tuple(tuple(map(mf, grid)) for _, mf in self.output.terms), grid
 
-    def _point_value(self, values: Sequence[float]) -> float:
-        """``_aggregate(_levels(...))`` of the one point ``values``, clamped: its
-        clip levels, then the plain centroid while the process has no numpy
-        and has computed fewer than ``PLAIN_VALUE_LIMIT`` plain values, else
-        the same centroid of only the clipped output terms as arrays; the
-        module docstring says why the value is the same.  Raises
-        AllZeroMembership where that gives NaN, ValueError naming the first
+    def _point_levels(self, values: Sequence[float]) -> list[float]:
+        """The clip level of each output term at the one point ``values``,
+        clamped to the universes: the strongest firing among the rules that
+        conclude it, 0.0 where none fires.  Raises ValueError naming the first
         NaN input."""
-        global _plain_values
         inputs, rules, rows, _ = self._point_tables
         # Each antecedent prefix held so far, as (rule table key, firing); the
         # empty prefix fires at 1.0, which no membership exceeds.
@@ -351,11 +305,27 @@ class FuzzySystem:
             cons = rules.get(key)
             if cons is not None and firing > levels[cons]:
                 levels[cons] = firing
+        return levels
+
+    def _point_value(self, values: Sequence[float]) -> float:
+        """The raw value at the one point ``values``: its clip levels, then the
+        plain centroid while the process has no numpy and has computed fewer
+        than ``PLAIN_VALUE_LIMIT`` plain values, else the array centroid; the
+        module docstring says why both give the same value.  Raises
+        AllZeroMembership where no rule fires."""
+        global _plain_values
+        levels = self._point_levels(values)
         if "numpy" not in sys.modules and _plain_values < PLAIN_VALUE_LIMIT:
             _plain_values += 1
             return self._plain_centroid(levels)
+        return self._array_centroid(levels)
+
+    def _array_centroid(self, levels: list[float]) -> float:
+        """Clip each output term at its level in ``levels``, max-combine them and
+        take the centroid, with arrays, skipping the terms clipped at 0: they
+        cannot raise a max of memberships that are all >= 0."""
         import numpy as np
-        _, _, _, _, grid, _, rows = self._tables
+        grid, rows = self._tables
         agg = None
         for row, level in zip(rows, levels):
             if level > 0.0:
@@ -371,8 +341,7 @@ class FuzzySystem:
         return float(np.add.reduce(grid * agg) / total)
 
     def _plain_centroid(self, levels: list[float]) -> float:
-        """``_aggregate`` of the one level row ``levels`` in plain floats, as
-        ``_point_value`` takes it with arrays: the same clips and maxima, and
+        """``_array_centroid`` in plain floats: the same clips and maxima, and
         the two sums in numpy's order by ``_pairwise_sum``."""
         _, _, rows, grid = self._point_tables
         agg = None
@@ -392,8 +361,8 @@ class FuzzySystem:
         -> centroid; with ``monotone``, a lookup on the rectified surface.
 
         ±inf clamps to the universe's end; a NaN input raises ValueError.
-        Without ``monotone`` the point goes through ``_point_value``, not the
-        batch kernel; see the module docstring.
+        Without ``monotone`` the point goes through ``_point_value``; see the
+        module docstring.
         """
         if len(values) != len(self.inputs):
             raise ValueError(f"expected {len(self.inputs)} inputs, got {len(values)}")
@@ -424,22 +393,6 @@ class FuzzySystem:
                 + s * (1.0 - t) * nodes[i + 1][j] + s * t * nodes[i + 1][j + 1])
 
 
-def _breakpoints(mfs) -> np.ndarray:
-    """Rows a, b, c, d and the two flank widths of the trapezoids ``mfs``.  A
-    vertical flank gets width 1: its branch is never taken there."""
-    import numpy as np
-    a, b, c, d = np.array([(mf.a, mf.b, mf.c, mf.d) for mf in mfs]).T
-    return np.array([a, b, c, d, np.where(b > a, b - a, 1.0), np.where(d > c, d - c, 1.0)])
-
-
-def _trapezoids(x: np.ndarray, a, b, c, d, left, right) -> np.ndarray:
-    """``MembershipFunction.__call__`` elementwise, by the same arithmetic.
-    Outside [a, d] the flank taken is negative, so the floor at 0 zeroes it."""
-    import numpy as np
-    mu = np.where(x < b, (x - a) / left, np.where(x <= c, 1.0, (d - x) / right))
-    return np.maximum(mu, 0.0)
-
-
 def _pairwise_sum(a: Sequence[float], lo: int, n: int) -> float:
     """numpy's float64 ``add.reduce`` of ``a[lo:lo + n]``, in its order: under 8
     items in sequence, up to 128 in eight strided partial sums and then the
@@ -462,7 +415,8 @@ def defuzz_centroid(xs: Sequence[float] | np.ndarray,
                     mus: Sequence[float] | np.ndarray) -> float | np.ndarray:
     """Centroid of sampled memberships along the last axis: sum(x*mu)/sum(mu),
     a float for 1-D ``mus``.  Raises AllZeroMembership when a row carries no
-    membership, which signals that no rule fired."""
+    membership, which signals that no rule fired.  Inference does not call
+    it; it stays public for the acceptance suite, which reads it."""
     import numpy as np
     xs = np.asarray(xs, dtype=float)
     mus = np.asarray(mus, dtype=float)

@@ -46,20 +46,27 @@ def reference_mamdani(input_terms: list[list[tuple[float, float, float, float]]]
     """Straight-line raw Mamdani: min firing rule by rule, then min clipping,
     max aggregation and discrete centroid over the sampled output terms.
     Returns NaN when nothing fires."""
-    mus = []
-    for terms, x in zip(input_terms, values):
-        x = min(max(x, lo), hi)
-        mus.append([reference_trap(*quad, x) for quad in terms])
-    levels = [0.0] * len(output_terms)
-    for antecedent, consequent in rules:
-        strength = min(mus[k][i] for k, i in enumerate(antecedent))
-        levels[consequent] = max(levels[consequent], strength)
+    values = [min(max(x, lo), hi) for x in values]
+    levels = reference_levels(input_terms, len(output_terms), rules, values)
     xs, samples = _sampled_terms(tuple(map(tuple, output_terms)), lo, hi, resolution)
     agg = np.minimum(samples, np.array(levels)[:, None]).max(axis=0)
     den = agg.sum()
     if den == 0.0:
         return float("nan")
     return float((xs * agg).sum() / den)
+
+
+def reference_levels(input_terms: list[list[tuple[float, float, float, float]]],
+                     n_outputs: int, rules: list[tuple[tuple[int, ...], int]],
+                     values: tuple[float, ...]) -> list[float]:
+    """Clip level of each output term at ``values``: the strongest min firing,
+    rule by rule, among the rules that conclude it; 0.0 where none fires."""
+    mus = [[reference_trap(*quad, x) for quad in terms] for terms, x in zip(input_terms, values)]
+    levels = [0.0] * n_outputs
+    for antecedent, consequent in rules:
+        strength = min(mus[k][i] for k, i in enumerate(antecedent))
+        levels[consequent] = max(levels[consequent], strength)
+    return levels
 
 
 def reference_centroid_trapz(xs: np.ndarray, mus: np.ndarray) -> float:

@@ -1,16 +1,21 @@
+import contextlib
 import hashlib
+import io
 import logging
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fearover.cli
 import fearover.sim
 from fearover.cli import ScenarioError, load_scenario, main
+from fearover.automaton import UnmappedProvider
 from fearover.crsite import TIMING_PRESETS
 from fearover.fuzzy import PLAIN_VALUE_LIMIT
-from fearover.sim import SimConfig, parse_runlog_csv, run, runlog_to_csv
+from fearover.sim import MAX_RUN_TICKS, SimConfig, Simulation, parse_runlog_csv, run, runlog_to_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -254,6 +259,79 @@ def _cli_docstring_scenario_block() -> str:
     return textwrap.dedent("\n".join(lines))
 
 
+# Values for any key: numbers (some out of range or non-finite), words some
+# keys take, ``%`` forms, an empty value, rules and terms in the fuzzy format.
+_INI_VALUES = st.one_of(
+    st.sampled_from(["0", "1", "0.2", "0.5", "0.9", "4", "40", "120"]),
+    st.sampled_from(["5%", "out%(x)s", "%%"]),
+    st.sampled_from(["-1", "2", "75", "290", "1e308",
+                     "-1e308", "1e-300", "nan", "inf", "-inf", "",
+                     "true", "off", "yes", "worst", "best", "custom", "mean", "SP1", "SP4",
+                     "0,0->4; 4,4->0", "0,0->9", "A:0,0,0.5,1; B:0.5,1,1,1"]),
+    st.floats(-1e3, 1e3).map(repr),
+    st.integers(-10, 10**7).map(str),
+)
+# Route sources, relative to the scenario: built in, unknown, missing, a
+# directory, a file that is not UTF-8, and a small valid CSV.
+_ROUTE_SOURCES = st.sampled_from(["builtin:survey", "builtin:four_provider_trace",
+                                  "builtin:nowhere", "missing.csv", "routes", "latin1.csv",
+                                  "mini.csv"])
+
+
+@st.composite
+def _scenario_texts(draw) -> str:
+    """Scenario INI text: known and unknown sections, each with known and
+    unknown keys, the unknown ones drawn less often so that more texts load."""
+    sections = [*fearover.cli._KNOWN_KEYS, "bogus"]
+    lines = []
+    for section in draw(st.lists(st.sampled_from(sections), unique=True, max_size=4)):
+        keys = [*sorted(fearover.cli._KNOWN_KEYS.get(section, ())) * 3, "bogus_key"]
+        lines.append(f"[{section}]")
+        for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=3)):
+            value = draw(_ROUTE_SOURCES if key == "source" else _INI_VALUES)
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+class TestGeneratedScenarios:
+    """Whatever the scenario text, loading it either fails as a ScenarioError
+    or gives a run that is built within the tick cap or refused with
+    ValueError, and ``fearover run`` exits 0, 1 or 2 without a traceback."""
+
+    # Runs bound to more ticks than this are built but not run, to keep the test short.
+    RUN_TICKS = 20_000
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_scenario_texts())
+    def test_load_and_run_fail_closed(self, tmp_path, monkeypatch, text):
+        (tmp_path / "routes").mkdir(exist_ok=True)
+        (tmp_path / "latin1.csv").write_bytes(b"label,lat,lon,SP1\nA\xe9,33.0,73.0,-90\n")
+        _write(tmp_path, "mini.csv", "label,lat,lon,SP1\nA,33.0,73.0,-90\nB,33.001,73.0,-50\n")
+        path = _write(tmp_path, "s.ini", text)
+        monkeypatch.chdir(tmp_path)  # where a relative [output] dir goes
+        refused = True
+        try:
+            scenario = load_scenario(path)
+            simulation = Simulation(scenario.config, scenario.db, scenario.fear_model)
+        except (ScenarioError, ValueError, UnmappedProvider):
+            pass
+        else:
+            if simulation.tick_bound > MAX_RUN_TICKS:
+                with pytest.raises(ValueError, match="above the cap"):
+                    simulation.run()
+            elif simulation.tick_bound > self.RUN_TICKS:
+                return
+            else:
+                refused = False
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", "--scenario", str(path)])
+        assert code in ((2,) if refused else (0, 1, 2)), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert err.getvalue().count("\n") == (code == 2), err.getvalue()
+
+
 class TestDocumentedDefaults:
     """The scenario examples in the README and the ``cli`` docstring show
     the defaults; loading each must give the default configuration."""
@@ -367,6 +445,20 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {detail}")
         assert err.count(str(path)) == 1 and err.count("\n") == 1
+
+    def test_percent_in_a_number_exits_2(self, tmp_path, capsys):
+        path = _write(tmp_path, "s.ini", "[sim]\nstop_m = 5%\n")
+        assert main(["validate", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: [sim] stop_m = '5%': ")
+        assert err.count("\n") == 1
+
+    def test_percent_in_a_directory_name_is_kept(self, tmp_path, monkeypatch, capsys):
+        path = _write(tmp_path, "s.ini", "[sim]\nstop_m = 40\n[output]\ndir = out%(x)s\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--scenario", str(path)]) == 0
+        assert (tmp_path / "out%(x)s" / "runlog.csv").is_file()
+        assert capsys.readouterr().err == ""
 
     def test_run_past_the_tick_cap_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(fearover.sim, "MAX_RUN_TICKS", 100)

@@ -17,15 +17,13 @@ from fearover.fuzzy import (
     LinguisticVariable,
     MembershipFunction,
     RuleBase,
-    _breakpoints,
     _pairwise_sum,
-    _trapezoids,
     defuzz_centroid,
     trap,
     tri,
 )
 
-from oracles import reference_centroid_trapz, reference_mamdani, reference_trap
+from oracles import reference_centroid_trapz, reference_levels, reference_mamdani, reference_trap
 
 
 class TestMembership:
@@ -328,24 +326,49 @@ def _vertical_flanks() -> FuzzySystem:
                        monotone=(1, -1))
 
 
-def _assert_point_path_equals_batch(raw: FuzzySystem, points: list, infer=None) -> None:
-    """``infer`` (``raw.infer`` by default) of each point equals the batch
-    kernel's value, under ==; it raises AllZeroMembership exactly where the
-    kernel gives NaN."""
-    infer = infer or raw.infer
-    expected = raw._aggregate(raw._levels(np.array(points, dtype=float)))
-    for point, value in zip(points, expected.tolist()):
-        if np.isnan(value):
+def _reference_levels(system: FuzzySystem, point) -> list[float]:
+    """``oracles.reference_levels`` of ``point`` in ``system``, which lies in
+    its universes."""
+    quads = [[(mf.a, mf.b, mf.c, mf.d) for _, mf in var.terms] for var in system.inputs]
+    return reference_levels(quads, len(system.output.terms), system.rule_base.rules, point)
+
+
+def _value_or_zero(raw: FuzzySystem, point) -> float:
+    """``raw.infer(point)``, 0.0 where no rule fires: a raw node value as the
+    rectified surface counts it."""
+    try:
+        return raw.infer(point)
+    except AllZeroMembership:
+        return 0.0
+
+
+def _assert_infer_equals_surface_kernel(raw: FuzzySystem, points: list) -> None:
+    """``raw.infer`` of each point equals the array centroid that builds the
+    rectified surface (the batch kernel these tests' names mean), taken of the
+    rule-by-rule reference levels: under ==, or both raise AllZeroMembership."""
+    for point in points:
+        try:
+            expected = raw._array_centroid(_reference_levels(raw, point))
+        except AllZeroMembership:
             with pytest.raises(AllZeroMembership):
-                infer(point)
+                raw.infer(point)
         else:
-            assert infer(point) == value, point
+            assert raw.infer(point) == expected, point
 
 
-def _plain_infer(raw: FuzzySystem):
-    """``raw.infer`` with the plain one-point centroid, which ``infer`` skips in
-    a process that has loaded numpy, on the batch kernel's clip levels."""
-    return lambda point: raw._plain_centroid(raw._levels(np.array([point], dtype=float))[0].tolist())
+def _assert_plain_centroid_equals_array(raw: FuzzySystem, points: list) -> None:
+    """The plain centroid of each point's clip levels, which ``infer`` skips in
+    a process that has loaded numpy, equals the array centroid under ==, or
+    both raise AllZeroMembership.  Each distinct row of levels is checked once:
+    a centroid depends on nothing else."""
+    for levels in {tuple(raw._point_levels(point)) for point in points}:
+        try:
+            expected = raw._array_centroid(list(levels))
+        except AllZeroMembership:
+            with pytest.raises(AllZeroMembership):
+                raw._plain_centroid(list(levels))
+        else:
+            assert raw._plain_centroid(list(levels)) == expected, levels
 
 
 # Fresh monotone systems by name: the default subsystems, fixtures with
@@ -364,8 +387,9 @@ _SURFACE_SYSTEMS = {
 
 
 class TestDistinctLevelRows:
-    """The surface aggregates each distinct clip-level row once; its raw node
-    values must equal the aggregation run over every node."""
+    """The surface takes each distinct clip-level row's centroid once; it must
+    equal the prefix maxima of the raw values taken node by node, and the
+    levels and both centroids must equal their references."""
 
     @pytest.fixture(params=list(_SURFACE_SYSTEMS))
     def system(self, request, fear_model):
@@ -375,20 +399,22 @@ class TestDistinctLevelRows:
         return _SURFACE_SYSTEMS[name]()
 
     def test_raw_nodes_equal_undeduplicated_aggregation(self, system):
-        points = _node_points(system)
-        every_node = system._aggregate(system._levels(points))
-        assert np.array_equal(system._node_values(points), every_node, equal_nan=True)
+        """Each node's clip levels equal the reference's, which fires and
+        max-combines every rule on its own."""
+        for point in _node_points(system).tolist():
+            assert system._point_levels(point) == _reference_levels(system, point), point
 
     def test_surface_is_majorant_of_undeduplicated_aggregation(self, system):
-        raw = np.nan_to_num(system._aggregate(system._levels(_node_points(system))), nan=0.0)
-        work = raw.reshape(MONOTONE_NODES, MONOTONE_NODES)[::system.monotone[0], ::system.monotone[1]]
+        raw = replace(system, monotone=None)
+        values = [_value_or_zero(raw, point) for point in _node_points(system).tolist()]
+        flips = tuple(slice(None, None, p) for p in system.monotone)
+        work = np.array(values).reshape(MONOTONE_NODES, MONOTONE_NODES)[flips]
         work = np.maximum.accumulate(np.maximum.accumulate(work, axis=0), axis=1)
-        expected = work[::system.monotone[0], ::system.monotone[1]].tolist()
-        assert system._surface[4] == expected
+        assert system._surface[4] == work[flips].tolist()
 
     def test_raw_infer_equals_batch_kernel_at_every_node(self, system):
-        _assert_point_path_equals_batch(replace(system, monotone=None),
-                                        _node_points(system).tolist())
+        _assert_infer_equals_surface_kernel(replace(system, monotone=None),
+                                            _node_points(system).tolist())
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -397,11 +423,11 @@ class TestDistinctLevelRows:
         x_var, y_var = system.inputs
         points = [(x_var.lo + u * (x_var.hi - x_var.lo), y_var.lo + v * (y_var.hi - y_var.lo))
                   for u, v in fractions]
-        _assert_point_path_equals_batch(replace(system, monotone=None), points)
+        _assert_infer_equals_surface_kernel(replace(system, monotone=None), points)
 
     def test_plain_centroid_equals_batch_kernel_at_every_node(self, system):
-        raw = replace(system, monotone=None)
-        _assert_point_path_equals_batch(raw, _node_points(system).tolist(), _plain_infer(raw))
+        _assert_plain_centroid_equals_array(replace(system, monotone=None),
+                                            _node_points(system).tolist())
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -410,23 +436,30 @@ class TestDistinctLevelRows:
         x_var, y_var = system.inputs
         points = [(x_var.lo + u * (x_var.hi - x_var.lo), y_var.lo + v * (y_var.hi - y_var.lo))
                   for u, v in fractions]
-        raw = replace(system, monotone=None)
-        _assert_point_path_equals_batch(raw, points, _plain_infer(raw))
+        _assert_plain_centroid_equals_array(replace(system, monotone=None), points)
 
     def test_one_sampling_equals_the_array_sampling(self, system):
-        """The output grid and terms, sampled in plain floats for both
-        kernels, are ``np.linspace`` and ``_trapezoids``' arrays."""
+        """The output grid and terms, sampled once in plain floats, are
+        ``np.linspace`` and ``oracles.reference_trap`` on it, and the arrays
+        the array centroid reads hold the same floats."""
         _, _, rows, grid = system._point_tables
         linspace = np.linspace(system.output.lo, system.output.hi, system.grid_resolution)
-        quads = _breakpoints(mf for _, mf in system.output.terms)[:, :, None]
         assert grid == tuple(linspace.tolist())
-        assert rows == tuple(map(tuple, _trapezoids(linspace, *quads).tolist()))
+        assert rows == tuple(tuple(reference_trap(mf.a, mf.b, mf.c, mf.d, x) for x in grid)
+                             for _, mf in system.output.terms)
+        array_grid, array_rows = system._tables
+        assert tuple(array_grid.tolist()) == grid
+        assert tuple(tuple(row.tolist()) for row in array_rows) == rows
 
     def test_unfired_nodes_stay_zero(self):
         system = _partial_rules()
-        raw = system._node_values(_node_points(system)).reshape(MONOTONE_NODES, MONOTONE_NODES)
-        assert np.isnan(raw[0]).all() and np.isnan(raw[:, 0]).all()
-        assert not np.isnan(raw[-1, -1])
+        raw = replace(system, monotone=None)
+        for t in np.linspace(0.0, 1.0, MONOTONE_NODES).tolist():
+            for point in ((0.0, t), (t, 0.0)):
+                assert raw._point_levels(point) == [0.0, 0.0]
+                with pytest.raises(AllZeroMembership):
+                    raw.infer(point)
+        assert raw.infer((1.0, 1.0)) > 0.0
         nodes = np.array(system._surface[4])
         assert (nodes[0] == 0.0).all() and (nodes[:, 0] == 0.0).all()
         assert system.infer((0.0, 0.0)) == 0.0
@@ -528,9 +561,9 @@ class TestDistinctLevelRowCounts:
                                                  ("global_intensity_system", 774)])
     def test_exact_count(self, fear_model, subsystem, rows):
         system = getattr(fear_model, subsystem)
-        levels = system._levels(_node_points(system))
-        assert len(levels) == MONOTONE_NODES ** 2 == 4225
-        assert len(np.unique(levels, axis=0)) == rows
+        points = _node_points(system).tolist()
+        assert len(points) == MONOTONE_NODES ** 2 == 4225
+        assert len({tuple(system._point_levels(point)) for point in points}) == rows
 
 
 def _reference_lookup(system: FuzzySystem, values) -> float:
@@ -611,8 +644,8 @@ _MEMBERSHIP_CASES = [trap(0.1, 0.3, 0.5, 0.9), tri(0.2, 0.5, 0.8), trap(0, 0, 0.
 class TestInlineMemberships:
     """The one-point path's membership arithmetic equals
     ``MembershipFunction.__call__`` at every breakpoint and at its float
-    neighbours.  A one-input, one-rule system passes the membership on as the
-    clip level of an asymmetric output term, whose centroid moves with it."""
+    neighbours: a one-input, one-rule system passes the membership on as its
+    one clip level."""
 
     @pytest.mark.parametrize("mf", _MEMBERSHIP_CASES, ids=lambda mf: "trap{}".format(
         tuple(round(v, 3) for v in (mf.a, mf.b, mf.c, mf.d))))
@@ -623,9 +656,7 @@ class TestInlineMemberships:
         xs = sorted({x for v in (mf.a, mf.b, mf.c, mf.d)
                      for x in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))})
         for x in xs:
-            expected = system._aggregate(np.array([[mf(x)]]))[0]
-            if np.isnan(expected):
+            assert system._point_levels((x,)) == [mf(x)], x
+            if mf(x) == 0.0:
                 with pytest.raises(AllZeroMembership):
                     system.infer((x,))
-            else:
-                assert system.infer((x,)) == expected, x
