@@ -301,6 +301,25 @@ class TestGeneratedScenarios:
     # Runs bound to more ticks than this are built but not run, to keep the test short.
     RUN_TICKS = 20_000
 
+    def _refused(self, path: Path) -> bool | None:
+        """Whether the scenario at ``path`` is refused before its first tick:
+        by ``load_scenario`` (only as a ScenarioError), by the ``Simulation``
+        constructor, or by ``run`` past the tick cap.  None for a run bound to
+        more than ``RUN_TICKS`` ticks."""
+        try:
+            scenario = load_scenario(path)
+        except ScenarioError:
+            return True
+        try:
+            simulation = Simulation(scenario.config, scenario.db, scenario.fear_model)
+        except (ValueError, UnmappedProvider):
+            return True
+        if simulation.tick_bound > MAX_RUN_TICKS:
+            with pytest.raises(ValueError, match="above the cap"):
+                simulation.run()
+            return True
+        return None if simulation.tick_bound > self.RUN_TICKS else False
+
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=_scenario_texts())
@@ -310,20 +329,9 @@ class TestGeneratedScenarios:
         _write(tmp_path, "mini.csv", "label,lat,lon,SP1\nA,33.0,73.0,-90\nB,33.001,73.0,-50\n")
         path = _write(tmp_path, "s.ini", text)
         monkeypatch.chdir(tmp_path)  # where a relative [output] dir goes
-        refused = True
-        try:
-            scenario = load_scenario(path)
-            simulation = Simulation(scenario.config, scenario.db, scenario.fear_model)
-        except (ScenarioError, ValueError, UnmappedProvider):
-            pass
-        else:
-            if simulation.tick_bound > MAX_RUN_TICKS:
-                with pytest.raises(ValueError, match="above the cap"):
-                    simulation.run()
-            elif simulation.tick_bound > self.RUN_TICKS:
-                return
-            else:
-                refused = False
+        refused = self._refused(path)
+        if refused is None:
+            return
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["run", "--scenario", str(path)])
