@@ -12,6 +12,7 @@ import csv
 import sys
 
 from fearover import FearInputs, FearModel, FearParams, PATCH_M
+from fearover.fear import COMBINERS
 
 
 def main() -> int:
@@ -20,7 +21,7 @@ def main() -> int:
                         help="in-use signal at the threatened point (default -95)")
     parser.add_argument("--max-distance-m", type=float, default=100.0)
     parser.add_argument("--steps", type=int, default=201)
-    parser.add_argument("--combiner", choices=["mean", "min", "product"], default="mean")
+    parser.add_argument("--combiner", choices=COMBINERS, default=FearParams.combiner)
     parser.add_argument("-o", "--output", help="CSV path (default stdout)")
     args = parser.parse_args()
 

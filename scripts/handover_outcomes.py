@@ -12,12 +12,12 @@ import csv
 import sys
 
 from fearover import TIMING_PRESETS
-from fearover.sim import REPLAY_DISTANCES_PATCHES, replay_attempts
+from fearover.sim import REPLAY_DISTANCES_PATCHES, SimConfig, replay_attempts
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--speed-mps", type=float, default=4.0)
+    parser.add_argument("--speed-mps", type=float, default=SimConfig.speed_mps)
     parser.add_argument("-o", "--output", help="CSV path (default stdout)")
     args = parser.parse_args()
 

@@ -202,14 +202,22 @@ CATALOGUE = (
            "grid, rows = self._tables\n        agg = None\n"
            "        for row, level in zip(rows, levels[1:] + levels[:1]):",
            ("tests/test_fuzzy.py",)),
-    Mutant("surface-key-drops-last-level", "src/fearover/fuzzy.py",
-           "key = tuple(levels)",
-           "key = tuple(levels[:-1])",
+    Mutant("surface-unfired-node-at-one", "src/fearover/fuzzy.py",
+           "work = np.zeros((MONOTONE_NODES, MONOTONE_NODES))",
+           "work = np.ones((MONOTONE_NODES, MONOTONE_NODES))",
+           ("tests/test_fuzzy.py",)),
+    Mutant("surface-node-transposed", "src/fearover/fuzzy.py",
+           "work[i, j] = self._array_centroid",
+           "work[j, i] = self._array_centroid",
            ("tests/test_fuzzy.py",)),
     Mutant("surface-prefix-max-ignores-monotone", "src/fearover/fuzzy.py",
            "flips = tuple(slice(None, None, p) for p in self.monotone)",
            "flips = (slice(None), slice(None))",
            ("tests/test_fuzzy.py",)),
+    Mutant("slot-check-seats-four", "src/fearover/sim.py",
+           "held = db.providers[:3]",
+           "held = db.providers[:4]",
+           ("tests/test_cli.py", "tests/test_sim.py")),
     Mutant("record-eq-ignores-class", "src/fearover/_records.py",
            "if other.__class__ is self.__class__ else NotImplemented",
            'if hasattr(other, "_fields") else NotImplemented',

@@ -65,10 +65,10 @@ from pathlib import Path
 
 from . import datasets
 from ._records import record, replace
-from .automaton import BandThresholds, UnmappedProvider
+from .automaton import BandThresholds
 from .crsite import TIMING_PRESETS, TimingModel
 from .fear import FearModel, FearParams
-from .fuzzy import FuzzySystem, LinguisticVariable, MembershipFunction, RuleBase
+from .fuzzy import FuzzySystem, LinguisticVariable, MembershipFunction, RuleBase, tri
 from .route import DEFAULT_BAD_THRESHOLD_DBM, RouteDb
 from .sim import (
     REPLAY_DISTANCES_PATCHES,
@@ -112,8 +112,7 @@ def parse_membership(raw: str) -> MembershipFunction:
     """``a,b,c,d`` breakpoints; three values make a triangle."""
     parts = [float(p) for p in raw.split(",")]
     if len(parts) == 3:
-        a, b, c = parts
-        return MembershipFunction(a, b, b, c)
+        return tri(*parts)
     if len(parts) == 4:
         return MembershipFunction(*parts)
     raise ValueError(f"expected 3 or 4 breakpoints, got {len(parts)}")
@@ -217,7 +216,7 @@ _KNOWN_KEYS = {
 }
 
 
-def _build(parser: configparser.ConfigParser, path: Path, section: str, **given):
+def _build(parser: configparser.ConfigParser, section: str, **given):
     """The section's config record from the keys present; its constructor validates."""
     kwargs = {name: _get(parser, section, key, cast)
               for key, (name, cast) in _FIELDS[section].items()
@@ -292,14 +291,14 @@ def load_scenario(path: str | Path, preset_override: str | None = None,
                             "fixes every latency; use preset = custom")
     preset = preset_override or named
     if preset == "custom":
-        timing = _build(parser, path, "timing")
+        timing = _build(parser, "timing")
     elif preset in TIMING_PRESETS:
         timing = TIMING_PRESETS[preset]
     else:
         raise ScenarioError(
             f"[timing] preset {preset!r} not one of {sorted(TIMING_PRESETS)}")
-    fear = _build(parser, path, "fear")
-    config = _build(parser, path, "sim", fear=fear, bands=_build(parser, path, "pdfa"),
+    fear = _build(parser, "fear")
+    config = _build(parser, "sim", fear=fear, bands=_build(parser, "pdfa"),
                     timing=timing)
     if seed_override is not None:
         config = replace(config, start_seed=seed_override)
@@ -335,7 +334,7 @@ def _load_and_run(args: argparse.Namespace):
     try:
         scenario = load_scenario(args.scenario, args.preset, args.seed, args.out)
         log_ = run(scenario.config, scenario.db, scenario.fear_model)
-    except (ScenarioError, ValueError, UnmappedProvider) as exc:
+    except (ScenarioError, ValueError) as exc:
         detail = exc.args[0] if exc.args else exc
         print(f"error: {args.scenario}: {detail}", file=sys.stderr)
         return None, None, 2

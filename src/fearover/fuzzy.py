@@ -42,12 +42,11 @@ exactly monotone; on the three default fear subsystems it sits up to 0.0295
 above the raw surface at the nodes, and between them 0.033 above to 0.015
 below.
 
-The surface is built from the same two steps: ``_point_levels`` at each of
-the 4,225 nodes, then ``_array_centroid`` once per distinct row of levels,
-since a node's raw value depends on nothing else.  Of the 4,225 rows, 790
-are distinct for likelihood, 1,497 for undesirability and 774 for global
-intensity.  On 2 vCPUs (Python 3.11.7, numpy 2.4.6) a default subsystem's
-surface takes about 20-25 ms to build.
+The surface runs ``_point_levels`` and ``_array_centroid`` at each of its
+4,225 nodes.  Of those rows of levels, 790 are distinct for likelihood,
+1,497 for undesirability and 774 for global intensity; none is reused, as
+``fear``'s defaults ship built.  On 2 vCPUs (Python 3.11.7, numpy 2.4.6) a
+default subsystem's surface takes about 45-75 ms to build.
 
 numpy is imported on the first array-kernel call, not with this module: a
 process that only reads rectified surfaces built elsewhere (``fear``'s
@@ -215,25 +214,17 @@ class FuzzySystem:
     @cached_property
     def _surface(self) -> tuple[float, float, float, float, list[list[float]]]:
         """Each axis's origin and step, then the rectified node values; 0 where no
-        rule fires.  Each node's clip levels come from ``_point_levels``; the
-        centroid runs once per distinct row of levels, not once per node."""
+        rule fires.  Each node starts as its raw value: ``_point_levels``, then
+        ``_array_centroid``."""
         import numpy as np
         axes = [np.linspace(var.lo, var.hi, MONOTONE_NODES).tolist() for var in self.inputs]
-        centroids: dict[tuple[float, ...], float] = {}
-        work = []
-        for x in axes[0]:
-            for y in axes[1]:
-                levels = self._point_levels((x, y))
-                key = tuple(levels)
-                value = centroids.get(key)
-                if value is None:
-                    try:
-                        value = self._array_centroid(levels)
-                    except AllZeroMembership:
-                        value = 0.0
-                    centroids[key] = value
-                work.append(value)
-        work = np.array(work).reshape(MONOTONE_NODES, -1)
+        work = np.zeros((MONOTONE_NODES, MONOTONE_NODES))
+        for i, x in enumerate(axes[0]):
+            for j, y in enumerate(axes[1]):
+                try:
+                    work[i, j] = self._array_centroid(self._point_levels((x, y)))
+                except AllZeroMembership:
+                    pass
         # Orient every axis so the target slope is non-decreasing, take the
         # running prefix maximum per axis, then orient back.
         flips = tuple(slice(None, None, p) for p in self.monotone)

@@ -83,11 +83,11 @@ class SimConfig:
     fear: FearParams = field(default_factory=FearParams)
     bands: BandThresholds = field(default_factory=BandThresholds)
     timing: TimingModel = field(default_factory=TimingModel)
-    comm_importance: float = 1.0
-    sor: float = 1.0
-    vtp: float = 1.0
-    prospect: bool = True
-    desirability: float = -1.0
+    comm_importance: float = FearInputs.comm_importance
+    sor: float = FearInputs.sor
+    vtp: float = FearInputs.vtp
+    prospect: bool = FearInputs.prospect
+    desirability: float = FearInputs.desirability
     start_seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -250,6 +250,10 @@ class Simulation:
         self.provider = config.initial_provider or db.providers[0]
         if self.provider not in db.providers:
             raise ValueError(f"initial provider {self.provider!r} not in database")
+        held = db.providers[:3]  # the providers ``SlotMap.from_providers`` seats
+        if self.provider not in held:
+            raise ValueError(f"initial provider {self.provider!r} holds no automaton slot: "
+                             f"only {', '.join(held)} do")
         self.slots = SlotMap.from_providers(db.providers)
         self.state = base_state(self.slots.slot_of(self.provider))
         self._target: int | None = None
@@ -542,7 +546,8 @@ def check_all_invariants(log: RunLog) -> list[InvariantReport]:
 REPLAY_DISTANCES_PATCHES = (1, 9, 13, 3, 2, 5, 3, 2, 10, 4)
 
 
-def replay_attempts(timing: TimingModel, speed_mps: float = 4.0) -> list[HandoverAttempt]:
+def replay_attempts(timing: TimingModel,
+                    speed_mps: float = SimConfig.speed_mps) -> list[HandoverAttempt]:
     """The fixed set of handover attempts behind the timing-outcome tables."""
     return [
         execute_handover("in_use", "candidate", time_left(d * PATCH_M, speed_mps), timing)

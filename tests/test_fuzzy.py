@@ -387,9 +387,9 @@ _SURFACE_SYSTEMS = {
 
 
 class TestDistinctLevelRows:
-    """The surface takes each distinct clip-level row's centroid once; it must
-    equal the prefix maxima of the raw values taken node by node, and the
-    levels and both centroids must equal their references."""
+    """The surface takes each node's raw value; it must equal the prefix
+    maxima of the raw values taken node by node, and the levels and both
+    centroids must equal their references."""
 
     @pytest.fixture(params=list(_SURFACE_SYSTEMS))
     def system(self, request, fear_model):
