@@ -202,22 +202,30 @@ CATALOGUE = (
            "grid, rows = self._tables\n        agg = None\n"
            "        for row, level in zip(rows, levels[1:] + levels[:1]):",
            ("tests/test_fuzzy.py",)),
-    Mutant("surface-unfired-node-at-one", "src/fearover/fuzzy.py",
-           "work = np.zeros((MONOTONE_NODES, MONOTONE_NODES))",
-           "work = np.ones((MONOTONE_NODES, MONOTONE_NODES))",
+    Mutant("array-no-fire-at-one", "src/fearover/fuzzy.py",
+           "            return 0.0\n        return float(np.add.reduce(grid * agg) / total)",
+           "            return 1.0\n        return float(np.add.reduce(grid * agg) / total)",
+           ("tests/test_fuzzy.py",)),
+    Mutant("plain-no-fire-at-one", "src/fearover/fuzzy.py",
+           "            return 0.0\n        return _pairwise_sum(",
+           "            return 1.0\n        return _pairwise_sum(",
            ("tests/test_fuzzy.py",)),
     Mutant("surface-node-transposed", "src/fearover/fuzzy.py",
-           "work[i, j] = self._array_centroid",
-           "work[j, i] = self._array_centroid",
+           "for y in axes[1]]\n                         for x in axes[0]]",
+           "for x in axes[0]]\n                         for y in axes[1]]",
            ("tests/test_fuzzy.py",)),
     Mutant("surface-prefix-max-ignores-monotone", "src/fearover/fuzzy.py",
            "flips = tuple(slice(None, None, p) for p in self.monotone)",
            "flips = (slice(None), slice(None))",
            ("tests/test_fuzzy.py",)),
-    Mutant("slot-check-seats-four", "src/fearover/sim.py",
-           "held = db.providers[:3]",
-           "held = db.providers[:4]",
+    Mutant("slot-check-seats-four", "src/fearover/automaton.py",
+           "enumerate(providers[:3])",
+           "enumerate(providers[:4])",
            ("tests/test_cli.py", "tests/test_sim.py")),
+    Mutant("slot-check-skipped", "src/fearover/sim.py",
+           "if provider not in slots.providers:",
+           "if False:",
+           ("tests/test_cli.py",)),
     Mutant("record-eq-ignores-class", "src/fearover/_records.py",
            "if other.__class__ is self.__class__ else NotImplemented",
            'if hasattr(other, "_fields") else NotImplemented',

@@ -41,12 +41,10 @@ from .fear import (
     normalize_signal,
 )
 from .fuzzy import (
-    AllZeroMembership,
     FuzzySystem,
     LinguisticVariable,
     MembershipFunction,
     RuleBase,
-    defuzz_centroid,
     trap,
     tri,
 )

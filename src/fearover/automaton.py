@@ -142,6 +142,11 @@ class SlotMap:
             raise ValueError("at least one provider required")
         return cls({p: i + 1 for i, p in enumerate(providers[:3])})
 
+    @property
+    def providers(self) -> list[str]:
+        """The providers holding slots, in slot order."""
+        return sorted(self._assignments, key=self._assignments.__getitem__)
+
     def slot_of(self, provider: str) -> int:
         try:
             return self._assignments[provider]

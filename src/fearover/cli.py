@@ -75,6 +75,7 @@ from .sim import (
     SimConfig,
     check_all_invariants,
     replay_attempts,
+    resolve_run,
     run,
     runlog_to_csv,
 )
@@ -302,6 +303,10 @@ def load_scenario(path: str | Path, preset_override: str | None = None,
                     timing=timing)
     if seed_override is not None:
         config = replace(config, start_seed=seed_override)
+    try:
+        resolve_run(config, db)  # what ``Simulation`` would refuse, refused here
+    except ValueError as exc:
+        raise ScenarioError(f"[sim] {exc}") from None
 
     model = FearModel(fear)
     for section, attr in _FUZZY_SECTIONS.items():

@@ -18,7 +18,8 @@ the rest once and gives fear by distance, as ``intensity`` does, bit for bit.
 
 All three subsystems share the same five-level unit-interval partition and
 use the rectified monotone inference surface, so fear responds monotonically
-to every input by construction.
+to every input by construction.  Where none of its rules fires, a subsystem
+grades 0.0, raw (a ``[fuzzy:*]`` section's ``monotone = off``) or rectified.
 
 The three default subsystems do not build their surfaces: they load them
 from ``data/default_surfaces.f64``, shipped with the package, so appraisal
@@ -38,7 +39,6 @@ from importlib import resources
 from ._records import record
 from .fuzzy import (
     MONOTONE_NODES,
-    AllZeroMembership,
     FuzzySystem,
     LinguisticVariable,
     RuleBase,
@@ -236,13 +236,6 @@ def normalize_distance(distance_m: float, params: FearParams) -> float:
     return min(distance_m / params.distance_horizon_m, 1.0)
 
 
-def _graded(system: FuzzySystem, a: float, b: float) -> float:
-    try:
-        return system.infer((a, b))
-    except AllZeroMembership:
-        return 0.0
-
-
 def _combine(combiner: str, undesirability: float, likelihood: float,
              global_intensity: float) -> float:
     if combiner == "mean":
@@ -286,15 +279,15 @@ class FearModel:
             return None
         signal_norm = normalize_signal(inputs.signal_dbm, self.params)
         return (signal_norm,
-                _graded(self.undesirability_system, inputs.comm_importance, signal_norm),
-                _graded(self.global_intensity_system, inputs.sor, inputs.vtp))
+                self.undesirability_system.infer((inputs.comm_importance, signal_norm)),
+                self.global_intensity_system.infer((inputs.sor, inputs.vtp)))
 
     def _potential_at(self, distance_m: float, grades: tuple[float, float, float] | None) -> float:
         if grades is None or not self.in_horizon(distance_m):
             return 0.0
         signal_norm, undesirability, global_intensity = grades
         distance_norm = normalize_distance(distance_m, self.params)
-        likelihood = _graded(self.likelihood_system, distance_norm, signal_norm)
+        likelihood = self.likelihood_system.infer((distance_norm, signal_norm))
         return _combine(self.params.combiner, undesirability, likelihood, global_intensity)
 
     def potential(self, inputs: FearInputs) -> float:

@@ -206,6 +206,36 @@ class RunLog:
         return "\n".join(lines) + "\n"
 
 
+def resolve_run(config: SimConfig, db) -> tuple[float, float, float, str, SlotMap]:
+    """Start (drawn when ``start_seed`` is set) and stop position, step a tick,
+    initial provider and slot map of a run of ``config`` over ``db``; raises
+    ValueError for a run that cannot start or would never arrive.  It imports
+    nothing, so ``load_scenario`` runs it too."""
+    stop = config.stop_m if config.stop_m is not None else db.route_length_m
+    start = config.start_m
+    if config.start_seed is not None:
+        span = stop - config.speed_mps * config.tick_s
+        start = random.Random(config.start_seed).uniform(config.start_m, max(span, config.start_m))
+    if not 0.0 <= start < stop <= db.route_length_m:
+        raise ValueError(
+            f"need 0 <= start ({start}) < stop ({stop}) <= route length ({db.route_length_m})")
+    # A step below the float spacing at stop can round away to nothing
+    # (8000.0 + 1e-13 == 8000.0), so the vehicle would never arrive.
+    step = min(config.speed_mps * config.tick_s, stop)
+    if not step >= math.ulp(stop):
+        raise ValueError(
+            f"step speed_mps * tick_s = {step!r} is below the float spacing "
+            f"{math.ulp(stop)!r} at stop {stop!r}; the vehicle would never arrive")
+    provider = config.initial_provider or db.providers[0]
+    if provider not in db.providers:
+        raise ValueError(f"initial provider {provider!r} not in database")
+    slots = SlotMap.from_providers(db.providers)
+    if provider not in slots.providers:
+        raise ValueError(f"initial provider {provider!r} holds no automaton slot: "
+                         f"only {', '.join(slots.providers)} do")
+    return start, stop, step, provider, slots
+
+
 class Simulation:
     """One vehicle run; owns its mutable state, shares the read-only db.
 
@@ -224,37 +254,14 @@ class Simulation:
         self.config = config
         self.db = db
         self.fear_model = fear_model or FearModel(config.fear)
-        self.stop_m = config.stop_m if config.stop_m is not None else db.route_length_m
-        start = config.start_m
-        if config.start_seed is not None:
-            span = self.stop_m - config.speed_mps * config.tick_s
-            start = random.Random(config.start_seed).uniform(config.start_m, max(span, config.start_m))
-        if not 0.0 <= start < self.stop_m <= db.route_length_m:
-            raise ValueError(
-                f"need 0 <= start ({start}) < stop ({self.stop_m}) <= route length "
-                f"({db.route_length_m})")
-        # A step below the float spacing at stop can round away to nothing
-        # (8000.0 + 1e-13 == 8000.0), so the vehicle would never arrive.
+        start, self.stop_m, step, self.provider, self.slots = resolve_run(config, db)
         # From ulp(stop) up, every tick short of stop advances at least
         # step - ulp(stop)/2, half a step or more, which bounds the run.  A
         # step past stop (even one that overflows) arrives in one tick.
-        step = min(config.speed_mps * config.tick_s, self.stop_m)
-        if not step >= math.ulp(self.stop_m):
-            raise ValueError(
-                f"step speed_mps * tick_s = {step!r} is below the float spacing "
-                f"{math.ulp(self.stop_m)!r} at stop {self.stop_m!r}; the vehicle would never arrive")
         from fractions import Fraction  # here: ``replay-tables`` builds no run
         advance = Fraction(step) - Fraction(math.ulp(self.stop_m)) / 2
         self.tick_bound = math.ceil((Fraction(self.stop_m) - Fraction(start)) / advance)
         self.position_m = start
-        self.provider = config.initial_provider or db.providers[0]
-        if self.provider not in db.providers:
-            raise ValueError(f"initial provider {self.provider!r} not in database")
-        held = db.providers[:3]  # the providers ``SlotMap.from_providers`` seats
-        if self.provider not in held:
-            raise ValueError(f"initial provider {self.provider!r} holds no automaton slot: "
-                             f"only {', '.join(held)} do")
-        self.slots = SlotMap.from_providers(db.providers)
         self.state = base_state(self.slots.slot_of(self.provider))
         self._target: int | None = None
         self._resolution: str | None = None

@@ -31,10 +31,11 @@ from fearover.sim import (
     run,
     runlog_to_csv,
 )
-from fearover.fuzzy import defuzz_centroid
+from fearover.fuzzy import MAX_GRID_RESOLUTION
 
-from oracles import reference_centroid_trapz, reference_great_circle_m
+from oracles import reference_great_circle_m
 from test_automaton import TABLE_CELLS, _cell_samples
+from test_fuzzy import kernel_vs_quadrature
 
 DISTANCES = (1, 9, 13, 3, 2, 5, 3, 2, 10, 4)
 
@@ -142,24 +143,27 @@ class TestAcceptance:
                 time.perf_counter() - t0, 10.0)
 
     def test_08_defuzzifier_against_quadrature_oracle(self):
+        # The centroid inference computes (array and plain kernels, equal
+        # under ==) of one clipped term, against trapezoidal quadrature on
+        # the kernels' own output grid, at the default and the largest grid.
         t0 = time.perf_counter()
         rng = np.random.default_rng(2024)
-        xs = np.linspace(0.0, 1.0, 10**6)
+        resolutions = (1001, MAX_GRID_RESOLUTION)
         worst = 0.0
         cases = 0
         while cases < 100:
-            a, b, c, d = np.sort(rng.random(4))
-            if d - a < 1e-3:
+            quad = tuple(np.sort(rng.random(4)).tolist())
+            if quad[3] - quad[0] < 1e-3:
                 continue
             level = rng.uniform(0.05, 1.0)
-            mus = np.minimum(np.interp(xs, [a, b, c, d], [0.0, 1.0, 1.0, 0.0]), level)
-            if mus.sum() == 0.0:
+            diffs = [kernel_vs_quadrature(quad, level, n) for n in resolutions]
+            if None in diffs:
                 continue
-            worst = max(worst, abs(defuzz_centroid(xs, mus) - reference_centroid_trapz(xs, mus)))
+            worst = max(worst, *diffs)
             cases += 1
         ok = worst < 1e-6
-        _report(8, ok, f"centroid vs 1e6-sample quadrature oracle, worst |diff|={worst:.2e} "
-                f"over {cases} cases", time.perf_counter() - t0, 10.0)
+        _report(8, ok, f"kernel centroid vs quadrature oracle on grids of {resolutions}, "
+                f"worst |diff|={worst:.2e} over {cases} cases", time.perf_counter() - t0, 10.0)
 
     def test_09_haversine_against_independent_oracle(self, survey_db):
         t0 = time.perf_counter()

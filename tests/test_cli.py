@@ -294,25 +294,22 @@ def _scenario_texts(draw) -> str:
 
 class TestGeneratedScenarios:
     """Whatever the scenario text, loading it either fails as a ScenarioError
-    or gives a run that is built within the tick cap or refused with
-    ValueError, and ``fearover run`` exits 0, 1 or 2 without a traceback."""
+    or gives a run that is built, and refused only past the tick cap, and
+    ``fearover run`` exits 0, 1 or 2 without a traceback."""
 
     # Runs bound to more ticks than this are built but not run, to keep the test short.
     RUN_TICKS = 20_000
 
     def _refused(self, path: Path) -> bool | None:
         """Whether the scenario at ``path`` is refused before its first tick:
-        by ``load_scenario`` (only as a ScenarioError), by the ``Simulation``
-        constructor, or by ``run`` past the tick cap.  None for a run bound to
-        more than ``RUN_TICKS`` ticks."""
+        by ``load_scenario`` (only as a ScenarioError), or by ``run`` past the
+        tick cap; a loaded scenario's ``Simulation`` must build.  None for a
+        run bound to more than ``RUN_TICKS`` ticks."""
         try:
             scenario = load_scenario(path)
         except ScenarioError:
             return True
-        try:
-            simulation = Simulation(scenario.config, scenario.db, scenario.fear_model)
-        except ValueError:
-            return True
+        simulation = Simulation(scenario.config, scenario.db, scenario.fear_model)
         if simulation.tick_bound > MAX_RUN_TICKS:
             with pytest.raises(ValueError, match="above the cap"):
                 simulation.run()
@@ -444,11 +441,19 @@ class TestValidateCommand:
         ("[bogus]\n", "unknown section [bogus]"),
         ("[sim]\nsor = 0.5\n[sim]\n", "line 3: section [sim] appears twice"),
         ("garbage\n[sim]\n", "line 1: 'garbage' comes before any [section] header"),
+        # What ``Simulation`` would refuse, ``load_scenario`` refuses as a [sim] error.
         # Mobilink is the fourth provider column; only the first three hold slots.
         ("[route]\nsource = builtin:four_provider_trace\n[sim]\ninitial_provider = Mobilink\n",
-         "initial provider 'Mobilink' holds no automaton slot: only Telenor, Zong, Ufone do\n"),
+         "[sim] initial provider 'Mobilink' holds no automaton slot: "
+         "only Telenor, Zong, Ufone do\n"),
+        ("[sim]\ninitial_provider = Nope\n", "[sim] initial provider 'Nope' not in database\n"),
+        ("[sim]\nstop_m = 1e9\n", "[sim] need 0 <= start (0.0) < stop (1000000000.0) <= route"),
+        ("[sim]\nstart_m = 40\nstop_m = 40\n", "[sim] need 0 <= start (40.0) < stop (40.0)"),
+        ("[sim]\nstop_m = 8000\ntick_s = 1e-13\nspeed_mps = 0.5\n",
+         "[sim] step speed_mps * tick_s = 5e-14 is below the float spacing"),
     ], ids=["sim", "fear", "pdfa", "timing", "unknown-section", "duplicate-section",
-            "no-section-header", "slotless-initial-provider"])
+            "no-section-header", "slotless-initial-provider", "unknown-initial-provider",
+            "stop-past-route", "start-at-stop", "step-below-spacing"])
     def test_error_names_the_scenario_once(self, tmp_path, capsys, text, detail):
         path = _write(tmp_path, "s.ini", text)
         assert main(["validate", "--scenario", str(path)]) == 2

@@ -27,7 +27,6 @@ from fearover.fear import (
 )
 from fearover.fuzzy import (
     MONOTONE_NODES,
-    AllZeroMembership,
     FuzzySystem,
     LinguisticVariable,
     RuleBase,
@@ -277,16 +276,15 @@ def _appraised_the_long_way(model: FearModel, inputs: FearInputs) -> float:
     signal = normalize_signal(inputs.signal_dbm, params)
     potential = fear._combine(
         params.combiner,
-        fear._graded(model.undesirability_system, inputs.comm_importance, signal),
-        fear._graded(model.likelihood_system, normalize_distance(inputs.distance_m, params),
-                     signal),
-        fear._graded(model.global_intensity_system, inputs.sor, inputs.vtp))
+        model.undesirability_system.infer((inputs.comm_importance, signal)),
+        model.likelihood_system.infer((normalize_distance(inputs.distance_m, params), signal)),
+        model.global_intensity_system.infer((inputs.sor, inputs.vtp)))
     return fear_intensity(potential, params)
 
 
 def _partial_likelihood_system() -> FuzzySystem:
     """A raw likelihood whose rules cover only V-Near distances: farther
-    out no rule fires and the grade is AllZeroMembership."""
+    out no rule fires and the grade is 0.0."""
     system = likelihood_system()
     rules = RuleBase(tuple(((0, j), 4 - j) for j in range(5)))
     return replace(system, rule_base=rules, monotone=None)
@@ -337,11 +335,13 @@ class TestApproach:
         model = FearModel(FearParams(combiner=combiner),
                           likelihood=_partial_likelihood_system())
         inputs = FearInputs(0.0, -90.0)
-        with pytest.raises(AllZeroMembership):
-            model.likelihood_system.infer((normalize_distance(60.0, PARAMS), 0.1))
+        likelihood = model.likelihood_system
+        point = (normalize_distance(60.0, PARAMS), 0.1)
+        assert likelihood._point_levels(point) == [0.0] * 5
+        assert likelihood.infer(point) == 0.0
         self._check(model, inputs)
         undesirability, global_intensity = _grades(inputs)[1:]
-        # Only the likelihood is zero at 60 m, graded 0.0 rather than raised.
+        # Only the likelihood is zero at 60 m, where no rule fires.
         assert model.approach(inputs)(60.0) == fear._combine(
             combiner, undesirability, 0.0, global_intensity)
 
@@ -382,7 +382,7 @@ class TestValidation:
     def test_nan_grade_input_raises_not_zero_fear(self, monotone):
         system = replace(likelihood_system(), monotone=monotone)
         with pytest.raises(ValueError, match="'distance' is NaN"):
-            fear._graded(system, float("nan"), 0.5)
+            system.infer((float("nan"), 0.5))
 
     @pytest.mark.parametrize("signal", ["nan", "inf", "-inf"])
     def test_non_finite_signal_rejected_at_construction(self, signal):

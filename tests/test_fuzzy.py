@@ -12,13 +12,11 @@ from fearover._records import replace
 from fearover.fuzzy import (
     MAX_GRID_RESOLUTION,
     MONOTONE_NODES,
-    AllZeroMembership,
     FuzzySystem,
     LinguisticVariable,
     MembershipFunction,
     RuleBase,
     _pairwise_sum,
-    defuzz_centroid,
     trap,
     tri,
 )
@@ -80,32 +78,56 @@ class TestMembership:
         assert abs(mf(x) - mf(x + eps)) < 1e-7
 
 
-class TestDefuzzCentroid:
+def _one_term_system(mf: MembershipFunction, resolution: int = 1001) -> FuzzySystem:
+    """A system whose one output term is ``mf`` on [0, 1], sampled at
+    ``resolution`` points: its clip levels are a one-item row."""
+    var = LinguisticVariable("v", 0.0, 1.0, (("all", trap(0, 0, 1, 1)),))
+    return FuzzySystem(inputs=(var,), output=LinguisticVariable("out", 0.0, 1.0, (("t", mf),)),
+                       rule_base=RuleBase((((0,), 0),)), grid_resolution=resolution)
+
+
+def _kernel_centroid(system: FuzzySystem, levels: list[float]) -> float:
+    """The centroid of ``levels`` that inference computes: the array and the
+    plain kernel, which must agree under ==."""
+    value = system._array_centroid(levels)
+    assert system._plain_centroid(levels) == value, levels
+    return value
+
+
+def kernel_vs_quadrature(quad: tuple[float, float, float, float], level: float,
+                         resolution: int) -> float | None:
+    """How far the kernels' centroid of the trapezoid ``quad`` clipped at
+    ``level`` lies from ``oracles.reference_centroid_trapz`` on the kernels'
+    own output grid; None where the clipped term samples to 0 on that grid."""
+    xs = np.linspace(0.0, 1.0, resolution)
+    mus = np.minimum(np.interp(xs, quad, [0.0, 1.0, 1.0, 0.0]), level)
+    if mus.sum() == 0.0:
+        return None
+    ours = _kernel_centroid(_one_term_system(MembershipFunction(*quad), resolution), [level])
+    return abs(ours - reference_centroid_trapz(xs, mus))
+
+
+class TestKernelCentroid:
     def test_symmetric_triangle(self):
-        xs = np.linspace(0, 1, 1001)
-        mf = tri(0.2, 0.5, 0.8)
-        mus = np.array([mf(x) for x in xs])
-        assert defuzz_centroid(xs, mus) == pytest.approx(0.5, abs=1e-9)
+        assert _kernel_centroid(_one_term_system(tri(0.2, 0.5, 0.8)), [1.0]) == pytest.approx(
+            0.5, abs=1e-9)
 
     def test_uniform(self):
-        xs = np.linspace(0, 1, 1001)
-        assert defuzz_centroid(xs, np.ones_like(xs)) == pytest.approx(0.5, abs=1e-12)
+        assert _kernel_centroid(_one_term_system(trap(0, 0, 1, 1)), [1.0]) == pytest.approx(
+            0.5, abs=1e-12)
 
-    def test_clipped_triangle_vs_quadrature_oracle(self):
-        xs = np.linspace(0.0, 1.0, 10**6)
-        mf = tri(0, 0.5, 1)
-        mus = np.minimum([mf(x) for x in xs], 0.4)
-        ours = defuzz_centroid(xs, mus)
-        assert ours == pytest.approx(reference_centroid_trapz(xs, np.asarray(mus)), abs=1e-6)
+    @pytest.mark.parametrize("resolution", [1001, MAX_GRID_RESOLUTION])
+    def test_clipped_triangle_vs_quadrature_oracle(self, resolution):
+        assert kernel_vs_quadrature((0.0, 0.5, 0.5, 1.0), 0.4, resolution) < 1e-12
 
-    def test_all_zero_raises(self):
-        xs = np.linspace(0, 1, 11)
-        with pytest.raises(AllZeroMembership):
-            defuzz_centroid(xs, np.zeros_like(xs))
+    def test_no_fired_term_is_zero(self):
+        assert _kernel_centroid(_one_term_system(tri(0.2, 0.5, 0.8), 11), [0.0]) == 0.0
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            defuzz_centroid([0.0, 1.0], [1.0])
+    def test_fired_term_sampled_to_zero_is_zero(self):
+        # On the grid (0.0, 1.0) the term's support holds no sample.
+        system = _one_term_system(tri(0.4, 0.45, 0.5), 2)
+        assert system._point_tables[2] == ((0.0, 0.0),)
+        assert _kernel_centroid(system, [1.0]) == 0.0
 
 
 def _low_high(name: str) -> LinguisticVariable:
@@ -128,10 +150,12 @@ def _two_input_system(**kwargs) -> FuzzySystem:
 class TestInfer:
     def test_single_rule_reduces_to_term_centroid(self):
         system = _two_input_system()
+        assert system._point_levels((0.0, 0.0)) == [1.0, 0.0]
         xs = np.linspace(0, 1, system.grid_resolution)
-        mf = tri(0.0, 0.3, 0.6)
-        mus = [mf(x) for x in xs]
-        assert system.infer((0.0, 0.0)) == pytest.approx(defuzz_centroid(xs, mus), abs=1e-12)
+        mus = np.array([reference_trap(0.0, 0.3, 0.3, 0.6, x) for x in xs])
+        value = system.infer((0.0, 0.0))
+        assert value == _kernel_centroid(system, [1.0, 0.0])
+        assert value == pytest.approx(reference_centroid_trapz(xs, mus), abs=1e-12)
 
     def test_all_rules_same_symmetric_consequent(self):
         var = LinguisticVariable(
@@ -161,8 +185,8 @@ class TestInfer:
         output = LinguisticVariable("out", 0.0, 1.0, (("small", tri(0, 0.5, 1)),))
         system = FuzzySystem(inputs=(_low_high("v"),), output=output,
                              rule_base=RuleBase((((0,), 0),)))
-        with pytest.raises(AllZeroMembership):
-            system.infer((1.0,))
+        assert system._point_levels((1.0,)) == [0.0]
+        assert system.infer((1.0,)) == 0.0
 
     def test_deterministic_bit_stable(self):
         system = _two_input_system()
@@ -267,19 +291,20 @@ class TestMonotoneSurface:
     @pytest.mark.parametrize("subsystem", ["likelihood_system", "undesirability_system",
                                            "global_intensity_system"])
     def test_rectification_lift_is_bounded(self, fear_model, subsystem):
-        # The module docstring's figures: at the 65 x 65 nodes the majorant
-        # lifts the raw surface by at most 0.0295; on this 129 x 129 grid,
-        # which adds the cell midpoints, by at most 0.0303.
+        # The module docstring's figures: at the 65 x 65 nodes the rectified
+        # surface sits up to 0.0295 above the raw one and never below; on the
+        # 101 x 101 grid of step 0.01, from 0.0305 above to 0.0151 below.
         system = getattr(fear_model, subsystem)
-        raw = FuzzySystem(inputs=system.inputs, output=system.output,
-                          rule_base=system.rule_base)
-        axis = np.linspace(0.0, 1.0, 2 * MONOTONE_NODES - 1)
-        lift = np.array([[system.infer((x, y)) - raw.infer((x, y)) for y in axis]
-                         for x in axis])
-        nodes = lift[::2, ::2]
-        assert nodes.min() >= 0.0
-        assert nodes.max() <= 0.0296
-        assert lift.max() <= 0.031
+        raw = replace(system, monotone=None)
+
+        def lift(n: int) -> np.ndarray:
+            axis = np.linspace(0.0, 1.0, n).tolist()
+            return np.array([[system.infer((x, y)) - raw.infer((x, y)) for y in axis]
+                             for x in axis])
+
+        nodes, grid = lift(MONOTONE_NODES), lift(101)
+        assert nodes.min() == 0.0 and round(nodes.max(), 4) == 0.0295
+        assert round(grid.max(), 4) == 0.0305 and round(-grid.min(), 4) == 0.0151
 
     def test_polarity_validation(self):
         with pytest.raises(ValueError):
@@ -333,42 +358,21 @@ def _reference_levels(system: FuzzySystem, point) -> list[float]:
     return reference_levels(quads, len(system.output.terms), system.rule_base.rules, point)
 
 
-def _value_or_zero(raw: FuzzySystem, point) -> float:
-    """``raw.infer(point)``, 0.0 where no rule fires: a raw node value as the
-    rectified surface counts it."""
-    try:
-        return raw.infer(point)
-    except AllZeroMembership:
-        return 0.0
-
-
 def _assert_infer_equals_surface_kernel(raw: FuzzySystem, points: list) -> None:
     """``raw.infer`` of each point equals the array centroid that builds the
     rectified surface (the batch kernel these tests' names mean), taken of the
-    rule-by-rule reference levels: under ==, or both raise AllZeroMembership."""
+    rule-by-rule reference levels, under ==; 0.0 where no rule fires."""
     for point in points:
-        try:
-            expected = raw._array_centroid(_reference_levels(raw, point))
-        except AllZeroMembership:
-            with pytest.raises(AllZeroMembership):
-                raw.infer(point)
-        else:
-            assert raw.infer(point) == expected, point
+        assert raw.infer(point) == raw._array_centroid(_reference_levels(raw, point)), point
 
 
 def _assert_plain_centroid_equals_array(raw: FuzzySystem, points: list) -> None:
     """The plain centroid of each point's clip levels, which ``infer`` skips in
-    a process that has loaded numpy, equals the array centroid under ==, or
-    both raise AllZeroMembership.  Each distinct row of levels is checked once:
-    a centroid depends on nothing else."""
+    a process that has loaded numpy, equals the array centroid under ==, 0.0
+    where no rule fires included.  Each distinct row of levels is checked
+    once: a centroid depends on nothing else."""
     for levels in {tuple(raw._point_levels(point)) for point in points}:
-        try:
-            expected = raw._array_centroid(list(levels))
-        except AllZeroMembership:
-            with pytest.raises(AllZeroMembership):
-                raw._plain_centroid(list(levels))
-        else:
-            assert raw._plain_centroid(list(levels)) == expected, levels
+        assert raw._plain_centroid(list(levels)) == raw._array_centroid(list(levels)), levels
 
 
 # Fresh monotone systems by name: the default subsystems, fixtures with
@@ -406,7 +410,7 @@ class TestDistinctLevelRows:
 
     def test_surface_is_majorant_of_undeduplicated_aggregation(self, system):
         raw = replace(system, monotone=None)
-        values = [_value_or_zero(raw, point) for point in _node_points(system).tolist()]
+        values = [raw.infer(point) for point in _node_points(system).tolist()]
         flips = tuple(slice(None, None, p) for p in system.monotone)
         work = np.array(values).reshape(MONOTONE_NODES, MONOTONE_NODES)[flips]
         work = np.maximum.accumulate(np.maximum.accumulate(work, axis=0), axis=1)
@@ -457,8 +461,7 @@ class TestDistinctLevelRows:
         for t in np.linspace(0.0, 1.0, MONOTONE_NODES).tolist():
             for point in ((0.0, t), (t, 0.0)):
                 assert raw._point_levels(point) == [0.0, 0.0]
-                with pytest.raises(AllZeroMembership):
-                    raw.infer(point)
+                assert raw.infer(point) == 0.0
         assert raw.infer((1.0, 1.0)) > 0.0
         nodes = np.array(system._surface[4])
         assert (nodes[0] == 0.0).all() and (nodes[:, 0] == 0.0).all()
@@ -538,18 +541,12 @@ class TestGridResolution:
 class TestDefuzzOracleRandomised:
     def test_hundred_random_clipped_aggregations(self):
         rng = np.random.default_rng(42)
-        xs = np.linspace(0.0, 1.0, 10**6)
         for _ in range(100):
-            quad = np.sort(rng.random(4))
+            quad = tuple(np.sort(rng.random(4)).tolist())
             level = rng.uniform(0.05, 1.0)
-            mf = MembershipFunction(*quad)
-            mus = np.minimum(np.interp(xs, [quad[0], quad[1], quad[2], quad[3]],
-                                       [0.0, 1.0, 1.0, 0.0]), level)
-            if mus.sum() == 0.0:
-                continue
-            ours = defuzz_centroid(xs, mus)
-            oracle = reference_centroid_trapz(xs, mus)
-            assert ours == pytest.approx(oracle, abs=1e-6)
+            for resolution in (1001, MAX_GRID_RESOLUTION):
+                diff = kernel_vs_quadrature(quad, level, resolution)
+                assert diff is None or diff < 1e-12, (quad, level, resolution)
 
 
 class TestDistinctLevelRowCounts:
@@ -658,5 +655,4 @@ class TestInlineMemberships:
         for x in xs:
             assert system._point_levels((x,)) == [mf(x)], x
             if mf(x) == 0.0:
-                with pytest.raises(AllZeroMembership):
-                    system.infer((x,))
+                assert system.infer((x,)) == 0.0
