@@ -513,6 +513,13 @@ class TestReplayTablesCommand:
         assert verdicts == ["failure", "success", "success", "failure", "failure",
                             "success", "failure", "failure", "success", "failure"]
 
+    def test_output_bytes_are_pinned(self, capsys):
+        # Every row, latency and heading, not only the totals and verdicts.
+        main(["replay-tables"])
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "b0c7d5e983eb7264f9d2d898738f42af0dda6c04b17dea19badef08ece6f00b2")
+
 
 class TestLogEnv:
     def test_log_level_env_smoke(self, tmp_path, monkeypatch):
