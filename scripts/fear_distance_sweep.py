@@ -11,8 +11,8 @@ import argparse
 import csv
 import sys
 
-from fearover import FearInputs, FearModel, FearParams, PATCH_M
-from fearover.fear import COMBINERS
+from fearover.crsite import PATCH_M
+from fearover.fear import COMBINERS, FearInputs, FearModel, FearParams
 
 
 def main() -> int:

@@ -11,13 +11,17 @@ import argparse
 import csv
 import sys
 
-from fearover import TIMING_PRESETS
-from fearover.sim import REPLAY_DISTANCES_PATCHES, SimConfig, replay_attempts
+from fearover.crsite import (
+    DEFAULT_SPEED_MPS,
+    REPLAY_DISTANCES_PATCHES,
+    TIMING_PRESETS,
+    replay_attempts,
+)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--speed-mps", type=float, default=SimConfig.speed_mps)
+    parser.add_argument("--speed-mps", type=float, default=DEFAULT_SPEED_MPS)
     parser.add_argument("-o", "--output", help="CSV path (default stdout)")
     args = parser.parse_args()
 

@@ -238,6 +238,18 @@ CATALOGUE = (
            "body[k].default_factory if isinstance(body[k], field)",
            "(lambda v=body[k].default_factory(): v) if isinstance(body[k], field)",
            ("tests/test_records.py",)),
+    Mutant("crsite-imports-route-at-load", "src/fearover/crsite.py",
+           "from .automaton import FearBand\n",
+           "from .automaton import FearBand\nfrom .route import RouteDb\n",
+           ("tests/test_package.py",)),
+    Mutant("cli-imports-configparser-at-load", "src/fearover/cli.py",
+           "import argparse\n",
+           "import argparse\nimport configparser\n",
+           ("tests/test_package.py",)),
+    Mutant("package-name-not-cached", "src/fearover/__init__.py",
+           "value = globals()[name] = getattr(",
+           "value = getattr(",
+           ("tests/test_package.py",)),
 )
 
 

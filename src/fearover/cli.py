@@ -52,33 +52,20 @@ Subcommands: ``run``, ``validate``, ``replay-tables``, as ``fearover`` or
 table's total is off; 2 an unusable scenario, route source or output directory,
 reported on one line.  ``FEAROVER_LOG=INFO`` or ``DEBUG`` logs each scenario
 loaded and run finished; any other value leaves ``logging`` unimported.
+``configparser`` and the scenario and run stack are imported when a scenario
+is loaded, so ``replay-tables`` loads only the timing model (``crsite``).
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import os
 import sys
-import typing
-from pathlib import Path
+from functools import cache
 
-from . import datasets
 from ._records import record, replace
 from .automaton import BandThresholds
-from .crsite import TIMING_PRESETS, TimingModel
-from .fear import FearModel, FearParams
-from .fuzzy import FuzzySystem, LinguisticVariable, MembershipFunction, RuleBase, tri
-from .route import DEFAULT_BAD_THRESHOLD_DBM, RouteDb
-from .sim import (
-    REPLAY_DISTANCES_PATCHES,
-    SimConfig,
-    check_all_invariants,
-    replay_attempts,
-    resolve_run,
-    run,
-    runlog_to_csv,
-)
+from .crsite import REPLAY_DISTANCES_PATCHES, TIMING_PRESETS, TimingModel, replay_attempts
 
 class ScenarioError(Exception):
     """A scenario failed to load; the message names the section, key or CSV line at fault."""
@@ -103,6 +90,7 @@ def _get(parser: configparser.ConfigParser, section: str, key: str, cast, defaul
 
 
 def _bool(raw: str) -> bool:
+    import configparser
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
     except KeyError:
@@ -111,6 +99,7 @@ def _bool(raw: str) -> bool:
 
 def parse_membership(raw: str) -> MembershipFunction:
     """``a,b,c,d`` breakpoints; three values make a triangle."""
+    from .fuzzy import MembershipFunction, tri
     parts = [float(p) for p in raw.split(",")]
     if len(parts) == 3:
         return tri(*parts)
@@ -133,6 +122,7 @@ def _parse_terms(raw: str) -> tuple[tuple[str, MembershipFunction], ...]:
 
 
 def _parse_rules(raw: str) -> RuleBase:
+    from .fuzzy import RuleBase
     rules = []
     for item in raw.split(";"):
         item = item.strip()
@@ -152,6 +142,8 @@ def parse_fuzzy_section(parser: configparser.ConfigParser, section: str,
     ``output_terms``/``rules``/``grid_resolution``/``monotone`` keys,
     defaulting each to the template's.  ``monotone = off`` drops the
     rectified surface and exposes the raw Mamdani pipeline."""
+    from .fuzzy import FuzzySystem, LinguisticVariable
+
     def variable(key: str, base: LinguisticVariable) -> LinguisticVariable:
         raw = parser.get(section, key, fallback=None)
         if raw is None:
@@ -187,6 +179,7 @@ def parse_fuzzy_section(parser: configparser.ConfigParser, section: str,
 
 def _ini_fields(cls) -> dict[str, tuple[str, object]]:
     """INI key -> (field name, cast) for each field of ``cls`` that is not a record."""
+    import typing
     hints = typing.get_type_hints(cls)
     keys = {}
     for name in cls._fields:
@@ -201,29 +194,40 @@ def _ini_fields(cls) -> dict[str, tuple[str, object]]:
     return keys
 
 
-_CONFIG_SECTIONS = {"sim": SimConfig, "fear": FearParams, "pdfa": BandThresholds,
-                    "timing": TimingModel}
-_FIELDS = {section: _ini_fields(cls) for section, cls in _CONFIG_SECTIONS.items()}
 _FUZZY_SECTIONS = {"fuzzy:likelihood": "likelihood_system",
                    "fuzzy:undesirability": "undesirability_system",
                    "fuzzy:ig": "global_intensity_system"}
-_KNOWN_KEYS = {
-    **{section: set(keys) for section, keys in _FIELDS.items()},
-    "timing": {"preset", *_FIELDS["timing"]},
-    "route": {"source", "bad_threshold_dbm"},
-    "output": {"dir"},
-    **dict.fromkeys(_FUZZY_SECTIONS, {"input1_terms", "input2_terms", "output_terms",
-                                      "rules", "grid_resolution", "monotone"}),
-}
+
+
+@cache
+def _fields() -> dict[str, tuple[type, dict[str, tuple[str, object]]]]:
+    """Section -> (config record, its ``_ini_fields``); the first load imports the run stack."""
+    from .fear import FearParams
+    from .sim import SimConfig
+    records = {"sim": SimConfig, "fear": FearParams, "pdfa": BandThresholds,
+               "timing": TimingModel}
+    return {section: (cls, _ini_fields(cls)) for section, cls in records.items()}
+
+
+@cache
+def _known_keys() -> dict[str, set[str]]:
+    """Section -> the keys it may hold."""
+    known = {section: set(keys) for section, (_, keys) in _fields().items()}
+    known["timing"].add("preset")
+    fuzzy = {"input1_terms", "input2_terms", "output_terms", "rules", "grid_resolution",
+             "monotone"}
+    return {**known, "route": {"source", "bad_threshold_dbm"}, "output": {"dir"},
+            **dict.fromkeys(_FUZZY_SECTIONS, fuzzy)}
 
 
 def _build(parser: configparser.ConfigParser, section: str, **given):
     """The section's config record from the keys present; its constructor validates."""
+    cls, keys = _fields()[section]
     kwargs = {name: _get(parser, section, key, cast)
-              for key, (name, cast) in _FIELDS[section].items()
+              for key, (name, cast) in keys.items()
               if parser.has_option(section, key)}
     try:
-        return _CONFIG_SECTIONS[section](**kwargs, **given)
+        return cls(**kwargs, **given)
     except ValueError as exc:
         raise ScenarioError(f"[{section}] {exc}") from None
 
@@ -231,6 +235,7 @@ def _build(parser: configparser.ConfigParser, section: str, **given):
 def _syntax_error(exc: configparser.Error, lines: list[str]) -> str:
     """A ``read_string`` error on the scenario ``lines`` as ``line N: reason``,
     on one line: its own text names the file again and may take three."""
+    import configparser
     if isinstance(exc, configparser.DuplicateSectionError):
         return f"line {exc.lineno}: section [{exc.section}] appears twice"
     if isinstance(exc, configparser.DuplicateOptionError):
@@ -246,6 +251,13 @@ def _syntax_error(exc: configparser.Error, lines: list[str]) -> str:
 def load_scenario(path: str | Path, preset_override: str | None = None,
                   seed_override: int | None = None,
                   out_override: str | None = None) -> Scenario:
+    import configparser
+    from pathlib import Path
+
+    from . import datasets
+    from .fear import FearModel
+    from .route import DEFAULT_BAD_THRESHOLD_DBM, RouteDb
+    from .sim import resolve_run
     path = Path(path)
     # No interpolation: a value reaches its cast as written, ``%`` and all.
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
@@ -257,11 +269,12 @@ def load_scenario(path: str | Path, preset_override: str | None = None,
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ScenarioError(_syntax_error(exc, text.split("\n"))) from None
+    known = _known_keys()
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in known:
             raise ScenarioError(f"unknown section [{section}]")
         for key in parser.options(section):
-            if key not in _KNOWN_KEYS[section]:
+            if key not in known[section]:
                 raise ScenarioError(f"[{section}] unknown key {key!r}")
 
     threshold = _get(parser, "route", "bad_threshold_dbm", float, DEFAULT_BAD_THRESHOLD_DBM)
@@ -286,7 +299,7 @@ def load_scenario(path: str | Path, preset_override: str | None = None,
             raise ScenarioError(f"{csv_path}: {exc}") from None
 
     named = parser.get("timing", "preset", fallback="custom")
-    custom = [key for key in _FIELDS["timing"] if parser.has_option("timing", key)]
+    custom = [key for key in _fields()["timing"][1] if parser.has_option("timing", key)]
     if named != "custom" and custom:
         raise ScenarioError(f"[timing] {custom[0]} is set, but preset {named!r} "
                             "fixes every latency; use preset = custom")
@@ -320,6 +333,23 @@ def load_scenario(path: str | Path, preset_override: str | None = None,
         log.info("scenario %s: %d route points over %.0f m, providers %s",
                  path, len(db.points), db.route_length_m, ", ".join(db.providers))
     return Scenario(db=db, config=config, fear_model=model, out_dir=out_dir)
+
+
+# ``sim``'s run, export and checks, imported on a command's first call, so that
+# ``replay-tables`` never loads ``sim``.  The benchmark's traced pass rebinds them here.
+def run(config: SimConfig, db, fear_model: FearModel | None = None):
+    from .sim import run
+    return run(config, db, fear_model)
+
+
+def runlog_to_csv(log) -> str:
+    from .sim import runlog_to_csv
+    return runlog_to_csv(log)
+
+
+def check_all_invariants(log) -> list:
+    from .sim import check_all_invariants
+    return check_all_invariants(log)
 
 
 def _write_outputs(scenario: Scenario, log_) -> list:

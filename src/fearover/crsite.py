@@ -3,6 +3,9 @@
 Spectrum sensing is a database lookup (the survey is the world model) and
 white-space optimisation is max-future-signal selection; both retain only
 their latency constants from the real subsystems they stand in for.
+
+The timing-outcome tables replay a fixed set of handovers through the timing
+model alone (``replay_attempts``): ``replay-tables`` loads no route or run.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from enum import Enum
 
 from ._records import record
 from .automaton import FearBand
-from .route import RouteDb
 
 
 class EmptyPool(ValueError):
@@ -74,9 +76,10 @@ class PoolEntry:
             raise ValueError(f"readings must be finite: {self}")
 
 
-def sense(db: RouteDb, position_m: float) -> dict[str, PoolEntry]:
-    """Sample every provider's current and next-point signal.  The pool is
-    in the database's provider order, which breaks selection ties."""
+def sense(db, position_m: float) -> dict[str, PoolEntry]:
+    """Sample every provider's current and next-point signal from the route
+    database ``db``.  The pool is in its provider order, which breaks
+    selection ties."""
     return {
         p: PoolEntry(db.current_signal(position_m, p), db.future_signal(position_m, p))
         for p in db.providers
@@ -114,3 +117,29 @@ def execute_handover(from_provider: str, to_provider: str, time_left_s: float,
     required = required_mobility_time(timing)
     return HandoverAttempt(from_provider, to_provider, required, time_left_s,
                            time_left_s > required)
+
+
+def time_left(distance_m: float, speed_mps: float) -> float:
+    """Seconds until the vehicle covers ``distance_m`` at constant speed."""
+    if distance_m < 0.0:
+        raise ValueError("distance_m must be non-negative")
+    if speed_mps <= 0.0:
+        raise ValueError("speed_mps must be positive")
+    return distance_m / speed_mps
+
+
+# -- table replays ------------------------------------------------------------
+
+PATCH_M = 5.0  # metres in one distance patch of the tables
+# The vehicle's speed in the timing experiment, and ``SimConfig``'s default.
+DEFAULT_SPEED_MPS = 4.0
+REPLAY_DISTANCES_PATCHES = (1, 9, 13, 3, 2, 5, 3, 2, 10, 4)
+
+
+def replay_attempts(timing: TimingModel,
+                    speed_mps: float = DEFAULT_SPEED_MPS) -> list[HandoverAttempt]:
+    """The fixed set of handover attempts behind the timing-outcome tables."""
+    return [
+        execute_handover("in_use", "candidate", time_left(d * PATCH_M, speed_mps), timing)
+        for d in REPLAY_DISTANCES_PATCHES
+    ]

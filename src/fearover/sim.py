@@ -42,6 +42,7 @@ from .automaton import (
     step,
 )
 from .crsite import (
+    DEFAULT_SPEED_MPS,
     CsmAction,
     HandoverAttempt,
     PoolEntry,
@@ -50,10 +51,10 @@ from .crsite import (
     execute_handover,
     select_whitespace,
     sense,
+    time_left,
 )
 from .fear import FearInputs, FearModel, FearParams
 
-PATCH_M = 5.0
 # The most ticks a ``Simulation.run`` may be bound to.  A run log holds about
 # 260 bytes a tick, so this caps its log near 260 MB: about a 100 km route at
 # 0.1 m a tick.  The bundled survey takes 4,220 ticks.
@@ -64,19 +65,10 @@ class RouteExhausted(Exception):
     """tick() called after the vehicle reached its stop position."""
 
 
-def time_left(distance_m: float, speed_mps: float) -> float:
-    """Seconds until the vehicle covers ``distance_m`` at constant speed."""
-    if distance_m < 0.0:
-        raise ValueError("distance_m must be non-negative")
-    if speed_mps <= 0.0:
-        raise ValueError("speed_mps must be positive")
-    return distance_m / speed_mps
-
-
 @record(frozen=True)
 class SimConfig:
     tick_s: float = 0.5
-    speed_mps: float = 4.0
+    speed_mps: float = DEFAULT_SPEED_MPS
     start_m: float = 0.0
     stop_m: float | None = None
     initial_provider: str | None = None
@@ -546,20 +538,6 @@ def check_invariant3(log: RunLog) -> InvariantReport:
 
 def check_all_invariants(log: RunLog) -> list[InvariantReport]:
     return [check_invariant1(log), check_invariant2(log), check_invariant3(log)]
-
-
-# -- table replays ------------------------------------------------------------
-
-REPLAY_DISTANCES_PATCHES = (1, 9, 13, 3, 2, 5, 3, 2, 10, 4)
-
-
-def replay_attempts(timing: TimingModel,
-                    speed_mps: float = SimConfig.speed_mps) -> list[HandoverAttempt]:
-    """The fixed set of handover attempts behind the timing-outcome tables."""
-    return [
-        execute_handover("in_use", "candidate", time_left(d * PATCH_M, speed_mps), timing)
-        for d in REPLAY_DISTANCES_PATCHES
-    ]
 
 
 # -- CSV export ---------------------------------------------------------------

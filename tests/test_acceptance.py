@@ -18,16 +18,14 @@ from fearover.automaton import (
     classify,
     step,
 )
-from fearover.crsite import TIMING_PRESETS
+from fearover.crsite import PATCH_M, TIMING_PRESETS, replay_attempts
 from fearover.fear import FearInputs
 from fearover.route import haversine_m
 from fearover.sim import (
-    PATCH_M,
     SimConfig,
     check_invariant1,
     check_invariant2,
     check_invariant3,
-    replay_attempts,
     run,
     runlog_to_csv,
 )

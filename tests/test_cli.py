@@ -281,10 +281,10 @@ _ROUTE_SOURCES = st.sampled_from(["builtin:survey", "builtin:four_provider_trace
 def _scenario_texts(draw) -> str:
     """Scenario INI text: known and unknown sections, each with known and
     unknown keys, the unknown ones drawn less often so that more texts load."""
-    sections = [*fearover.cli._KNOWN_KEYS, "bogus"]
+    sections = [*fearover.cli._known_keys(), "bogus"]
     lines = []
     for section in draw(st.lists(st.sampled_from(sections), unique=True, max_size=4)):
-        keys = [*sorted(fearover.cli._KNOWN_KEYS.get(section, ())) * 3, "bogus_key"]
+        keys = [*sorted(fearover.cli._known_keys().get(section, ())) * 3, "bogus_key"]
         lines.append(f"[{section}]")
         for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=3)):
             value = draw(_ROUTE_SOURCES if key == "source" else _INI_VALUES)

@@ -10,12 +10,20 @@ from hypothesis import strategies as st
 import fearover.sim
 from fearover.automaton import BandThresholds, FearBand, MobilitySymbol, classify
 from fearover.cli import load_scenario
-from fearover.crsite import CsmAction, HandoverAttempt, PoolEntry, TIMING_PRESETS, csm_dispatch
+from fearover.crsite import (
+    PATCH_M,
+    TIMING_PRESETS,
+    CsmAction,
+    HandoverAttempt,
+    PoolEntry,
+    csm_dispatch,
+    replay_attempts,
+    time_left,
+)
 from fearover.fear import FearInputs, FearModel, FearParams
 from fearover.route import GeoPoint, RouteDb, SurveyPoint
 from fearover.sim import (
     MAX_RUN_TICKS,
-    PATCH_M,
     RUNLOG_COLUMNS,
     RouteExhausted,
     RunLog,
@@ -27,10 +35,8 @@ from fearover.sim import (
     check_invariant2,
     check_invariant3,
     parse_runlog_csv,
-    replay_attempts,
     run,
     runlog_to_csv,
-    time_left,
 )
 
 from oracles import (
