@@ -59,6 +59,10 @@ CATALOGUE = (
            "return distance_m < self.params.distance_horizon_m",
            "return distance_m <= self.params.distance_horizon_m",
            ("tests/test_fear.py",)),
+    Mutant("neutral-event-feared", "src/fearover/fear.py",
+           "if not inputs.prospect or inputs.desirability >= 0.0:",
+           "if not inputs.prospect or inputs.desirability > 0.0:",
+           ("tests/test_fear.py",)),
     Mutant("invariant2-skips-poolless-decisions", "src/fearover/sim.py",
            '            violations.append(f"tick {event.tick}: decision without a recorded pool")\n',
            "",
@@ -127,8 +131,8 @@ CATALOGUE = (
            "while True:",
            ("tests/test_sim.py",)),
     Mutant("tick-bound-short-by-one", "src/fearover/sim.py",
-           "self.tick_bound = math.ceil((Fraction(self.stop_m) - Fraction(start)) / advance)",
-           "self.tick_bound = math.ceil((Fraction(self.stop_m) - Fraction(start)) / advance) - 1",
+           "self.tick_bound = -((a * t - s * b) * 2 * f * v // (t * b * (2 * e * v - u * f)))",
+           "self.tick_bound = -((a * t - s * b) * 2 * f * v // (t * b * (2 * e * v - u * f))) - 1",
            ("tests/test_sim.py",)),
     Mutant("parse-accepts-bare-ho-success", "src/fearover/sim.py",
            "elif ho_success:",

@@ -13,8 +13,9 @@ intensity is the potential less a configurable threshold, floored at zero.
 Points at or beyond the horizon raise no fear at all: there is no concrete
 prospect to appraise yet.
 
-Within one approach only the distance moves: ``FearModel.approach`` grades
-the rest once and gives fear by distance, as ``intensity`` does, bit for bit.
+Within one approach only the distance moves: ``FearModel.approach``, the one
+definition of fear, grades the rest once and gives fear by distance, and
+``FearModel.intensity`` is ``approach`` read at the appraisal's own distance.
 
 All three subsystems share the same five-level unit-interval partition and
 use the rectified monotone inference surface, so fear responds monotonically
@@ -271,35 +272,27 @@ class FearModel:
         appraisal horizon; at or beyond it fear is exactly 0.0."""
         return distance_m < self.params.distance_horizon_m
 
-    def _grades(self, inputs: FearInputs) -> tuple[float, float, float] | None:
-        """The normalised signal, undesirability and global intensity of the
-        threat of ``inputs``, which no distance moves; ``None`` without an
-        undesirable prospect."""
-        if not inputs.prospect or inputs.desirability >= 0.0:
-            return None
-        signal_norm = normalize_signal(inputs.signal_dbm, self.params)
-        return (signal_norm,
-                self.undesirability_system.infer((inputs.comm_importance, signal_norm)),
-                self.global_intensity_system.infer((inputs.sor, inputs.vtp)))
-
-    def _potential_at(self, distance_m: float, grades: tuple[float, float, float] | None) -> float:
-        if grades is None or not self.in_horizon(distance_m):
-            return 0.0
-        signal_norm, undesirability, global_intensity = grades
-        distance_norm = normalize_distance(distance_m, self.params)
-        likelihood = self.likelihood_system.infer((distance_norm, signal_norm))
-        return _combine(self.params.combiner, undesirability, likelihood, global_intensity)
-
-    def potential(self, inputs: FearInputs) -> float:
-        return self._potential_at(inputs.distance_m, self._grades(inputs))
-
     def intensity(self, inputs: FearInputs) -> float:
-        """Fear intensity in [0, 1] for one appraisal."""
-        return fear_intensity(self.potential(inputs), self.params)
+        """Fear intensity in [0, 1] for one appraisal: ``approach`` read at
+        the appraisal's own distance."""
+        return self.approach(inputs)(inputs.distance_m)
 
     def approach(self, inputs: FearInputs):
-        """Fear intensity as a function of distance alone for the threat of
-        ``inputs``, graded once: its value at any ``d >= 0`` equals
-        ``intensity(replace(inputs, distance_m=d))``."""
-        grades, potential_at, params = self._grades(inputs), self._potential_at, self.params
-        return lambda distance_m: fear_intensity(potential_at(distance_m, grades), params)
+        """Fear intensity by distance alone for the threat of ``inputs``, 0.0
+        everywhere without an undesirable prospect: the signal, undesirability
+        and global intensity are graded once, the likelihood at each distance."""
+        if not inputs.prospect or inputs.desirability >= 0.0:
+            return lambda distance_m: 0.0
+        params = self.params
+        signal_norm = normalize_signal(inputs.signal_dbm, params)
+        undesirability = self.undesirability_system.infer((inputs.comm_importance, signal_norm))
+        global_intensity = self.global_intensity_system.infer((inputs.sor, inputs.vtp))
+
+        def at(distance_m: float) -> float:
+            if not self.in_horizon(distance_m):
+                return 0.0
+            likelihood = self.likelihood_system.infer(
+                (normalize_distance(distance_m, params), signal_norm))
+            return fear_intensity(
+                _combine(params.combiner, undesirability, likelihood, global_intensity), params)
+        return at

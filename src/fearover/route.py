@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from pathlib import Path
 from types import MappingProxyType
 
@@ -51,10 +51,14 @@ class IndexOutOfRange(IndexError):
 _QUOTED_CHARS = frozenset(',"\r\n')
 
 
-def _check_provider_name(name: str) -> None:
-    """Raise ValueError unless ``name`` can be written to a run log unquoted."""
-    if not name or not _QUOTED_CHARS.isdisjoint(name):
-        raise ValueError(f"provider name {name!r} is empty or holds a comma, quote, CR or LF")
+def _check_provider_names(names: Sequence[str]) -> None:
+    """Raise ValueError unless every name can be written to a run log
+    unquoted and no name repeats."""
+    for name in names:
+        if not name or not _QUOTED_CHARS.isdisjoint(name):
+            raise ValueError(f"provider name {name!r} is empty or holds a comma, quote, CR or LF")
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate provider column")
 
 
 @record(frozen=True)
@@ -123,8 +127,7 @@ class RouteDb:
         if not math.isfinite(self.bad_threshold_dbm):
             raise ValueError(f"bad_threshold_dbm must be finite, got {bad_threshold_dbm}")
         self.providers = tuple(providers)
-        for provider in self.providers:
-            _check_provider_name(provider)
+        _check_provider_names(self.providers)
         self.points = tuple(points)
         cumulative = [0.0]
         for prev, cur in zip(self.points, self.points[1:]):
@@ -159,13 +162,10 @@ class RouteDb:
         if len(columns) < 4 or [c.lower() for c in columns[:3]] != ["label", "lat", "lon"]:
             raise MalformedRow(f"line {header_no}: header must be label,lat,lon,<providers>")
         providers = columns[3:]
-        for provider in providers:
-            try:
-                _check_provider_name(provider)
-            except ValueError as exc:
-                raise MalformedRow(f"line {header_no}: {exc}") from None
-        if len(set(providers)) != len(providers):
-            raise MalformedRow(f"line {header_no}: duplicate provider column")
+        try:
+            _check_provider_names(providers)
+        except ValueError as exc:
+            raise MalformedRow(f"line {header_no}: {exc}") from None
 
         points: list[SurveyPoint] = []
         seen: set[str] = set()

@@ -248,11 +248,12 @@ class Simulation:
         self.fear_model = fear_model or FearModel(config.fear)
         start, self.stop_m, step, self.provider, self.slots = resolve_run(config, db)
         # From ulp(stop) up, every tick short of stop advances at least
-        # step - ulp(stop)/2, half a step or more, which bounds the run.  A
-        # step past stop (even one that overflows) arrives in one tick.
-        from fractions import Fraction  # here: ``replay-tables`` builds no run
-        advance = Fraction(step) - Fraction(math.ulp(self.stop_m)) / 2
-        self.tick_bound = math.ceil((Fraction(self.stop_m) - Fraction(start)) / advance)
+        # step - ulp(stop)/2, half a step or more, which bounds the run; a step
+        # past stop (even one that overflows) arrives in one tick.  The ceiling
+        # is exact: stop = s/t, start = a/b, step = e/f and ulp(stop) = u/v.
+        (s, t), (a, b) = self.stop_m.as_integer_ratio(), start.as_integer_ratio()
+        (e, f), (u, v) = step.as_integer_ratio(), math.ulp(self.stop_m).as_integer_ratio()
+        self.tick_bound = -((a * t - s * b) * 2 * f * v // (t * b * (2 * e * v - u * f)))
         self.position_m = start
         self.state = base_state(self.slots.slot_of(self.provider))
         self._target: int | None = None

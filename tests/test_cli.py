@@ -706,10 +706,10 @@ class TestColdStartWithoutNumpy:
 
 
 class TestColdStartImports:
-    """Records are built without generated code, ``fractions`` is imported
-    where a run's tick bound is computed and ``logging`` only when
-    ``FEAROVER_LOG`` asks for INFO or DEBUG: a cold command loads none of
-    ``dataclasses`` (with ``inspect``), and none it does not run."""
+    """Records are built without generated code, a run's tick bound is taken
+    in integers and ``logging`` is imported only when ``FEAROVER_LOG`` asks
+    for INFO or DEBUG: a cold command loads none of ``dataclasses`` (with
+    ``inspect``), ``fractions`` or ``decimal``, and none it does not run."""
 
     @pytest.mark.parametrize("command", ["run", "validate", "replay-tables"])
     def test_cold_command_loads_only_what_it_runs(self, tmp_path, command):
@@ -718,9 +718,7 @@ class TestColdStartImports:
                 "validate": ["validate", "--scenario", scenario],
                 "replay-tables": ["replay-tables"]}[command]
         loaded = _loaded_modules(*args)
-        assert not loaded & {"dataclasses", "inspect", "logging"}
-        if command == "replay-tables":
-            assert "fractions" not in loaded
+        assert not loaded & {"dataclasses", "inspect", "logging", "fractions", "decimal"}
 
     def test_verbose_log_loads_logging(self):
         assert "logging" in _loaded_modules("replay-tables", log="INFO")

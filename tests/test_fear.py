@@ -234,28 +234,30 @@ def _constant_one_system() -> FuzzySystem:
 
 
 class TestFearPotential:
+    """The potential before the threshold: ``intensity`` under ``fear_threshold = 0.0``."""
+
     def test_no_prospect_no_fear(self):
-        assert FearModel(PARAMS).potential(_inputs(prospect=False)) == 0.0
+        assert FearModel(PARAMS).intensity(_inputs(prospect=False)) == 0.0
 
     def test_desirable_event_no_fear(self):
-        assert FearModel(PARAMS).potential(_inputs(desirability=0.5)) == 0.0
+        assert FearModel(PARAMS).intensity(_inputs(desirability=0.5)) == 0.0
 
     def test_beyond_horizon_no_fear(self):
-        assert FearModel(PARAMS).potential(_inputs(distance_m=75.0)) == 0.0
+        assert FearModel(PARAMS).intensity(_inputs(distance_m=75.0)) == 0.0
 
     def test_mean_is_idempotent_at_one(self):
         one = _constant_one_system()
-        assert FearModel(PARAMS, one, one, one).potential(_inputs()) == 1.0
+        assert FearModel(PARAMS, one, one, one).intensity(_inputs()) == 1.0
 
     def test_mean_combination(self):
         likelihood, undesirability, global_intensity = _grades(_inputs())
-        value = FearModel(PARAMS).potential(_inputs())
+        value = FearModel(PARAMS).intensity(_inputs())
         assert value == pytest.approx(
             (undesirability + likelihood + global_intensity) / 3, abs=1e-12)
 
     def test_min_combiner(self):
         params = FearParams(combiner="min")
-        value = FearModel(params).potential(_inputs())
+        value = FearModel(params).intensity(_inputs())
         assert value == pytest.approx(min(_grades(_inputs(), params)))
 
     def test_product_combiner(self):

@@ -81,7 +81,7 @@ class TestLoadCsv:
             RouteDb.from_csv("name,lat,lon,SP1\n")
 
     def test_duplicate_provider_column(self):
-        with pytest.raises(MalformedRow):
+        with pytest.raises(MalformedRow, match="line 1: duplicate provider column"):
             RouteDb.from_csv("label,lat,lon,SP1,SP1\nA,33,73,-50,-60\nB,34,73,-50,-60\n")
 
     def test_out_of_range_coordinates(self):
@@ -126,6 +126,12 @@ class TestProviderNames:
                   for label, lat in (("A", 33.1445), ("B", 33.1444))]
         with pytest.raises(ValueError, match=r"provider name .* is empty or holds"):
             RouteDb(["SP1", name], points)
+
+    def test_constructor_rejects_a_duplicate(self):
+        points = [SurveyPoint(label, GeoPoint(lat, 73.7457), {"SP1": -60.0})
+                  for label, lat in (("A", 33.1445), ("B", 33.1444))]
+        with pytest.raises(ValueError, match="duplicate provider"):
+            RouteDb(["SP1", "SP1"], points)
 
     @pytest.mark.parametrize("column", ["", '"S,P"', 'S"P'])
     def test_csv_header_names_its_line(self, column):

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -305,6 +306,21 @@ class TestTickBound:
         log = sim.run()
         assert sim.position_m >= sim.stop_m and len(log.events) <= sim.tick_bound
         assert log.events[-1].position_m == stop
+
+    @given(stop=st.floats(5e-324, 8400.0), start_share=st.floats(0.0, 1.0, exclude_max=True),
+           step=st.floats(5e-324, 1e300), tick_s=st.sampled_from([1e-3, 1.0, 7.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_tick_bound_is_the_exact_ceiling(self, survey_db, fear_model, stop, start_share,
+                                             step, tick_s):
+        try:
+            config = SimConfig(tick_s=tick_s, speed_mps=step / tick_s,
+                               start_m=start_share * stop, stop_m=stop)
+            sim = Simulation(config, survey_db, fear_model)
+        except ValueError:
+            return
+        # ceil((stop - start) / (step - ulp(stop)/2)), every float taken as the rational it is.
+        advance = Fraction(min(config.speed_mps * tick_s, stop)) - Fraction(math.ulp(stop)) / 2
+        assert sim.tick_bound == math.ceil((Fraction(stop) - Fraction(config.start_m)) / advance)
 
 
 class TestDefaultRunsSatisfyInvariants:
