@@ -43,6 +43,15 @@ CATALOGUE = (
            "position >= cumulative[self._target]",
            "position > cumulative[self._target]",
            ("tests/test_sim.py",)),
+    Mutant("builtin-route-drops-threshold", "src/fearover/cli.py",
+           'csv_path = builtin_csv(source.removeprefix("builtin:"))\n',
+           'csv_path = builtin_csv(source.removeprefix("builtin:"))\n'
+           "            threshold = DEFAULT_BAD_THRESHOLD_DBM\n",
+           ("tests/test_cli.py",)),
+    Mutant("route-threshold-cast-accepts-nan", "src/fearover/cli.py",
+           '"bad_threshold_dbm", _finite,',
+           '"bad_threshold_dbm", float,',
+           ("tests/test_cli.py",)),
     Mutant("segment-bisect-left", "src/fearover/route.py",
            "ahead = bisect_right(self.cumulative_m, position_m)",
            "ahead = bisect_left(self.cumulative_m, position_m)",

@@ -41,7 +41,10 @@ Every key is optional, and every value is read as written (``%`` is not
 special).  The ``[sim]``, ``[fear]``, ``[pdfa]`` and ``[timing]``
 keys are the fields of ``SimConfig``, ``FearParams``, ``BandThresholds`` and
 ``TimingModel``, whose defaults are shown, except that ``seed`` sets
-``SimConfig.start_seed``.  Unknown sections and keys are errors.
+``SimConfig.start_seed``.  Unknown sections and keys are errors, and a
+value that its key cannot read fails as ``[section] key = 'value': reason``.
+``builtin:NAME`` names a CSV bundled with ``route``; it is read and checked
+as a CSV path is.
 
 Optional ``[fuzzy:likelihood]``, ``[fuzzy:undesirability]`` and
 ``[fuzzy:ig]`` sections replace a subsystem's membership functions and
@@ -59,6 +62,7 @@ is loaded, so ``replay-tables`` loads only the timing model (``crsite``).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from functools import cache
@@ -89,6 +93,13 @@ def _get(parser: configparser.ConfigParser, section: str, key: str, cast, defaul
         raise ScenarioError(f"[{section}] {key} = {raw!r}: {exc}") from None
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _bool(raw: str) -> bool:
     import configparser
     try:
@@ -108,32 +119,27 @@ def parse_membership(raw: str) -> MembershipFunction:
     raise ValueError(f"expected 3 or 4 breakpoints, got {len(parts)}")
 
 
-def _parse_terms(raw: str) -> tuple[tuple[str, MembershipFunction], ...]:
-    terms = []
+def _items(raw: str, sep: str, kind: str, shape: str):
+    """Each non-empty ``;``-separated item of ``raw``, split at its first ``sep``."""
     for item in raw.split(";"):
         item = item.strip()
         if not item:
             continue
-        label, _, quad = item.partition(":")
-        if not quad:
-            raise ValueError(f"term {item!r} must look like LABEL:a,b,c,d")
-        terms.append((label.strip(), parse_membership(quad)))
-    return tuple(terms)
+        head, _, tail = item.partition(sep)
+        if not tail:
+            raise ValueError(f"{kind} {item!r} must look like {shape}")
+        yield head, tail
+
+
+def _parse_terms(raw: str) -> tuple[tuple[str, MembershipFunction], ...]:
+    return tuple((label.strip(), parse_membership(quad))
+                 for label, quad in _items(raw, ":", "term", "LABEL:a,b,c,d"))
 
 
 def _parse_rules(raw: str) -> RuleBase:
     from .fuzzy import RuleBase
-    rules = []
-    for item in raw.split(";"):
-        item = item.strip()
-        if not item:
-            continue
-        antecedent, _, consequent = item.partition("->")
-        if not consequent:
-            raise ValueError(f"rule {item!r} must look like i,j->k")
-        ant = tuple(int(p) for p in antecedent.split(","))
-        rules.append((ant, int(consequent)))
-    return RuleBase(tuple(rules))
+    return RuleBase(tuple((tuple(map(int, antecedent.split(","))), int(consequent))
+                          for antecedent, consequent in _items(raw, "->", "rule", "i,j->k")))
 
 
 def parse_fuzzy_section(parser: configparser.ConfigParser, section: str,
@@ -145,26 +151,15 @@ def parse_fuzzy_section(parser: configparser.ConfigParser, section: str,
     from .fuzzy import FuzzySystem, LinguisticVariable
 
     def variable(key: str, base: LinguisticVariable) -> LinguisticVariable:
-        raw = parser.get(section, key, fallback=None)
-        if raw is None:
-            return base
-        try:
-            return LinguisticVariable(base.name, base.lo, base.hi, _parse_terms(raw))
-        except ValueError as exc:
-            raise ScenarioError(f"[{section}] {key}: {exc}") from None
+        return _get(parser, section, key, lambda raw: LinguisticVariable(
+            base.name, base.lo, base.hi, _parse_terms(raw)), base)
 
     inputs = (variable("input1_terms", template.inputs[0]),
               variable("input2_terms", template.inputs[1]))
     output = variable("output_terms", template.output)
-    raw_rules = parser.get(section, "rules", fallback=None)
-    try:
-        rule_base = _parse_rules(raw_rules) if raw_rules is not None else template.rule_base
-    except ValueError as exc:
-        raise ScenarioError(f"[{section}] rules: {exc}") from None
+    rule_base = _get(parser, section, "rules", _parse_rules, template.rule_base)
     resolution = _get(parser, section, "grid_resolution", int, template.grid_resolution)
-    monotone = template.monotone
-    if not _get(parser, section, "monotone", _bool, True):
-        monotone = None
+    monotone = template.monotone if _get(parser, section, "monotone", _bool, True) else None
     try:
         return FuzzySystem(
             inputs=inputs,
@@ -254,9 +249,8 @@ def load_scenario(path: str | Path, preset_override: str | None = None,
     import configparser
     from pathlib import Path
 
-    from . import datasets
     from .fear import FearModel
-    from .route import DEFAULT_BAD_THRESHOLD_DBM, RouteDb
+    from .route import DEFAULT_BAD_THRESHOLD_DBM, RouteDb, builtin_csv
     from .sim import resolve_run
     path = Path(path)
     # No interpolation: a value reaches its cast as written, ``%`` and all.
@@ -277,26 +271,23 @@ def load_scenario(path: str | Path, preset_override: str | None = None,
             if key not in known[section]:
                 raise ScenarioError(f"[{section}] unknown key {key!r}")
 
-    threshold = _get(parser, "route", "bad_threshold_dbm", float, DEFAULT_BAD_THRESHOLD_DBM)
+    threshold = _get(parser, "route", "bad_threshold_dbm", _finite, DEFAULT_BAD_THRESHOLD_DBM)
     source = parser.get("route", "source", fallback="builtin:survey")
     if source.startswith("builtin:"):
-        name = source.removeprefix("builtin:")
         try:
-            db = datasets.load_builtin(name, threshold)
+            csv_path = builtin_csv(source.removeprefix("builtin:"))
         except KeyError as exc:
             raise ScenarioError(f"[route] source: {exc.args[0]}") from None
-        except ValueError as exc:
-            raise ScenarioError(f"[route] {exc}") from None
     else:
         csv_path = Path(source)
         if not csv_path.is_absolute():
             csv_path = path.parent / csv_path
-        try:
-            db = RouteDb.load(csv_path, threshold)
-        except OSError as exc:  # missing, a directory, unreadable
-            raise ScenarioError(f"[route] source: {csv_path}: {exc.strerror}") from None
-        except ValueError as exc:
-            raise ScenarioError(f"{csv_path}: {exc}") from None
+    try:
+        db = RouteDb.from_csv(csv_path.read_text(encoding="utf-8"), threshold)
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ScenarioError(f"[route] source: {csv_path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ScenarioError(f"{csv_path}: {exc}") from None
 
     named = parser.get("timing", "preset", fallback="custom")
     custom = [key for key in _fields()["timing"][1] if parser.has_option("timing", key)]
@@ -357,11 +348,13 @@ def _write_outputs(scenario: Scenario, log_) -> list:
     (scenario.out_dir / "runlog.csv").write_text(runlog_to_csv(log_), encoding="utf-8")
     (scenario.out_dir / "summary.txt").write_text(log_.summary_text(), encoding="utf-8")
     reports = check_all_invariants(log_)
-    lines = []
-    for report in reports:
-        lines.extend(report.lines())
-    (scenario.out_dir / "invariants.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (scenario.out_dir / "invariants.txt").write_text(_invariants_text(reports), encoding="utf-8")
     return reports
+
+
+def _invariants_text(reports: list) -> str:
+    """``invariants.txt``, and what ``validate`` prints: each report's lines."""
+    return "".join(line + "\n" for report in reports for line in report.lines())
 
 
 def _load_and_run(args: argparse.Namespace):
@@ -397,11 +390,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     _, log_, code = _load_and_run(args)
     if code:
         return code
-    ok = True
-    for report in check_all_invariants(log_):
-        print("\n".join(report.lines()))
-        ok = ok and report.passed
-    return 0 if ok else 1
+    reports = check_all_invariants(log_)
+    print(_invariants_text(reports), end="")
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def cmd_replay_tables(_args: argparse.Namespace) -> int:

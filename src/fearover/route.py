@@ -9,6 +9,12 @@ CSV schema: ``label,lat,lon,<provider>,...`` with dBm values, a required
 header, UTF-8 text and ``#`` comment lines.  A provider name is not empty
 and holds no ``,``, ``"``, CR or LF: it becomes a field of ``runlog.csv``,
 which quotes no field.
+
+Two databases are bundled, and a scenario names them as ``builtin:<name>``
+instead of a CSV path.  ``survey`` is the real F2-Mangla road survey (three
+GSM providers, fourteen points, about 8.4 km).  ``four_provider_trace`` is
+a synthetic meridian route with four providers used to replay the narrated
+handover trace (two handovers, a bridge handover, one deliberate stay).
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import csv
 import math
 from bisect import bisect_right
 from collections.abc import Mapping, Sequence
-from pathlib import Path
+from importlib import resources
 from types import MappingProxyType
 
 from ._records import record
@@ -25,6 +31,12 @@ from ._records import record
 EARTH_RADIUS_M = 6371008.8
 
 DEFAULT_BAD_THRESHOLD_DBM = -80.0
+
+# Bundled route name -> its CSV file under ``data/``.
+BUILTIN_ROUTES = {
+    "survey": "f2_mangla_survey.csv",
+    "four_provider_trace": "four_provider_trace.csv",
+}
 
 
 class MalformedRow(ValueError):
@@ -131,11 +143,10 @@ class RouteDb:
         self.points = tuple(points)
         cumulative = [0.0]
         for prev, cur in zip(self.points, self.points[1:]):
-            hop = haversine_m(prev.point, cur.point)
-            cumulative.append(cumulative[-1] + hop)
-        for a, b in zip(cumulative, cumulative[1:]):
-            if b <= a:
-                raise MalformedRow("consecutive points coincide; route order broken")
+            cumulative.append(cumulative[-1] + haversine_m(prev.point, cur.point))
+            if cumulative[-1] <= cumulative[-2]:
+                raise MalformedRow(f"consecutive points {prev.label!r} and {cur.label!r} "
+                                   "coincide; route order broken")
         self.cumulative_m = tuple(cumulative)
         # provider -> (positions, indices) of its BSSPs in drive order;
         # positions ascend because ``cumulative_m`` does.
@@ -190,11 +201,6 @@ class RouteDb:
             raise EmptyDatabase(f"need at least 2 data rows, got {len(points)}")
         return cls(providers, points, bad_threshold_dbm)
 
-    @classmethod
-    def load(cls, path: str | Path,
-             bad_threshold_dbm: float = DEFAULT_BAD_THRESHOLD_DBM) -> "RouteDb":
-        return cls.from_csv(Path(path).read_text(encoding="utf-8"), bad_threshold_dbm)
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -235,3 +241,17 @@ class RouteDb:
     def future_signal(self, position_m: float, provider: str) -> float:
         """Reading at the next point strictly ahead; last point's past the end."""
         return self.signal_at(self.segment(position_m)[1], provider)
+
+
+def builtin_csv(name: str) -> resources.abc.Traversable:
+    """The bundled CSV file of route ``name``; KeyError names the choices."""
+    try:
+        filename = BUILTIN_ROUTES[name]
+    except KeyError:
+        raise KeyError(f"no builtin route {name!r}; choose from {tuple(BUILTIN_ROUTES)}") from None
+    return resources.files(__package__).joinpath("data", filename)
+
+
+def load_builtin(name: str,
+                 bad_threshold_dbm: float = DEFAULT_BAD_THRESHOLD_DBM) -> RouteDb:
+    return RouteDb.from_csv(builtin_csv(name).read_text(encoding="utf-8"), bad_threshold_dbm)

@@ -14,6 +14,7 @@ import fearover.sim
 from fearover.cli import ScenarioError, load_scenario, main
 from fearover.crsite import TIMING_PRESETS
 from fearover.fuzzy import PLAIN_VALUE_LIMIT
+from fearover.route import BUILTIN_ROUTES, builtin_csv
 from fearover.sim import MAX_RUN_TICKS, SimConfig, Simulation, parse_runlog_csv, run, runlog_to_csv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -234,8 +235,23 @@ class TestScenarioLoading:
                "label,lat,lon,SP1\nA,33.0,73.0,-90\nB,33.001,73.0,-50\n")
         path = _write(tmp_path, "s.ini",
                       f"[route]\nsource = {source}\nbad_threshold_dbm = {value}\n")
-        with pytest.raises(ScenarioError, match="bad_threshold_dbm must be finite"):
+        with pytest.raises(ScenarioError,
+                           match=rf"^\[route\] bad_threshold_dbm = '{value}': must be finite$"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_ROUTES))
+    def test_builtin_route_runs_as_its_csv_copy(self, tmp_path, name):
+        # One read and one threshold for both kinds of source: under a
+        # threshold other than the default, the two run logs are the same bytes.
+        (tmp_path / "copy.csv").write_bytes(builtin_csv(name).read_bytes())
+        runlogs = []
+        for n, source in enumerate((f"builtin:{name}", "copy.csv")):
+            path = _write(tmp_path, "s.ini",
+                          f"[route]\nsource = {source}\nbad_threshold_dbm = -70\n")
+            out = tmp_path / f"out{n}"
+            assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+            runlogs.append((out / "runlog.csv").read_bytes())
+        assert runlogs[0] == runlogs[1]
 
     def test_grid_resolution_capped(self, tmp_path):
         # Rejected when the system is built, before any array is sized from it.
@@ -427,6 +443,14 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "Invariant1: FAIL" in out
+
+    @pytest.mark.parametrize("name", sorted(RUNLOG_SHA256))
+    def test_prints_what_run_writes_to_invariants_txt(self, tmp_path, capsys, name):
+        scenario = str(SCENARIOS / f"{name}.ini")
+        assert main(["run", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        main(["validate", "--scenario", scenario])
+        assert capsys.readouterr().out == (tmp_path / "invariants.txt").read_text(encoding="utf-8")
 
     def test_config_error_exits_2(self, tmp_path):
         path = tmp_path / "bad.ini"

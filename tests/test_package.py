@@ -27,13 +27,12 @@ EXPORTS = {
                "TIMING_PRESETS", "TimingModel", "csm_dispatch", "execute_handover",
                "replay_attempts", "required_mobility_time", "select_whitespace", "sense",
                "time_left"},
-    "datasets": {"load_builtin"},
     "fear": {"FearInputs", "FearModel", "FearParams", "fear_intensity", "normalize_distance",
              "normalize_signal"},
     "fuzzy": {"FuzzySystem", "LinguisticVariable", "MembershipFunction", "RuleBase", "trap",
               "tri"},
     "route": {"DuplicateLabel", "EmptyDatabase", "GeoPoint", "IndexOutOfRange", "MalformedRow",
-              "RouteDb", "SurveyPoint", "UnknownProvider", "haversine_m"},
+              "RouteDb", "SurveyPoint", "UnknownProvider", "haversine_m", "load_builtin"},
     "sim": {"InvariantReport", "RouteExhausted", "RunLog", "SimConfig", "Simulation",
             "StayEpisode", "TickEvent", "check_all_invariants", "check_invariant1",
             "check_invariant2", "check_invariant3", "parse_runlog_csv", "run",

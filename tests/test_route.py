@@ -88,6 +88,13 @@ class TestLoadCsv:
         with pytest.raises(MalformedRow):
             RouteDb.from_csv("label,lat,lon,SP1\nA,95.0,73.0,-50\nB,33.1,73.1,-50\n")
 
+    def test_coinciding_points_name_both_labels(self):
+        # The second point repeats the first's position, so the route order
+        # between them is lost; the message names the pair, as a line would.
+        text = MINI_CSV.replace("B,33.1444,73.7456", "B,33.1445,73.7457")
+        with pytest.raises(MalformedRow, match=r"^consecutive points 'A' and 'B' coincide"):
+            RouteDb.from_csv(text)
+
     def test_comments_and_blank_lines_skipped(self):
         text = "# survey\n\n" + MINI_CSV
         assert len(RouteDb.from_csv(text).points) == 3
