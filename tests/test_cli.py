@@ -386,6 +386,26 @@ class TestRunLogDigests:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RUNLOG_SHA256[name]
 
 
+# sha256 of summary.txt that ``fearover run`` writes for each bundled scenario.
+SUMMARY_SHA256 = {
+    "survey_default": "f9edc6cab9c98ceb005f2db1a20839eaf2539752a2a7bfe4b95e1a2def78d67b",
+    "four_provider_trace": "6b7cdc4e1ee2d896c96bc918fc84be2a968ebfbe1dee09158522e9c24b75b4a2",
+    "seeded_violation": "57b8df480d3f83d353fd3b8f76e7d6778f0185edf199c01d1c180e4d6b353da6",
+}
+
+
+class TestSummaryDigests:
+    def test_every_bundled_scenario_is_pinned(self):
+        assert sorted(SUMMARY_SHA256) == sorted(RUNLOG_SHA256)
+
+    @pytest.mark.parametrize("name", sorted(SUMMARY_SHA256))
+    def test_summary_bytes_are_pinned(self, tmp_path, name):
+        assert main(["run", "--scenario", str(SCENARIOS / f"{name}.ini"),
+                     "--out", str(tmp_path)]) == 0
+        summary = (tmp_path / "summary.txt").read_bytes()
+        assert hashlib.sha256(summary).hexdigest() == SUMMARY_SHA256[name]
+
+
 class TestRunCommand:
     def test_happy_path_writes_three_files(self, tmp_path):
         out = tmp_path / "artifacts"
