@@ -61,9 +61,21 @@ CATALOGUE = (
            "loss = self._resolution is None",
            ("tests/test_sim.py",)),
     Mutant("decision-gate-always-open", "src/fearover/sim.py",
-           "if self._resolution is None:",
-           "if True:",
+           "if symbol is MobilitySymbol.HANDOVER and self._resolution is None:",
+           "if symbol is MobilitySymbol.HANDOVER:",
            ("tests/test_sim.py",)),
+    Mutant("decision-pays-no-optimisation", "src/fearover/sim.py",
+           "if decision or action is optimizer:",
+           "if action is optimizer:",
+           ("tests/test_cli.py",)),
+    Mutant("sensing-tick-pays-optimisation", "src/fearover/sim.py",
+           "if decision or action is optimizer:",
+           "if decision or action is optimizer or action is sensing:",
+           ("tests/test_sim.py",)),
+    Mutant("empty-rule-base-accepted", "src/fearover/cli.py",
+           "    if not rules:\n",
+           "    if False:\n",
+           ("tests/test_cli.py",)),
     Mutant("horizon-inclusive", "src/fearover/fear.py",
            "return distance_m < self.params.distance_horizon_m",
            "return distance_m <= self.params.distance_horizon_m",

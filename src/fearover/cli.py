@@ -138,8 +138,11 @@ def _parse_terms(raw: str) -> tuple[tuple[str, MembershipFunction], ...]:
 
 def _parse_rules(raw: str) -> RuleBase:
     from .fuzzy import RuleBase
-    return RuleBase(tuple((tuple(map(int, antecedent.split(","))), int(consequent))
-                          for antecedent, consequent in _items(raw, "->", "rule", "i,j->k")))
+    rules = tuple((tuple(map(int, antecedent.split(","))), int(consequent))
+                  for antecedent, consequent in _items(raw, "->", "rule", "i,j->k"))
+    if not rules:
+        raise ValueError("at least one rule required")
+    return RuleBase(rules)
 
 
 def parse_fuzzy_section(parser: configparser.ConfigParser, section: str,
@@ -346,7 +349,8 @@ def check_all_invariants(log) -> list:
 def _write_outputs(scenario: Scenario, log_) -> list:
     scenario.out_dir.mkdir(parents=True, exist_ok=True)
     (scenario.out_dir / "runlog.csv").write_text(runlog_to_csv(log_), encoding="utf-8")
-    (scenario.out_dir / "summary.txt").write_text(log_.summary_text(), encoding="utf-8")
+    (scenario.out_dir / "summary.txt").write_text(log_.summary_text(scenario.config.timing),
+                                                  encoding="utf-8")
     reports = check_all_invariants(log_)
     (scenario.out_dir / "invariants.txt").write_text(_invariants_text(reports), encoding="utf-8")
     return reports

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from typing import NamedTuple
 
 from ._records import field, record
@@ -146,8 +147,7 @@ class TickEvent(NamedTuple):
 
 @record
 class RunLog:
-    """A run: its tick events, the pool each decision sensed and the time
-    spent per task.
+    """A run: its tick events and the pool each decision sensed.
 
     A decision is a tick whose event carries an attempt or a stay;
     ``pools`` maps its tick to the pool ``sense`` returned there.
@@ -155,7 +155,6 @@ class RunLog:
 
     events: list[TickEvent] = field(default_factory=list)
     pools: dict[int, dict[str, PoolEntry]] = field(default_factory=dict)
-    time_spent_s: dict[str, float] = field(default_factory=dict)
 
     @property
     def attempts(self) -> list[TickEvent]:
@@ -169,7 +168,20 @@ class RunLog:
     def losses(self) -> list[TickEvent]:
         return [e for e in self.events if e.loss]
 
-    def summary_text(self) -> str:
+    def summary_text(self, timing: TimingModel) -> str:
+        """``summary.txt``.  Its time lines price the logged ticks with the
+        run's ``timing``; a task that was never paid is not printed."""
+        spent: defaultdict[str, float] = defaultdict(float)
+        sensing, optimizer = CsmAction.INITIATE_SENSING, CsmAction.INITIATE_OPTIMIZER
+        for event in self.events:
+            action = event.action
+            decision = event.attempt is not None or event.stay is not None
+            if decision or action is sensing or action is optimizer:
+                spent["sensing"] += timing.crst_s
+            if decision or action is optimizer:
+                spent["optimization"] += timing.megaot_s
+            if event.attempt is not None and event.attempt.success:
+                spent["handover"] += timing.hot_s
         attempts = self.attempts
         stays = self.stays
         successes = sum(1 for e in attempts if e.attempt.success)
@@ -193,7 +205,7 @@ class RunLog:
                 f"  tick {event.tick}: stayed on {s.provider} "
                 f"({s.current_dbm:g} -> {s.future_dbm:g} dBm)"
             )
-        for key, value in sorted(self.time_spent_s.items()):
+        for key, value in sorted(spent.items()):
             lines.append(f"time spent on {key}: {value:.6f}s")
         return "\n".join(lines) + "\n"
 
@@ -261,11 +273,6 @@ class Simulation:
         self._appraise = None
         self.log = RunLog()
 
-    # -- helpers -----------------------------------------------------------
-
-    def _spend(self, key: str, seconds: float) -> None:
-        self.log.time_spent_s[key] = self.log.time_spent_s.get(key, 0.0) + seconds
-
     # -- the tick pipeline --------------------------------------------------
 
     def tick(self) -> TickEvent:
@@ -308,18 +315,9 @@ class Simulation:
         stepped, symbol = step(self.state, band)
         self.state = stepped
 
-        attempt = None
-        stay = None
-        remapped = False
-        if symbol is MobilitySymbol.HANDOVER:
-            assert distance is not None
-            if self._resolution is None:
-                attempt, stay, remapped = self._decide_handover(provider, distance)
-        elif action is CsmAction.INITIATE_SENSING:
-            self._spend("sensing", cfg.timing.crst_s)
-        elif action is CsmAction.INITIATE_OPTIMIZER:
-            self._spend("sensing", cfg.timing.crst_s)
-            self._spend("optimization", cfg.timing.megaot_s)
+        attempt, stay, remapped = None, None, False
+        if symbol is MobilitySymbol.HANDOVER and self._resolution is None:
+            attempt, stay, remapped = self._decide_handover(provider, distance)
 
         events = self.log.events
         event = TickEvent(len(events), position, provider, stepped.label, fear, band,
@@ -335,10 +333,7 @@ class Simulation:
 
     def _decide_handover(self, provider: str,
                          distance: float) -> tuple[HandoverAttempt | None, StayEpisode | None, bool]:
-        cfg = self.config
         pool = sense(self.db, self.position_m)
-        self._spend("sensing", cfg.timing.crst_s)
-        self._spend("optimization", cfg.timing.megaot_s)
         self.log.pools[len(self.log.events)] = pool
         choice = select_whitespace(pool, provider)
         if choice == provider:
@@ -346,9 +341,8 @@ class Simulation:
             self._resolution = "stay"
             return None, StayEpisode(provider, entry.current_dbm, entry.future_dbm), False
         attempt = execute_handover(
-            provider, choice, time_left(distance, cfg.speed_mps), cfg.timing)
+            provider, choice, time_left(distance, self.config.speed_mps), self.config.timing)
         if attempt.success:
-            self._spend("handover", cfg.timing.hot_s)
             self.slots, slot, remapped = self.slots.adopt(provider, choice)
             self.state = base_state(slot)
             self.provider = choice

@@ -15,7 +15,15 @@ from fearover.cli import ScenarioError, load_scenario, main
 from fearover.crsite import TIMING_PRESETS
 from fearover.fuzzy import PLAIN_VALUE_LIMIT
 from fearover.route import BUILTIN_ROUTES, builtin_csv
-from fearover.sim import MAX_RUN_TICKS, SimConfig, Simulation, parse_runlog_csv, run, runlog_to_csv
+from fearover.sim import (
+    MAX_RUN_TICKS,
+    RunLog,
+    SimConfig,
+    Simulation,
+    parse_runlog_csv,
+    run,
+    runlog_to_csv,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -405,6 +413,22 @@ class TestSummaryDigests:
         summary = (tmp_path / "summary.txt").read_bytes()
         assert hashlib.sha256(summary).hexdigest() == SUMMARY_SHA256[name]
 
+    @pytest.mark.parametrize("name, preset, seed", [
+        *((name, None, None) for name in sorted(SUMMARY_SHA256)),
+        ("survey_default", "best", 3),
+    ])
+    def test_summary_is_rebuilt_from_the_runlog(self, tmp_path, name, preset, seed):
+        """``summary.txt`` is a function of ``runlog.csv`` and the run's timing."""
+        path = SCENARIOS / f"{name}.ini"
+        args = ["run", "--scenario", str(path), "--out", str(tmp_path)]
+        if preset is not None:
+            args += ["--preset", preset, "--seed", str(seed)]
+        assert main(args) == 0
+        events = parse_runlog_csv((tmp_path / "runlog.csv").read_text(encoding="utf-8"))
+        timing = load_scenario(path, preset, seed).config.timing
+        assert RunLog(events=events).summary_text(timing) == (
+            (tmp_path / "summary.txt").read_text(encoding="utf-8"))
+
 
 class TestRunCommand:
     def test_happy_path_writes_three_files(self, tmp_path):
@@ -495,9 +519,15 @@ class TestValidateCommand:
         ("[sim]\nstart_m = 40\nstop_m = 40\n", "[sim] need 0 <= start (40.0) < stop (40.0)"),
         ("[sim]\nstop_m = 8000\ntick_s = 1e-13\nspeed_mps = 0.5\n",
          "[sim] step speed_mps * tick_s = 5e-14 is below the float spacing"),
+        # A rule base under which nothing fires would never fear.  A ``;``
+        # after whitespace opens a comment, so ``rules = ;`` reads as empty.
+        ("[fuzzy:ig]\nrules =\n", "[fuzzy:ig] rules = '': at least one rule required\n"),
+        ("[fuzzy:ig]\nrules = ;\n", "[fuzzy:ig] rules = '': at least one rule required\n"),
+        ("[fuzzy:ig]\nrules =;\n", "[fuzzy:ig] rules = ';': at least one rule required\n"),
     ], ids=["sim", "fear", "pdfa", "timing", "unknown-section", "duplicate-section",
             "no-section-header", "slotless-initial-provider", "unknown-initial-provider",
-            "stop-past-route", "start-at-stop", "step-below-spacing"])
+            "stop-past-route", "start-at-stop", "step-below-spacing", "empty-rules",
+            "comment-only-rules", "semicolon-only-rules"])
     def test_error_names_the_scenario_once(self, tmp_path, capsys, text, detail):
         path = _write(tmp_path, "s.ini", text)
         assert main(["validate", "--scenario", str(path)]) == 2

@@ -17,6 +17,7 @@ from fearover.crsite import (
     CsmAction,
     HandoverAttempt,
     PoolEntry,
+    TimingModel,
     csm_dispatch,
     replay_attempts,
     time_left,
@@ -427,6 +428,36 @@ def _event(tick, distance, fear, provider="SP1", attempt=None, stay=None):
         symbol=MobilitySymbol.SELF, action=csm_dispatch(classify(fear, BandThresholds())),
         distance_to_bssp_m=distance, threat_dbm=-90.0,
         signal_now_dbm=-60.0, signal_future_dbm=-70.0, attempt=attempt, stay=stay)
+
+
+class TestSummaryTimeLines:
+    """``summary_text`` prices each logged task with the run's timing."""
+
+    TIMING = TimingModel(crst_s=0.25, megaot_s=0.5, hot_s=2.0)
+
+    def test_each_task_is_priced_once(self):
+        stay = StayEpisode("SP1", -60.0, -60.0)
+        log = RunLog(events=[
+            _event(0, 80.0, 0.0),   # B0: keep_current pays nothing
+            _event(1, 70.0, 0.5),   # B1: sensing
+            _event(2, 60.0, 0.7),   # B2: sensing and optimisation
+            _event(3, 50.0, 0.9, stay=stay),  # decision: sensing and optimisation
+            _event(4, 40.0, 0.9),   # B3 after the decision pays nothing
+            _event(5, 30.0, 0.9, attempt=HandoverAttempt("SP1", "SP2", 2.75, 1.0, False)),
+            _event(6, 20.0, 0.9, attempt=HandoverAttempt("SP1", "SP2", 2.75, 9.0, True)),
+        ])
+        assert log.summary_text(self.TIMING).splitlines()[-3:] == [
+            "time spent on handover: 2.000000s",
+            "time spent on optimization: 2.000000s",
+            "time spent on sensing: 1.250000s",
+        ]
+
+    def test_a_task_never_paid_is_not_printed(self):
+        log = RunLog(events=[_event(0, 80.0, 0.0), _event(1, 70.0, 0.5)])
+        assert log.summary_text(self.TIMING).splitlines()[-1] == (
+            "time spent on sensing: 0.250000s")
+        assert "time spent" not in RunLog(events=[_event(0, 80.0, 0.0)]).summary_text(
+            self.TIMING)
 
 
 class TestInvariant1Checker:
@@ -993,7 +1024,7 @@ class TestRunLogCsv:
     def test_summary_mentions_episodes(self, trace_db, fear_model):
         config = SimConfig(initial_provider="Telenor", stop_m=290.0)
         log = run(config, trace_db, fear_model)
-        text = log.summary_text()
+        text = log.summary_text(config.timing)
         assert "handover attempts: 3" in text
         assert "stay episodes: 1" in text
 
