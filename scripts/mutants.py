@@ -71,7 +71,7 @@ CATALOGUE = (
     Mutant("sensing-tick-pays-optimisation", "src/fearover/sim.py",
            "if decision or action is optimizer:",
            "if decision or action is optimizer or action is sensing:",
-           ("tests/test_sim.py",)),
+           ("tests/test_sim.py", "tests/test_cli.py")),
     Mutant("empty-rule-base-accepted", "src/fearover/cli.py",
            "    if not rules:\n",
            "    if False:\n",
@@ -244,12 +244,24 @@ CATALOGUE = (
            "flips = (slice(None), slice(None))",
            ("tests/test_fuzzy.py",)),
     Mutant("slot-check-seats-four", "src/fearover/automaton.py",
-           "enumerate(providers[:3])",
-           "enumerate(providers[:4])",
+           "return tuple(providers[:3])",
+           "return tuple(providers[:4])",
            ("tests/test_cli.py", "tests/test_sim.py")),
     Mutant("slot-check-skipped", "src/fearover/sim.py",
-           "if provider not in slots.providers:",
+           "if provider not in slots:",
            "if False:",
+           ("tests/test_cli.py",)),
+    Mutant("remap-not-flagged", "src/fearover/automaton.py",
+           "holders[index + 1:], index + 1, True",
+           "holders[index + 1:], index + 1, False",
+           ("tests/test_automaton.py", "tests/test_sim.py")),
+    Mutant("adopted-slot-not-vacated", "src/fearover/automaton.py",
+           "return holders[:index] + (adopted,) + holders[index + 1:],",
+           "return holders,",
+           ("tests/test_automaton.py", "tests/test_sim.py")),
+    Mutant("semicolon-starts-inline-comment", "src/fearover/cli.py",
+           'inline_comment_prefixes=("#",)',
+           'inline_comment_prefixes=(";", "#")',
            ("tests/test_cli.py",)),
     Mutant("record-eq-ignores-class", "src/fearover/_records.py",
            "if other.__class__ is self.__class__ else NotImplemented",

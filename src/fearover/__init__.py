@@ -12,7 +12,7 @@ fearover`` loads no submodule, and ``fearover.RouteDb`` imports
 
 _HOMES = {
     "automaton": ("Alert", "AutomatonState", "BandThresholds", "FearBand", "MobilitySymbol",
-                  "SlotMap", "UnmappedProvider", "base_state", "classify", "step"),
+                  "adopt_slot", "base_state", "classify", "slot_holders", "step"),
     "crsite": ("CsmAction", "EmptyPool", "HandoverAttempt", "PATCH_M", "PoolEntry",
                "TIMING_PRESETS", "TimingModel", "csm_dispatch", "execute_handover",
                "replay_attempts", "required_mobility_time", "select_whitespace", "sense",

@@ -9,14 +9,11 @@ per tick, so a handover request can only arise from an armed state.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from enum import Enum, IntEnum
 from functools import cached_property
 
 from ._records import record
-
-
-class UnmappedProvider(KeyError):
-    """Provider has no automaton slot assigned."""
 
 
 class FearBand(IntEnum):
@@ -120,51 +117,23 @@ def step(state: AutomatonState, band: FearBand) -> tuple[AutomatonState, Mobilit
     return ALL_STATES[3 * state.slot - 3 + nxt], symbol
 
 
-class SlotMap:
-    """Provider-to-slot assignment with handover-time remapping.
+def slot_holders(providers: Sequence[str]) -> tuple[str, ...]:
+    """The providers holding automaton slots: the first three, in slot order.
+    A holder's slot is its index plus one."""
+    return tuple(providers[:3])
 
-    The automaton has three slots; databases may carry more providers.
-    Initially the first three providers hold slots 1..3.  When a handover
-    adopts an unmapped provider it takes over the slot being vacated, and
-    the remap is reported so the run log can flag it.
+
+def adopt_slot(holders: tuple[str, ...], vacated: str,
+               adopted: str) -> tuple[tuple[str, ...], int, bool]:
+    """Slot holders after handing over ``vacated`` -> ``adopted``.
+
+    Returns (holders, adopted provider's slot, whether a remap occurred):
+    a holder keeps its slot; any other provider takes ``vacated``'s.
     """
-
-    def __init__(self, assignments: dict[str, int]) -> None:
-        if len(set(assignments.values())) != len(assignments):
-            raise ValueError("slots must be unique")
-        if any(slot not in (1, 2, 3) for slot in assignments.values()):
-            raise ValueError("slots must be 1..3")
-        self._assignments = dict(assignments)
-
-    @classmethod
-    def from_providers(cls, providers: list[str]) -> "SlotMap":
-        if not providers:
-            raise ValueError("at least one provider required")
-        return cls({p: i + 1 for i, p in enumerate(providers[:3])})
-
-    @property
-    def providers(self) -> list[str]:
-        """The providers holding slots, in slot order."""
-        return sorted(self._assignments, key=self._assignments.__getitem__)
-
-    def slot_of(self, provider: str) -> int:
-        try:
-            return self._assignments[provider]
-        except KeyError:
-            raise UnmappedProvider(provider) from None
-
-    def adopt(self, vacated: str, adopted: str) -> tuple["SlotMap", int, bool]:
-        """Slot assignment after handing over ``vacated`` -> ``adopted``.
-
-        Returns (new map, adopted provider's slot, whether a remap occurred).
-        """
-        if adopted in self._assignments:
-            return self, self._assignments[adopted], False
-        slot = self.slot_of(vacated)
-        assignments = dict(self._assignments)
-        del assignments[vacated]
-        assignments[adopted] = slot
-        return SlotMap(assignments), slot, True
+    if adopted in holders:
+        return holders, holders.index(adopted) + 1, False
+    index = holders.index(vacated)
+    return holders[:index] + (adopted,) + holders[index + 1:], index + 1, True
 
 
 def base_state(slot: int) -> AutomatonState:

@@ -3,21 +3,21 @@
 Scenario files are INI-style text with one section per subsystem::
 
     [route]
-    source = builtin:survey        ; or a CSV path, relative to this file
+    source = builtin:survey        # or a CSV path, relative to this file
     bad_threshold_dbm = -80
 
     [sim]
     tick_s = 0.5
     speed_mps = 4.0
     start_m = 0
-    ;stop_m =                      ; route end when omitted
+    #stop_m =                      # route end when omitted
     initial_provider = SP1
     comm_importance = 1.0
     sor = 1.0
     vtp = 1.0
     prospect = true
     desirability = -1.0
-    ;seed =                        ; random start position when set
+    #seed =                        # random start position when set
 
     [fear]
     fear_threshold = 0.0
@@ -32,19 +32,19 @@ Scenario files are INI-style text with one section per subsystem::
     th_high = 0.8
 
     [timing]
-    preset = worst                 ; worst|average|best, or custom with crst_s/megaot_s/hot_s
+    preset = worst                 # worst|average|best, or custom with crst_s/megaot_s/hot_s
 
     [output]
     dir = out
 
 Every key is optional, and every value is read as written (``%`` is not
-special).  The ``[sim]``, ``[fear]``, ``[pdfa]`` and ``[timing]``
-keys are the fields of ``SimConfig``, ``FearParams``, ``BandThresholds`` and
-``TimingModel``, whose defaults are shown, except that ``seed`` sets
-``SimConfig.start_seed``.  Unknown sections and keys are errors, and a
-value that its key cannot read fails as ``[section] key = 'value': reason``.
-``builtin:NAME`` names a CSV bundled with ``route``; it is read and checked
-as a CSV path is.
+special, and ``;`` starts a comment only at the start of a line).  The
+``[sim]``, ``[fear]``, ``[pdfa]`` and ``[timing]`` keys are the fields of
+``SimConfig``, ``FearParams``, ``BandThresholds`` and ``TimingModel``, whose
+defaults are shown, except that ``seed`` sets ``SimConfig.start_seed``.
+Unknown sections and keys are errors, and a value that its key cannot read
+fails as ``[section] key = 'value': reason``.  ``builtin:NAME`` names a CSV
+bundled with ``route``; it is read and checked as a CSV path is.
 
 Optional ``[fuzzy:likelihood]``, ``[fuzzy:undesirability]`` and
 ``[fuzzy:ig]`` sections replace a subsystem's membership functions and
@@ -257,7 +257,8 @@ def load_scenario(path: str | Path, preset_override: str | None = None,
     from .sim import resolve_run
     path = Path(path)
     # No interpolation: a value reaches its cast as written, ``%`` and all.
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    # Only ``#`` starts an inline comment: ``;`` separates ``[fuzzy:*]`` items.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:

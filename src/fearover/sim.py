@@ -37,9 +37,10 @@ from .automaton import (
     BandThresholds,
     FearBand,
     MobilitySymbol,
-    SlotMap,
+    adopt_slot,
     base_state,
     classify,
+    slot_holders,
     step,
 )
 from .crsite import (
@@ -210,9 +211,9 @@ class RunLog:
         return "\n".join(lines) + "\n"
 
 
-def resolve_run(config: SimConfig, db) -> tuple[float, float, float, str, SlotMap]:
+def resolve_run(config: SimConfig, db) -> tuple[float, float, float, str, tuple[str, ...]]:
     """Start (drawn when ``start_seed`` is set) and stop position, step a tick,
-    initial provider and slot map of a run of ``config`` over ``db``; raises
+    initial provider and slot holders of a run of ``config`` over ``db``; raises
     ValueError for a run that cannot start or would never arrive.  It imports
     nothing, so ``load_scenario`` runs it too."""
     stop = config.stop_m if config.stop_m is not None else db.route_length_m
@@ -233,10 +234,10 @@ def resolve_run(config: SimConfig, db) -> tuple[float, float, float, str, SlotMa
     provider = config.initial_provider or db.providers[0]
     if provider not in db.providers:
         raise ValueError(f"initial provider {provider!r} not in database")
-    slots = SlotMap.from_providers(db.providers)
-    if provider not in slots.providers:
+    slots = slot_holders(db.providers)
+    if provider not in slots:
         raise ValueError(f"initial provider {provider!r} holds no automaton slot: "
-                         f"only {', '.join(slots.providers)} do")
+                         f"only {', '.join(slots)} do")
     return start, stop, step, provider, slots
 
 
@@ -267,7 +268,7 @@ class Simulation:
         (e, f), (u, v) = step.as_integer_ratio(), math.ulp(self.stop_m).as_integer_ratio()
         self.tick_bound = -((a * t - s * b) * 2 * f * v // (t * b * (2 * e * v - u * f)))
         self.position_m = start
-        self.state = base_state(self.slots.slot_of(self.provider))
+        self.state = base_state(self.slots.index(self.provider) + 1)
         self._target: int | None = None
         self._resolution: str | None = None
         self._appraise = None
@@ -343,7 +344,7 @@ class Simulation:
         attempt = execute_handover(
             provider, choice, time_left(distance, self.config.speed_mps), self.config.timing)
         if attempt.success:
-            self.slots, slot, remapped = self.slots.adopt(provider, choice)
+            self.slots, slot, remapped = adopt_slot(self.slots, provider, choice)
             self.state = base_state(slot)
             self.provider = choice
             return attempt, None, remapped

@@ -9,10 +9,10 @@ from fearover.automaton import (
     BandThresholds,
     FearBand,
     MobilitySymbol,
-    SlotMap,
-    UnmappedProvider,
+    adopt_slot,
     base_state,
     classify,
+    slot_holders,
     step,
 )
 
@@ -146,8 +146,8 @@ class TestStepProperties:
             for fear in (0.0, 0.3, 0.5, 0.7, 0.9, 1.0):
                 nxt, _ = step(state, classify(fear, CFG))
                 assert any(nxt is s for s in ALL_STATES), (state.label, fear)
-        slots = SlotMap.from_providers(["SP1", "SP2", "SP3"])
-        assert base_state(slots.slot_of("SP2")) is ALL_STATES[3]
+        slots = slot_holders(["SP1", "SP2", "SP3"])
+        assert base_state(slots.index("SP2") + 1) is ALL_STATES[3]
         assert base_state(3) is ALL_STATES[6]
 
     def test_labels(self):
@@ -160,35 +160,30 @@ class TestStepProperties:
             AutomatonState(4)
 
 
-class TestSlotMap:
+class TestSlotHolders:
     def test_initial_assignment(self):
-        slots = SlotMap.from_providers(["SP1", "SP2", "SP3"])
-        assert base_state(slots.slot_of("SP1")) == AutomatonState(1)
-        assert base_state(slots.slot_of("SP3")) == AutomatonState(3)
+        slots = slot_holders(["SP1", "SP2", "SP3"])
+        assert slots == ("SP1", "SP2", "SP3")
+        assert base_state(slots.index("SP1") + 1) == AutomatonState(1)
+        assert base_state(slots.index("SP3") + 1) == AutomatonState(3)
 
-    def test_fourth_provider_unmapped(self):
-        slots = SlotMap.from_providers(["Telenor", "Zong", "Ufone", "Mobilink"])
-        with pytest.raises(UnmappedProvider):
-            base_state(slots.slot_of("Mobilink"))
+    def test_fourth_provider_holds_no_slot(self):
+        slots = slot_holders(["Telenor", "Zong", "Ufone", "Mobilink"])
+        assert slots == ("Telenor", "Zong", "Ufone")
+        assert "Mobilink" not in slots
 
-    def test_adopt_mapped_provider_keeps_map(self):
-        slots = SlotMap.from_providers(["SP1", "SP2", "SP3"])
-        same, slot, remapped = slots.adopt("SP1", "SP2")
+    def test_adopt_holder_keeps_holders(self):
+        slots = slot_holders(["SP1", "SP2", "SP3"])
+        same, slot, remapped = adopt_slot(slots, "SP1", "SP2")
         assert slot == 2 and not remapped and same is slots
 
-    def test_adopt_unmapped_provider_takes_vacated_slot(self):
-        slots = SlotMap.from_providers(["Telenor", "Zong", "Ufone", "Mobilink"])
-        new, slot, remapped = slots.adopt("Zong", "Mobilink")
+    def test_adopt_non_holder_takes_vacated_slot(self):
+        slots = slot_holders(["Telenor", "Zong", "Ufone", "Mobilink"])
+        new, slot, remapped = adopt_slot(slots, "Zong", "Mobilink")
         assert slot == 2 and remapped
-        assert new.slot_of("Mobilink") == 2
-        with pytest.raises(UnmappedProvider):
-            new.slot_of("Zong")
-        # the original map is untouched
-        assert slots.slot_of("Zong") == 2
-
-    def test_duplicate_slots_rejected(self):
-        with pytest.raises(ValueError):
-            SlotMap({"a": 1, "b": 1})
+        assert new == ("Telenor", "Mobilink", "Ufone")
+        # the original holders are untouched
+        assert slots == ("Telenor", "Zong", "Ufone")
 
 
 class TestCompleteHandover:

@@ -186,6 +186,18 @@ class TestScenarioLoading:
         assert tuple(label for label, _ in system.inputs[0].terms) == ("N", "F")
         assert len(system.rule_base.rules) == 10
 
+    def test_semicolon_after_whitespace_separates_items(self, tmp_path):
+        """Only ``#`` starts an inline comment: `` ; `` separates items."""
+        path = _write(tmp_path, "s.ini", "\n".join([
+            "[fuzzy:likelihood]",
+            "input1_terms = A:0,0,0.5,0.6 ; B:0.4,0.5,1,1",
+            "rules = 0,0->4 ; 0,1->4; 1,1->3",
+            "",
+        ]))
+        system = load_scenario(path).fear_model.likelihood_system
+        assert tuple(label for label, _ in system.inputs[0].terms) == ("A", "B")
+        assert len(system.rule_base.rules) == 3
+
     def test_malformed_terms(self, tmp_path):
         path = _write(tmp_path, "s.ini", "[fuzzy:ig]\ninput1_terms = broken\n")
         with pytest.raises(ScenarioError, match="input1_terms"):
@@ -374,12 +386,15 @@ class TestDocumentedDefaults:
         assert scenario.db.bad_threshold_dbm == -80.0
 
 
-# sha256 of runlog.csv for each bundled scenario; equal to
-# bench/reference.json's cli_runlog_sha256.
+# sha256 of runlog.csv for each bundled scenario.  The first three equal
+# bench/reference.json's cli_runlog_sha256; the benchmark pins only those.
 RUNLOG_SHA256 = {
     "survey_default": "45c2f1f789074f80c7b1251eb83b8f9a9d650cf6a26ffb8e36b2c1ca3946056b",
     "four_provider_trace": "51919759eb9bee91d70a5d60a178587f9b0fcd2d4758213d3de2258f02d6d517",
     "seeded_violation": "b6bd172169fada4d75815a4af31be8ffa394b2246e3c30173209c9aedf2338a2",
+    # Halved comm_importance, sor and vtp: the one bundled run with B1 ticks.
+    "survey_halved_appraisal":
+        "bd0d9eaf1513af84a2a271fd9def02062ffcd712bd5eaf3ac2353d706a3a8037",
 }
 
 
@@ -399,6 +414,8 @@ SUMMARY_SHA256 = {
     "survey_default": "f9edc6cab9c98ceb005f2db1a20839eaf2539752a2a7bfe4b95e1a2def78d67b",
     "four_provider_trace": "6b7cdc4e1ee2d896c96bc918fc84be2a968ebfbe1dee09158522e9c24b75b4a2",
     "seeded_violation": "57b8df480d3f83d353fd3b8f76e7d6778f0185edf199c01d1c180e4d6b353da6",
+    "survey_halved_appraisal":
+        "95069b855d7daf7ea555e51ca645259a94925ddc8cdc768d45d4df7ebc0c0d29",
 }
 
 
@@ -519,10 +536,10 @@ class TestValidateCommand:
         ("[sim]\nstart_m = 40\nstop_m = 40\n", "[sim] need 0 <= start (40.0) < stop (40.0)"),
         ("[sim]\nstop_m = 8000\ntick_s = 1e-13\nspeed_mps = 0.5\n",
          "[sim] step speed_mps * tick_s = 5e-14 is below the float spacing"),
-        # A rule base under which nothing fires would never fear.  A ``;``
-        # after whitespace opens a comment, so ``rules = ;`` reads as empty.
+        # A rule base under which nothing fires would never fear.  A ``#``
+        # after whitespace opens a comment, so ``rules = # none`` reads as empty.
         ("[fuzzy:ig]\nrules =\n", "[fuzzy:ig] rules = '': at least one rule required\n"),
-        ("[fuzzy:ig]\nrules = ;\n", "[fuzzy:ig] rules = '': at least one rule required\n"),
+        ("[fuzzy:ig]\nrules = # none\n", "[fuzzy:ig] rules = '': at least one rule required\n"),
         ("[fuzzy:ig]\nrules =;\n", "[fuzzy:ig] rules = ';': at least one rule required\n"),
     ], ids=["sim", "fear", "pdfa", "timing", "unknown-section", "duplicate-section",
             "no-section-header", "slotless-initial-provider", "unknown-initial-provider",

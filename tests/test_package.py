@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # Home module -> the public names ``fearover`` exports from it.
 EXPORTS = {
     "automaton": {"Alert", "AutomatonState", "BandThresholds", "FearBand", "MobilitySymbol",
-                  "SlotMap", "UnmappedProvider", "base_state", "classify", "step"},
+                  "adopt_slot", "base_state", "classify", "slot_holders", "step"},
     "crsite": {"CsmAction", "EmptyPool", "HandoverAttempt", "PATCH_M", "PoolEntry",
                "TIMING_PRESETS", "TimingModel", "csm_dispatch", "execute_handover",
                "replay_attempts", "required_mobility_time", "select_whitespace", "sense",

@@ -703,7 +703,7 @@ class TestEpisodeAppraiser:
         return appraised
 
     @pytest.mark.parametrize("name", ["four_provider_trace", "seeded_violation",
-                                      "survey_default"])
+                                      "survey_default", "survey_halved_appraisal"])
     def test_bundled_scenarios(self, name):
         scenario = load_scenario(TestParsedRunLog.SCENARIOS / f"{name}.ini")
         assert self._check_appraised_fear(scenario.config, scenario.db, scenario.fear_model)
@@ -823,7 +823,7 @@ class TestCoasting:
         return sim, log
 
     @pytest.mark.parametrize("name", ["four_provider_trace", "seeded_violation",
-                                      "survey_default"])
+                                      "survey_default", "survey_halved_appraisal"])
     def test_bundled_scenarios(self, name):
         scenario = load_scenario(self.SCENARIOS / f"{name}.ini")
         sim, log = self._check_run_matches_tick_loop(
