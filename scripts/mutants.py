@@ -52,6 +52,28 @@ CATALOGUE = (
            '"bad_threshold_dbm", _finite,',
            '"bad_threshold_dbm", float,',
            ("tests/test_cli.py",)),
+    Mutant("csv-readings-unchecked", "src/fearover/route.py",
+           "                _check_readings(providers, dbms)\n",
+           "",
+           ("tests/test_route.py",)),
+    Mutant("csv-label-unstripped", "src/fearover/route.py",
+           "label = fields[0].strip()",
+           "label = fields[0]",
+           ("tests/test_route.py",)),
+    Mutant("quoted-line-split-at-commas", "src/fearover/route.py",
+           "if '\"' in line:",
+           "if False:",
+           ("tests/test_route.py",)),
+    Mutant("lazy-points-swap-coordinates", "src/fearover/route.py",
+           "zip(self.labels, self.latitudes,\n"
+           "                                                       self.longitudes,",
+           "zip(self.labels, self.longitudes,\n"
+           "                                                       self.latitudes,",
+           ("tests/test_route.py",)),
+    Mutant("tick-reads-the-first-column", "src/fearover/sim.py",
+           "        readings = db.readings[provider]\n        if target_index is None:",
+           "        readings = db.readings[db.providers[0]]\n        if target_index is None:",
+           ("tests/test_sim.py",)),
     Mutant("segment-bisect-left", "src/fearover/route.py",
            "ahead = bisect_right(self.cumulative_m, position_m)",
            "ahead = bisect_left(self.cumulative_m, position_m)",
@@ -133,8 +155,8 @@ CATALOGUE = (
            "if self.state.alert is not Alert.BASE:",
            ("tests/test_sim.py",)),
     Mutant("coast-keeps-readings-across-a-point", "src/fearover/sim.py",
-           "                now_dbm = points[passed].signals[provider]\n"
-           "                future_dbm = points[ahead].signals[provider]\n",
+           "                now_dbm = readings[passed]\n"
+           "                future_dbm = readings[ahead]\n",
            "",
            ("tests/test_sim.py",)),
     Mutant("coast-runs-past-the-target", "src/fearover/sim.py",

@@ -326,7 +326,7 @@ def load_scenario(path: str | Path, preset_override: str | None = None,
         out_dir = Path.cwd() / out_dir
     if (log := _logger()) is not None:
         log.info("scenario %s: %d route points over %.0f m, providers %s",
-                 path, len(db.points), db.route_length_m, ", ".join(db.providers))
+                 path, len(db.labels), db.route_length_m, ", ".join(db.providers))
     return Scenario(db=db, config=config, fear_model=model, out_dir=out_dir)
 
 

@@ -8,7 +8,9 @@ when that provider's reading is at or below the database's bad threshold.
 CSV schema: ``label,lat,lon,<provider>,...`` with dBm values, a required
 header, UTF-8 text and ``#`` comment lines.  A provider name is not empty
 and holds no ``,``, ``"``, CR or LF: it becomes a field of ``runlog.csv``,
-which quotes no field.
+which quotes no field.  ``RouteDb`` keeps the survey as columns (labels,
+coordinates, distance along the route and each provider's readings) and
+builds the ``SurveyPoint`` records from them only when asked.
 
 Two databases are bundled, and a scenario names them as ``builtin:<name>``
 instead of a CSV path.  ``survey`` is the real F2-Mangla road survey (three
@@ -19,11 +21,13 @@ handover trace (two handovers, a bridge handover, one deliberate stay).
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from functools import cached_property
 from importlib import resources
+from itertools import accumulate, compress, repeat
+from operator import le
 from types import MappingProxyType
 
 from ._records import record
@@ -73,26 +77,45 @@ def _check_provider_names(names: Sequence[str]) -> None:
         raise ValueError("duplicate provider column")
 
 
+def _check_coordinates(latitude: float, longitude: float) -> None:
+    """Raise ValueError unless the point lies on the globe."""
+    if not -90.0 <= latitude <= 90.0:
+        raise ValueError(f"latitude {latitude} outside [-90, 90]")
+    if not -180.0 <= longitude <= 180.0:
+        raise ValueError(f"longitude {longitude} outside [-180, 180]")
+
+
+def _check_readings(providers: Iterable[str], dbms: Iterable[float]) -> None:
+    """Raise ValueError for the first reading outside [-120, 0] dBm (NaN too)."""
+    for provider, dbm in zip(providers, dbms):
+        if not -120.0 <= dbm <= 0.0:
+            raise ValueError(f"{provider}={dbm} outside [-120, 0] dBm")
+
+
 @record(frozen=True)
 class GeoPoint:
     latitude: float
     longitude: float
 
     def __post_init__(self) -> None:
-        if not -90.0 <= self.latitude <= 90.0:
-            raise ValueError(f"latitude {self.latitude} outside [-90, 90]")
-        if not -180.0 <= self.longitude <= 180.0:
-            raise ValueError(f"longitude {self.longitude} outside [-180, 180]")
+        _check_coordinates(self.latitude, self.longitude)
+
+
+def _hops_m(latitudes: Sequence[float], longitudes: Sequence[float]) -> list[float]:
+    """Great-circle length in metres, on a sphere of Earth mean radius, of
+    each hop between consecutive points of a route given as columns."""
+    radians, sin = math.radians, math.sin
+    phis = list(map(radians, latitudes))
+    cosines = list(map(math.cos, phis))
+    return [2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(
+                sin((phi2 - phi1) / 2.0) ** 2 + cos1 * cos2 * sin(radians(lon2 - lon1) / 2.0) ** 2)))
+            for phi1, phi2, cos1, cos2, lon1, lon2 in zip(
+                phis, phis[1:], cosines, cosines[1:], longitudes, longitudes[1:])]
 
 
 def haversine_m(p1: GeoPoint, p2: GeoPoint) -> float:
     """Great-circle distance in metres on a sphere of Earth mean radius."""
-    phi1 = math.radians(p1.latitude)
-    phi2 = math.radians(p2.latitude)
-    dphi = phi2 - phi1
-    dlam = math.radians(p2.longitude - p1.longitude)
-    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+    return _hops_m((p1.latitude, p2.latitude), (p1.longitude, p2.longitude))[0]
 
 
 @record(frozen=True)
@@ -109,10 +132,9 @@ class SurveyPoint:
     signals: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "signals", MappingProxyType(dict(self.signals)))
-        for provider, dbm in self.signals.items():
-            if not -120.0 <= dbm <= 0.0:
-                raise ValueError(f"{provider}={dbm} outside [-120, 0] dBm")
+        signals = MappingProxyType(dict(self.signals))
+        object.__setattr__(self, "signals", signals)
+        _check_readings(signals, signals.values())
 
     def signal(self, provider: str) -> float:
         try:
@@ -121,55 +143,95 @@ class SurveyPoint:
             raise UnknownProvider(provider) from None
 
 
+def _split(line: str) -> list[str]:
+    """The fields of one CSV line as ``csv``'s default dialect reads them,
+    unstripped.  A line holding no quote is split at its commas, which is
+    what that dialect does with it; only a line with a quote loads ``csv``."""
+    if '"' in line:
+        import csv
+
+        return next(csv.reader([line]))
+    return line.split(",")
+
+
 class RouteDb:
     """Immutable-after-load route survey with distance and signal queries.
 
-    ``providers``, ``points`` and ``cumulative_m`` are tuples: the BSSP index
-    is built from them once, and the tick loop reads a provider's readings
-    without checking it again.
+    The survey is held as read-only columns in drive order: ``labels``,
+    ``latitudes``, ``longitudes`` and ``cumulative_m`` are tuples, and
+    ``readings`` maps each provider to the tuple of its readings.  The BSSP
+    index is built from them once, and the tick loop reads a provider's
+    column without checking it again.  ``points``, the ``SurveyPoint``
+    records, is built on first access from the very objects in the columns;
+    ``from_csv`` builds no record until then.
     """
 
     def __init__(self, providers: list[str], points: list[SurveyPoint],
                  bad_threshold_dbm: float = DEFAULT_BAD_THRESHOLD_DBM) -> None:
+        points = tuple(points)
         if len(points) < 2:
             raise EmptyDatabase(f"need at least 2 points, got {len(points)}")
-        self.bad_threshold_dbm = float(bad_threshold_dbm)
+        readings = {}
+        for provider in providers:
+            try:
+                readings[provider] = tuple(pt.signals[provider] for pt in points)
+            except KeyError:
+                label = next(pt.label for pt in points if provider not in pt.signals)
+                raise MalformedRow(f"point {label!r} has no {provider!r} reading") from None
+        self._index(providers, tuple(pt.label for pt in points),
+                    tuple(pt.point.latitude for pt in points),
+                    tuple(pt.point.longitude for pt in points), readings, bad_threshold_dbm)
+        self.points = points
+
+    def _index(self, providers: Sequence[str], labels: tuple[str, ...],
+               latitudes: tuple[float, ...], longitudes: tuple[float, ...],
+               readings: dict[str, tuple[float, ...]], bad_threshold_dbm: float) -> None:
+        """Check the route, accumulate distance along it and index its BSSPs."""
+        self.bad_threshold_dbm = threshold = float(bad_threshold_dbm)
         # NaN would mark no point bad and inf every point: a run with no
         # threats, or nothing but threats, rather than an error.
-        if not math.isfinite(self.bad_threshold_dbm):
+        if not math.isfinite(threshold):
             raise ValueError(f"bad_threshold_dbm must be finite, got {bad_threshold_dbm}")
         self.providers = tuple(providers)
         _check_provider_names(self.providers)
-        self.points = tuple(points)
-        cumulative = [0.0]
-        for prev, cur in zip(self.points, self.points[1:]):
-            cumulative.append(cumulative[-1] + haversine_m(prev.point, cur.point))
-            if cumulative[-1] <= cumulative[-2]:
-                raise MalformedRow(f"consecutive points {prev.label!r} and {cur.label!r} "
+        self.labels, self.latitudes, self.longitudes = labels, latitudes, longitudes
+        self.cumulative_m = cumulative = tuple(accumulate(_hops_m(latitudes, longitudes),
+                                                          initial=0.0))
+        for k in range(1, len(cumulative)):
+            if cumulative[k] <= cumulative[k - 1]:
+                raise MalformedRow(f"consecutive points {labels[k - 1]!r} and {labels[k]!r} "
                                    "coincide; route order broken")
-        self.cumulative_m = tuple(cumulative)
+        self.readings = MappingProxyType(readings)
         # provider -> (positions, indices) of its BSSPs in drive order;
         # positions ascend because ``cumulative_m`` does.
         self._bssps: dict[str, tuple[list[float], list[int]]] = {}
-        for p in self.providers:
-            indices = [i for i, pt in enumerate(self.points)
-                       if pt.signal(p) <= self.bad_threshold_dbm]
+        every_index = range(len(cumulative))
+        for p, column in readings.items():
+            indices = list(compress(every_index, map(le, column, repeat(threshold))))
             self._bssps[p] = ([cumulative[i] for i in indices], indices)
+
+    @cached_property
+    def points(self) -> tuple[SurveyPoint, ...]:
+        """The survey's records, built from the columns on first access."""
+        providers = self.providers
+        return tuple(SurveyPoint(label, GeoPoint(lat, lon), dict(zip(providers, dbms)))
+                     for label, lat, lon, *dbms in zip(self.labels, self.latitudes,
+                                                       self.longitudes, *self.readings.values()))
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_csv(cls, text: str,
                  bad_threshold_dbm: float = DEFAULT_BAD_THRESHOLD_DBM) -> "RouteDb":
-        lines = []
-        for number, raw in enumerate(text.splitlines(), start=1):
-            if not raw.strip() or raw.lstrip().startswith("#"):
-                continue
-            lines.append((number, raw))
-        if not lines:
+        """Parse ``text`` straight into the columns, checking each row as
+        ``GeoPoint`` and ``SurveyPoint`` check theirs."""
+        # (line number, line) of each line that is neither blank nor a comment.
+        lines = ((number, raw) for number, raw in enumerate(text.splitlines(), start=1)
+                 if raw.lstrip()[:1] not in ("", "#"))
+        header_no, header = next(lines, (0, None))
+        if header is None:
             raise EmptyDatabase("no rows at all")
-        header_no, header = lines[0]
-        columns = [c.strip() for c in next(csv.reader([header]))]
+        columns = [c.strip() for c in _split(header)]
         if len(columns) < 4 or [c.lower() for c in columns[:3]] != ["label", "lat", "lon"]:
             raise MalformedRow(f"line {header_no}: header must be label,lat,lon,<providers>")
         providers = columns[3:]
@@ -178,28 +240,45 @@ class RouteDb:
         except ValueError as exc:
             raise MalformedRow(f"line {header_no}: {exc}") from None
 
-        points: list[SurveyPoint] = []
+        width = len(columns)
+        labels, latitudes, longitudes, rows = [], [], [], []
         seen: set[str] = set()
-        for number, raw in lines[1:]:
-            fields = [f.strip() for f in next(csv.reader([raw]))]
-            if len(fields) != len(columns):
-                raise MalformedRow(f"line {number}: expected {len(columns)} fields, got {len(fields)}")
-            label = fields[0]
+        for number, raw in lines:
+            fields = _split(raw)
+            if len(fields) != width:
+                raise MalformedRow(f"line {number}: expected {width} fields, got {len(fields)}")
+            label = fields[0].strip()
             if label in seen:
                 raise DuplicateLabel(f"line {number}: duplicate label {label!r}")
             seen.add(label)
             try:
                 lat, lon = float(fields[1]), float(fields[2])
-                dbms = [float(f) for f in fields[3:]]
+                dbms = list(map(float, fields[3:]))
             except ValueError as exc:
+                # ``float`` reads a field as it reads the field stripped, which
+                # is what the message should quote.
+                for field in fields[1:]:
+                    try:
+                        float(field.strip())
+                    except ValueError as stripped_exc:
+                        exc = stripped_exc
+                        break
                 raise MalformedRow(f"line {number}: {exc}") from None
             try:
-                points.append(SurveyPoint(label, GeoPoint(lat, lon), dict(zip(providers, dbms))))
+                _check_coordinates(lat, lon)
+                _check_readings(providers, dbms)
             except ValueError as exc:
                 raise MalformedRow(f"line {number}: {exc}") from None
-        if len(points) < 2:
-            raise EmptyDatabase(f"need at least 2 data rows, got {len(points)}")
-        return cls(providers, points, bad_threshold_dbm)
+            labels.append(label)
+            latitudes.append(lat)
+            longitudes.append(lon)
+            rows.append(dbms)
+        if len(rows) < 2:
+            raise EmptyDatabase(f"need at least 2 data rows, got {len(rows)}")
+        db = cls.__new__(cls)
+        db._index(providers, tuple(labels), tuple(latitudes), tuple(longitudes),
+                  dict(zip(providers, zip(*rows))), bad_threshold_dbm)
+        return db
 
     # -- queries -----------------------------------------------------------
 
@@ -221,11 +300,13 @@ class RouteDb:
         return indices[k] if k < len(indices) else None
 
     def signal_at(self, index: int, provider: str) -> float:
-        if provider not in self._bssps:
-            raise UnknownProvider(provider)
-        if not 0 <= index < len(self.points):
+        try:
+            column = self.readings[provider]
+        except KeyError:
+            raise UnknownProvider(provider) from None
+        if not 0 <= index < len(column):
             raise IndexOutOfRange(index)
-        return self.points[index].signal(provider)
+        return column[index]
 
     def segment(self, position_m: float) -> tuple[int, int]:
         """Indices of the nearest point at or behind ``position_m`` and of the

@@ -291,25 +291,25 @@ class Simulation:
             self._target = self._resolution = self._appraise = None
 
         # ``next_bad_index`` rejects an unknown provider, so the readings
-        # below are taken straight from the points.
+        # below are taken straight from the provider's column.
         provider = self.provider
         target_index = db.next_bad_index(position, provider)
-        points = db.points
+        readings = db.readings[provider]
         if target_index is None:
             distance = None
             threat_dbm = None
             fear = 0.0
         else:
             distance = cumulative[target_index] - position
-            threat_dbm = points[target_index].signals[provider]
+            threat_dbm = readings[target_index]
             fear = 0.0
             if self.fear_model.in_horizon(distance):
                 if self._appraise is None:
                     self._appraise = self.fear_model.approach(cfg.appraisal(distance, threat_dbm))
                 fear = self._appraise(distance)
         passed, ahead = db.segment(position)
-        signal_now = points[passed].signals[provider]
-        signal_future = points[ahead].signals[provider]
+        signal_now = readings[passed]
+        signal_future = readings[ahead]
 
         band = classify(fear, cfg.bands)
         action = csm_dispatch(band)
@@ -365,7 +365,7 @@ class Simulation:
         if self.provider != last.provider or self.state.alert is not Alert.BASE:
             return
         db, stop = self.db, self.stop_m
-        cumulative, points, segment = db.cumulative_m, db.points, db.segment
+        cumulative, segment = db.cumulative_m, db.segment
         step_m = self.config.speed_mps * self.config.tick_s
         position = self.position_m
         # Short of stop, ``tick``'s ``min(position + step, stop)`` is
@@ -375,6 +375,7 @@ class Simulation:
         in_horizon = self.fear_model.in_horizon
         events, bound = self.log.events, self.tick_bound
         provider, state, threat_dbm = last.provider, last.state, last.threat_dbm
+        readings = db.readings[provider]
         now_dbm, future_dbm = last.signal_now_dbm, last.signal_future_dbm
         band, symbol, action = FearBand.B0, MobilitySymbol.SELF, CsmAction.KEEP_CURRENT
         # ``tuple.__new__`` builds the event without the NamedTuple's
@@ -391,8 +392,8 @@ class Simulation:
                 if q >= stop:
                     break
                 passed, ahead = segment(q)
-                now_dbm = points[passed].signals[provider]
-                future_dbm = points[ahead].signals[provider]
+                now_dbm = readings[passed]
+                future_dbm = readings[ahead]
                 end = min(cumulative[ahead], stop)
             events.append(new(TickEvent, (len(events), q, provider, state, 0.0, band, symbol,
                                           action, distance, threat_dbm, now_dbm, future_dbm,

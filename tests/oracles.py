@@ -157,6 +157,39 @@ def reference_great_circle_m(lat1: float, lon1: float, lat2: float, lon2: float,
     return radius * math.atan2(y, x)
 
 
+def reference_haversine_m(lat1: float, lon1: float, lat2: float, lon2: float,
+                          radius: float = 6371008.8) -> float:
+    """The haversine form, operation for operation as the route database
+    evaluates it, so distances along a route agree to the bit."""
+    phi1, phi2 = math.radians(lat1), math.radians(lat2)
+    half_dphi = (phi2 - phi1) / 2.0
+    half_dlam = math.radians(lon2 - lon1) / 2.0
+    h = math.sin(half_dphi) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(half_dlam) ** 2
+    return 2.0 * radius * math.asin(min(1.0, math.sqrt(h)))
+
+
+def reference_route(text: str, bad_threshold_dbm: float) -> dict:
+    """A survey CSV read row by row with ``csv``: labels, coordinates,
+    readings per provider, distance along the route and each provider's
+    bad-point indices.  Assumes the text is well formed."""
+    rows = [row for row in csv.reader(io.StringIO(text))
+            if row and "".join(row).strip() and not row[0].lstrip().startswith("#")]
+    header = [field.strip() for field in rows[0]]
+    providers = header[3:]
+    body = [[field.strip() for field in row] for row in rows[1:]]
+    lats = [float(row[1]) for row in body]
+    lons = [float(row[2]) for row in body]
+    readings = {p: [float(row[3 + k]) for row in body] for k, p in enumerate(providers)}
+    cumulative = [0.0]
+    for k in range(1, len(body)):
+        cumulative.append(cumulative[-1] + reference_haversine_m(lats[k - 1], lons[k - 1],
+                                                                 lats[k], lons[k]))
+    bad = {p: [k for k, dbm in enumerate(column) if dbm <= bad_threshold_dbm]
+           for p, column in readings.items()}
+    return {"providers": providers, "labels": [row[0] for row in body], "latitudes": lats,
+            "longitudes": lons, "readings": readings, "cumulative_m": cumulative, "bad": bad}
+
+
 # -- tick pipeline ----------------------------------------------------------------
 
 _ALERT_SUFFIX = ("", "a", "b")

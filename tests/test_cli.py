@@ -639,6 +639,15 @@ class TestLogEnv:
             ["scenario " + str(SCENARIOS / "survey_default.ini"), "run finished"]
             if verbose else [])
 
+    def test_scenario_line_reads_the_columns(self, monkeypatch, caplog):
+        monkeypatch.setenv("FEAROVER_LOG", "INFO")
+        caplog.set_level(logging.INFO, logger="fearover")
+        db = load_scenario(SCENARIOS / "survey_default.ini").db
+        assert "points" not in vars(db)
+        assert caplog.records[0].getMessage() == (
+            f"scenario {SCENARIOS / 'survey_default.ini'}: 14 route points over 8440 m, "
+            "providers SP1, SP2, SP3")
+
 
 class TestConsoleScript:
     def test_fresh_processes_agree_byte_for_byte(self, tmp_path):
@@ -809,7 +818,19 @@ class TestColdStartImports:
                 "validate": ["validate", "--scenario", scenario],
                 "replay-tables": ["replay-tables"]}[command]
         loaded = _loaded_modules(*args)
-        assert not loaded & {"dataclasses", "inspect", "logging", "fractions", "decimal"}
+        assert not loaded & {"dataclasses", "inspect", "logging", "fractions", "decimal", "csv"}
+
+    @pytest.mark.parametrize("scenario", ["four_provider_trace", "seeded_violation",
+                                          "survey_halved_appraisal"])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_bundled_routes_load_without_csv(self, tmp_path, scenario, command):
+        # A route line holding no quote is split without ``csv``; the
+        # survey_default case is above.  seeded_violation fails Invariant1.
+        path = str(SCENARIOS / f"{scenario}.ini")
+        args = {"run": ["run", "--scenario", path, "--out", str(tmp_path)],
+                "validate": ["validate", "--scenario", path]}[command]
+        code = 1 if (scenario, command) == ("seeded_violation", "validate") else 0
+        assert "csv" not in _loaded_modules(*args, code=code)
 
     def test_verbose_log_loads_logging(self):
         assert "logging" in _loaded_modules("replay-tables", log="INFO")

@@ -17,7 +17,7 @@ from fearover.route import (
     haversine_m,
 )
 
-from oracles import reference_great_circle_m
+from oracles import reference_great_circle_m, reference_route
 
 MINI_CSV = """\
 label,lat,lon,SP1,SP2
@@ -103,6 +103,219 @@ class TestLoadCsv:
         text = MINI_CSV.replace("-100", "-99.5")
         db = RouteDb.from_csv(text)
         assert db.points[0].signal("SP1") == -99.5
+
+
+def _with_refusal(old: str, new: str, count: int = 1) -> str:
+    assert MINI_CSV.count(old) >= count
+    return MINI_CSV.replace(old, new, count)
+
+
+class TestCsvRefusals:
+    """Every way ``from_csv`` refuses a text, by exception class and message."""
+
+    @pytest.mark.parametrize("text, error, message", [
+        pytest.param(_with_refusal("B,33.1444,73.7456,-60,-70", "B,33.1444,73.7456,-60"),
+                     MalformedRow, "line 3: expected 5 fields, got 4", id="too-few-fields"),
+        pytest.param(_with_refusal("-60,-70", "-60,-70,-80"),
+                     MalformedRow, "line 3: expected 5 fields, got 6", id="too-many-fields"),
+        pytest.param(_with_refusal("B,", "A,"),
+                     DuplicateLabel, "line 3: duplicate label 'A'", id="duplicate-label"),
+        pytest.param(_with_refusal("B,", " A ,"),
+                     DuplicateLabel, "line 3: duplicate label 'A'", id="duplicate-padded-label"),
+        pytest.param(_with_refusal("label", "name"),
+                     MalformedRow, "line 1: header must be label,lat,lon,<providers>",
+                     id="bad-header"),
+        pytest.param("label,lat,lon\nA,33,73\nB,34,73\n",
+                     MalformedRow, "line 1: header must be label,lat,lon,<providers>",
+                     id="no-provider-column"),
+        pytest.param(_with_refusal("SP2", " "), MalformedRow,
+                     "line 1: provider name '' is empty or holds a comma, quote, CR or LF",
+                     id="empty-provider"),
+        pytest.param(_with_refusal("SP2", '"S,P"'), MalformedRow,
+                     "line 1: provider name 'S,P' is empty or holds a comma, quote, CR or LF",
+                     id="provider-with-comma"),
+        pytest.param(_with_refusal("SP2", "SP1"),
+                     MalformedRow, "line 1: duplicate provider column", id="repeated-provider"),
+        pytest.param(_with_refusal("33.1444", "north"), MalformedRow,
+                     "line 3: could not convert string to float: 'north'", id="lat-unparsable"),
+        pytest.param(_with_refusal("73.7456", " 73.7.456 "), MalformedRow,
+                     "line 3: could not convert string to float: '73.7.456'",
+                     id="lon-unparsable"),
+        pytest.param(_with_refusal("-70", "-7O"), MalformedRow,
+                     "line 3: could not convert string to float: '-7O'", id="dbm-unparsable"),
+        pytest.param(_with_refusal("33.1444", "95"),
+                     MalformedRow, "line 3: latitude 95.0 outside [-90, 90]", id="lat-out"),
+        pytest.param(_with_refusal("33.1444", "nan"),
+                     MalformedRow, "line 3: latitude nan outside [-90, 90]", id="lat-nan"),
+        pytest.param(_with_refusal("73.7456", "-180.5"),
+                     MalformedRow, "line 3: longitude -180.5 outside [-180, 180]", id="lon-out"),
+        pytest.param(_with_refusal("73.7456", "NaN"),
+                     MalformedRow, "line 3: longitude nan outside [-180, 180]", id="lon-nan"),
+        pytest.param(_with_refusal("-70", "-130"),
+                     MalformedRow, "line 3: SP2=-130.0 outside [-120, 0] dBm", id="dbm-out"),
+        pytest.param(_with_refusal("-60", "5"),
+                     MalformedRow, "line 3: SP1=5.0 outside [-120, 0] dBm", id="dbm-positive"),
+        pytest.param(_with_refusal("-70", "nan"),
+                     MalformedRow, "line 3: SP2=nan outside [-120, 0] dBm", id="dbm-nan"),
+        # A row is refused for its first fault, and the first faulty row wins.
+        pytest.param(_with_refusal("B,33.1444,73.7456,-60", "B,95,x,-60"), MalformedRow,
+                     "line 3: could not convert string to float: 'x'", id="parse-before-range"),
+        pytest.param(_with_refusal("B,33.1444,73.7456,-60,-70", "B,33.1444,181,-60,-130"),
+                     MalformedRow, "line 3: longitude 181.0 outside [-180, 180]",
+                     id="coordinates-before-readings"),
+        pytest.param(_with_refusal("-60", "-130").replace("C,", "B,"),
+                     MalformedRow, "line 3: SP1=-130.0 outside [-120, 0] dBm",
+                     id="earlier-row-first"),
+        pytest.param(_with_refusal("B,33.1444,73.7456", "B,33.1445,73.7457"), MalformedRow,
+                     "consecutive points 'A' and 'B' coincide; route order broken",
+                     id="coinciding"),
+        pytest.param("# nothing\n\n", EmptyDatabase, "no rows at all", id="no-rows"),
+        pytest.param("label,lat,lon,SP1\n",
+                     EmptyDatabase, "need at least 2 data rows, got 0", id="header-only"),
+        pytest.param("label,lat,lon,SP1\nA,33.0,73.0,-50\n",
+                     EmptyDatabase, "need at least 2 data rows, got 1", id="one-row"),
+    ])
+    def test_refusal(self, text, error, message):
+        with pytest.raises(error) as info:
+            RouteDb.from_csv(text)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold(self, threshold):
+        with pytest.raises(ValueError) as info:
+            RouteDb.from_csv(MINI_CSV, bad_threshold_dbm=threshold)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"bad_threshold_dbm must be finite, got {threshold}"
+
+
+class TestConstructorRefusals:
+    def test_point_without_a_reading(self):
+        # Refused as a ValueError, as every other malformed input is, not
+        # as the KeyError of an unknown provider.
+        points = [SurveyPoint("A", GeoPoint(33.1445, 73.7457), {"P1": -60.0, "P2": -70.0}),
+                  SurveyPoint("B", GeoPoint(33.1444, 73.7456), {"P1": -60.0})]
+        with pytest.raises(ValueError) as info:
+            RouteDb(["P1", "P2"], points)
+        assert not isinstance(info.value, KeyError)
+        assert str(info.value) == "point 'B' has no 'P2' reading"
+
+
+class TestColumns:
+    """``from_csv`` fills the columns and builds the ``SurveyPoint`` records
+    only when ``points`` is first read, from the objects in the columns."""
+
+    def test_columns(self):
+        db = RouteDb.from_csv(MINI_CSV)
+        assert db.labels == ("A", "B", "C")
+        assert db.latitudes == (33.1445, 33.1444, 33.1443)
+        assert db.longitudes == (73.7457, 73.7456, 73.7455)
+        assert dict(db.readings) == {"SP1": (-100.0, -60.0, -85.0), "SP2": (-90.0, -70.0, -50.0)}
+        with pytest.raises(TypeError):
+            db.readings["SP1"] = (-50.0, -50.0, -50.0)
+
+    def test_points_built_on_first_access(self):
+        db = RouteDb.from_csv(MINI_CSV)
+        assert "points" not in vars(db)
+        assert db.signal_at(1, "SP2") == -70.0
+        assert db.current_signal(0.0, "SP1") == -100.0
+        assert db.future_signal(0.0, "SP1") == -60.0
+        assert db.next_bad_index(0.0, "SP1") == 2
+        assert "points" not in vars(db)
+        points = db.points
+        assert db.points is points
+        for k, point in enumerate(points):
+            assert point.label == db.labels[k]
+            assert point.point.latitude is db.latitudes[k]
+            assert point.point.longitude is db.longitudes[k]
+            for provider in db.providers:
+                assert point.signals[provider] is db.readings[provider][k]
+
+    def test_constructor_columns_hold_the_points_objects(self):
+        source = RouteDb.from_csv(MINI_CSV).points
+        db = RouteDb(["SP2", "SP1"], list(source))
+        assert db.points == source and db.points[0] is source[0]
+        assert db.readings["SP2"][1] is source[1].signals["SP2"]
+        assert list(db.readings) == ["SP2", "SP1"]
+        assert db.cumulative_m == RouteDb.from_csv(MINI_CSV).cumulative_m
+
+    def test_quoted_labels_load(self):
+        text = MINI_CSV.replace("A,", '"Mirpur, gate ""A""",', 1).replace("B,", '"B",', 1)
+        db = RouteDb.from_csv(text)
+        assert db.labels == ('Mirpur, gate "A"', "B", "C")
+        assert db.cumulative_m == RouteDb.from_csv(MINI_CSV).cumulative_m
+
+
+# Characters ``str.splitlines`` ends a line at.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_PADS = st.sampled_from(["", " ", "  ", "\t"])
+_NUMBER_FORMATS = st.sampled_from([repr, "{:.6f}".format, "{:.9e}".format])
+
+
+@st.composite
+def survey_texts(draw):
+    """A well-formed survey CSV: comment and blank lines anywhere, padded
+    fields, quoted labels that may hold commas and quotes, 1-5 providers."""
+    providers = draw(st.lists(st.text("ABCDPQRSxyz0123456789_-", min_size=1, max_size=4),
+                              min_size=1, max_size=5, unique=True))
+    n_points = draw(st.integers(2, 10))
+    characters = st.one_of(
+        st.sampled_from(', "#'),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters=_LINE_BREAKS))
+    labels = draw(st.lists(
+        st.text(characters, max_size=6).filter(lambda label: not label.strip().startswith("#")),
+        min_size=n_points, max_size=n_points, unique_by=str.strip))
+    lat, lon = draw(st.floats(-60, 60)), draw(st.floats(-170, 170))
+
+    def padded(field):
+        return draw(_PADS) + field + draw(_PADS)
+
+    def line(fields):
+        return ",".join(fields) + draw(st.sampled_from(["\n", "\r\n"]))
+
+    def filler():
+        comments = st.text(st.characters(blacklist_categories=("Cs",),
+                                         blacklist_characters=_LINE_BREAKS + '"'), max_size=8)
+        return "".join(
+            draw(st.one_of(_PADS, st.builds(lambda pad, note: f"{pad}#{note}", _PADS, comments)))
+            + "\n" for _ in range(draw(st.integers(0, 2))))
+
+    text = filler() + line([padded("label"), "lat", padded("lon")]
+                           + [padded(p) for p in providers])
+    for label in labels:
+        if draw(st.booleans()) or "," in label or '"' in label:
+            label = '"' + label.replace('"', '""') + '"' + draw(_PADS)
+        else:
+            label = padded(label)
+        readings = [draw(st.one_of(st.integers(-120, 0).map(str),
+                                   st.floats(-120, 0).map(draw(_NUMBER_FORMATS))))
+                    for _ in providers]
+        text += filler() + line([label, padded(draw(_NUMBER_FORMATS)(lat)),
+                                 padded(draw(_NUMBER_FORMATS)(lon))]
+                                + [padded(r) for r in readings])
+        lat += draw(st.sampled_from([-1, 1])) * draw(st.floats(1e-3, 0.05))
+        lon += draw(st.floats(-0.05, 0.05))
+    return text
+
+
+class TestLoadMatchesOracle:
+    @given(text=survey_texts(), threshold=st.integers(-121, 0))
+    @settings(max_examples=150, deadline=None)
+    def test_from_csv_equals_reference(self, text, threshold):
+        db = RouteDb.from_csv(text, bad_threshold_dbm=threshold)
+        ref = reference_route(text, threshold)
+        assert db.providers == tuple(ref["providers"])
+        assert db.labels == tuple(ref["labels"])
+        assert db.latitudes == tuple(ref["latitudes"])
+        assert db.longitudes == tuple(ref["longitudes"])
+        assert {p: list(column) for p, column in db.readings.items()} == ref["readings"]
+        assert list(db.cumulative_m) == ref["cumulative_m"]
+        for provider in db.providers:
+            bad, position = [], -math.inf
+            while (index := db.next_bad_index(position, provider)) is not None:
+                bad.append(index)
+                position = db.cumulative_m[index]
+            assert bad == ref["bad"][provider]
 
 
 class TestReadingRange:

@@ -20,10 +20,11 @@ from fearover.crsite import (
     TimingModel,
     csm_dispatch,
     replay_attempts,
+    sense,
     time_left,
 )
 from fearover.fear import FearInputs, FearModel, FearParams
-from fearover.route import GeoPoint, RouteDb, SurveyPoint
+from fearover.route import GeoPoint, RouteDb, SurveyPoint, load_builtin
 from fearover.sim import (
     MAX_RUN_TICKS,
     RUNLOG_COLUMNS,
@@ -33,6 +34,7 @@ from fearover.sim import (
     Simulation,
     StayEpisode,
     TickEvent,
+    check_all_invariants,
     check_invariant1,
     check_invariant2,
     check_invariant3,
@@ -747,6 +749,23 @@ class TestRunLogBytes:
         assert spellings("signal_now_dbm") == {"0.0", "-0.0", "-90", "-90.0"}
         assert spellings("signal_future_dbm") == {"0.0", "-0.0", "-90", "-90.0"}
         assert spellings("threat_dbm") == {"", "-90", "-90.0"}
+
+
+class TestColumnReads:
+    """A run, its export, its invariant checks and sensing read the route's
+    columns: none of them builds a fresh ``from_csv`` database's ``points``."""
+
+    @pytest.mark.parametrize("name", ["survey", "four_provider_trace"])
+    def test_points_stay_unbuilt(self, name, fear_model):
+        db = load_builtin(name)
+        log = run(SimConfig(), db, fear_model)
+        assert any(event.attempt or event.stay for event in log.events)  # so it sensed
+        runlog_to_csv(log)
+        check_all_invariants(log)
+        sense(db, db.route_length_m / 2.0)
+        assert "points" not in vars(db)
+        assert run(SimConfig(), db, fear_model).events == run(
+            SimConfig(), RouteDb(db.providers, db.points), fear_model).events
 
 
 class TestParsedRunLog:
