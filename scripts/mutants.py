@@ -64,6 +64,13 @@ CATALOGUE = (
            "if '\"' in line:",
            "if False:",
            ("tests/test_route.py",)),
+    Mutant("csv-field-limit-uncaught", "src/fearover/route.py",
+           "        try:\n"
+           "            return next(csv.reader([line]))\n"
+           "        except csv.Error as exc:\n"
+           '            raise MalformedRow(f"line {number}: {exc}") from None\n',
+           "        return next(csv.reader([line]))\n",
+           ("tests/test_route.py", "tests/test_cli.py")),
     Mutant("lazy-points-swap-coordinates", "src/fearover/route.py",
            "zip(self.labels, self.latitudes,\n"
            "                                                       self.longitudes,",
@@ -284,6 +291,10 @@ CATALOGUE = (
     Mutant("semicolon-starts-inline-comment", "src/fearover/cli.py",
            'inline_comment_prefixes=("#",)',
            'inline_comment_prefixes=(";", "#")',
+           ("tests/test_cli.py",)),
+    Mutant("semicolon-note-kept-in-path", "src/fearover/cli.py",
+           'if re.search(r"\\s;", raw):',
+           "if False:",
            ("tests/test_cli.py",)),
     Mutant("record-eq-ignores-class", "src/fearover/_records.py",
            "if other.__class__ is self.__class__ else NotImplemented",

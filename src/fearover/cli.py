@@ -38,7 +38,8 @@ Scenario files are INI-style text with one section per subsystem::
     dir = out
 
 Every key is optional, and every value is read as written (``%`` is not
-special, and ``;`` starts a comment only at the start of a line).  The
+special, and ``;`` starts a comment only at the start of a line, so a
+``[route] source`` or ``[output] dir`` holding `` ;`` is refused).  The
 ``[sim]``, ``[fear]``, ``[pdfa]`` and ``[timing]`` keys are the fields of
 ``SimConfig``, ``FearParams``, ``BandThresholds`` and ``TimingModel``, whose
 defaults are shown, except that ``seed`` sets ``SimConfig.start_seed``.
@@ -91,6 +92,16 @@ def _get(parser: configparser.ConfigParser, section: str, key: str, cast, defaul
         return cast(raw)
     except ValueError as exc:
         raise ScenarioError(f"[{section}] {key} = {raw!r}: {exc}") from None
+
+
+def _path(parser: configparser.ConfigParser, section: str, key: str, fallback: str) -> str:
+    """A path as written.  ``out ; note`` was ``out`` with a note while ``;``
+    started inline comments, so it is refused rather than read as a path."""
+    import re
+    raw = parser.get(section, key, fallback=fallback)
+    if re.search(r"\s;", raw):
+        raise ScenarioError(f"[{section}] {key} = {raw!r}: only '#' starts an inline comment")
+    return raw
 
 
 def _finite(raw: str) -> float:
@@ -276,7 +287,7 @@ def load_scenario(path: str | Path, preset_override: str | None = None,
                 raise ScenarioError(f"[{section}] unknown key {key!r}")
 
     threshold = _get(parser, "route", "bad_threshold_dbm", _finite, DEFAULT_BAD_THRESHOLD_DBM)
-    source = parser.get("route", "source", fallback="builtin:survey")
+    source = _path(parser, "route", "source", "builtin:survey")
     if source.startswith("builtin:"):
         try:
             csv_path = builtin_csv(source.removeprefix("builtin:"))
@@ -321,7 +332,7 @@ def load_scenario(path: str | Path, preset_override: str | None = None,
         if parser.has_section(section):
             setattr(model, attr, parse_fuzzy_section(parser, section, getattr(model, attr)))
 
-    out_dir = Path(out_override or parser.get("output", "dir", fallback="out"))
+    out_dir = Path(out_override or _path(parser, "output", "dir", "out"))
     if not out_dir.is_absolute():
         out_dir = Path.cwd() / out_dir
     if (log := _logger()) is not None:

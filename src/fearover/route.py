@@ -8,9 +8,10 @@ when that provider's reading is at or below the database's bad threshold.
 CSV schema: ``label,lat,lon,<provider>,...`` with dBm values, a required
 header, UTF-8 text and ``#`` comment lines.  A provider name is not empty
 and holds no ``,``, ``"``, CR or LF: it becomes a field of ``runlog.csv``,
-which quotes no field.  ``RouteDb`` keeps the survey as columns (labels,
-coordinates, distance along the route and each provider's readings) and
-builds the ``SurveyPoint`` records from them only when asked.
+which quotes no field.  ``RouteDb.from_csv``, the one way to build a route,
+parses the survey into columns (labels, coordinates, distance along the
+route and each provider's readings); the ``SurveyPoint`` records are built
+from them only when asked.
 
 Two databases are bundled, and a scenario names them as ``builtin:<name>``
 instead of a CSV path.  ``survey`` is the real F2-Mangla road survey (three
@@ -67,16 +68,6 @@ class IndexOutOfRange(IndexError):
 _QUOTED_CHARS = frozenset(',"\r\n')
 
 
-def _check_provider_names(names: Sequence[str]) -> None:
-    """Raise ValueError unless every name can be written to a run log
-    unquoted and no name repeats."""
-    for name in names:
-        if not name or not _QUOTED_CHARS.isdisjoint(name):
-            raise ValueError(f"provider name {name!r} is empty or holds a comma, quote, CR or LF")
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate provider column")
-
-
 def _check_coordinates(latitude: float, longitude: float) -> None:
     """Raise ValueError unless the point lies on the globe."""
     if not -90.0 <= latitude <= 90.0:
@@ -122,9 +113,10 @@ def haversine_m(p1: GeoPoint, p2: GeoPoint) -> float:
 class SurveyPoint:
     """One surveyed location and its per-provider readings.
 
-    ``signals`` is stored as a read-only view of a copy: ``RouteDb`` indexes the
-    readings once, so a reading changed afterwards would skip the range check
-    and leave that index stale.
+    ``signals`` is stored as a read-only view of a copy, so a record keeps the
+    readings it was checked with: a reading changed afterwards would skip the
+    range check, and in a record of ``RouteDb.points`` it would no longer be
+    the reading in the route's column, which the tick loop reads.
     """
 
     label: str
@@ -143,108 +135,68 @@ class SurveyPoint:
             raise UnknownProvider(provider) from None
 
 
-def _split(line: str) -> list[str]:
-    """The fields of one CSV line as ``csv``'s default dialect reads them,
-    unstripped.  A line holding no quote is split at its commas, which is
-    what that dialect does with it; only a line with a quote loads ``csv``."""
+def _split(number: int, line: str) -> list[str]:
+    """The fields of CSV line ``number`` as ``csv``'s default dialect reads
+    them, unstripped.  A line holding no quote is split at its commas, which
+    is what that dialect does with it; only a line with a quote loads ``csv``,
+    and a line it cannot read (a field past its size limit) is refused."""
     if '"' in line:
         import csv
 
-        return next(csv.reader([line]))
+        try:
+            return next(csv.reader([line]))
+        except csv.Error as exc:
+            raise MalformedRow(f"line {number}: {exc}") from None
     return line.split(",")
 
 
 class RouteDb:
     """Immutable-after-load route survey with distance and signal queries.
 
-    The survey is held as read-only columns in drive order: ``labels``,
-    ``latitudes``, ``longitudes`` and ``cumulative_m`` are tuples, and
-    ``readings`` maps each provider to the tuple of its readings.  The BSSP
-    index is built from them once, and the tick loop reads a provider's
-    column without checking it again.  ``points``, the ``SurveyPoint``
-    records, is built on first access from the very objects in the columns;
-    ``from_csv`` builds no record until then.
+    ``from_csv`` is the only constructor.  It holds the survey as read-only
+    columns in drive order: ``labels``, ``latitudes``, ``longitudes`` and
+    ``cumulative_m`` are tuples, and ``readings`` maps each provider to the
+    tuple of its readings.  The BSSP index is built from them once, and the
+    tick loop reads a provider's column without checking it again.
     """
-
-    def __init__(self, providers: list[str], points: list[SurveyPoint],
-                 bad_threshold_dbm: float = DEFAULT_BAD_THRESHOLD_DBM) -> None:
-        points = tuple(points)
-        if len(points) < 2:
-            raise EmptyDatabase(f"need at least 2 points, got {len(points)}")
-        readings = {}
-        for provider in providers:
-            try:
-                readings[provider] = tuple(pt.signals[provider] for pt in points)
-            except KeyError:
-                label = next(pt.label for pt in points if provider not in pt.signals)
-                raise MalformedRow(f"point {label!r} has no {provider!r} reading") from None
-        self._index(providers, tuple(pt.label for pt in points),
-                    tuple(pt.point.latitude for pt in points),
-                    tuple(pt.point.longitude for pt in points), readings, bad_threshold_dbm)
-        self.points = points
-
-    def _index(self, providers: Sequence[str], labels: tuple[str, ...],
-               latitudes: tuple[float, ...], longitudes: tuple[float, ...],
-               readings: dict[str, tuple[float, ...]], bad_threshold_dbm: float) -> None:
-        """Check the route, accumulate distance along it and index its BSSPs."""
-        self.bad_threshold_dbm = threshold = float(bad_threshold_dbm)
-        # NaN would mark no point bad and inf every point: a run with no
-        # threats, or nothing but threats, rather than an error.
-        if not math.isfinite(threshold):
-            raise ValueError(f"bad_threshold_dbm must be finite, got {bad_threshold_dbm}")
-        self.providers = tuple(providers)
-        _check_provider_names(self.providers)
-        self.labels, self.latitudes, self.longitudes = labels, latitudes, longitudes
-        self.cumulative_m = cumulative = tuple(accumulate(_hops_m(latitudes, longitudes),
-                                                          initial=0.0))
-        for k in range(1, len(cumulative)):
-            if cumulative[k] <= cumulative[k - 1]:
-                raise MalformedRow(f"consecutive points {labels[k - 1]!r} and {labels[k]!r} "
-                                   "coincide; route order broken")
-        self.readings = MappingProxyType(readings)
-        # provider -> (positions, indices) of its BSSPs in drive order;
-        # positions ascend because ``cumulative_m`` does.
-        self._bssps: dict[str, tuple[list[float], list[int]]] = {}
-        every_index = range(len(cumulative))
-        for p, column in readings.items():
-            indices = list(compress(every_index, map(le, column, repeat(threshold))))
-            self._bssps[p] = ([cumulative[i] for i in indices], indices)
 
     @cached_property
     def points(self) -> tuple[SurveyPoint, ...]:
-        """The survey's records, built from the columns on first access."""
+        """The survey's ``SurveyPoint`` records, built on first access from
+        the very objects in the columns."""
         providers = self.providers
         return tuple(SurveyPoint(label, GeoPoint(lat, lon), dict(zip(providers, dbms)))
                      for label, lat, lon, *dbms in zip(self.labels, self.latitudes,
                                                        self.longitudes, *self.readings.values()))
 
-    # -- construction ------------------------------------------------------
-
     @classmethod
     def from_csv(cls, text: str,
                  bad_threshold_dbm: float = DEFAULT_BAD_THRESHOLD_DBM) -> "RouteDb":
         """Parse ``text`` straight into the columns, checking each row as
-        ``GeoPoint`` and ``SurveyPoint`` check theirs."""
+        ``GeoPoint`` and ``SurveyPoint`` check theirs, then accumulate
+        distance along the route and index its BSSPs."""
         # (line number, line) of each line that is neither blank nor a comment.
         lines = ((number, raw) for number, raw in enumerate(text.splitlines(), start=1)
                  if raw.lstrip()[:1] not in ("", "#"))
         header_no, header = next(lines, (0, None))
         if header is None:
             raise EmptyDatabase("no rows at all")
-        columns = [c.strip() for c in _split(header)]
+        columns = [c.strip() for c in _split(header_no, header)]
         if len(columns) < 4 or [c.lower() for c in columns[:3]] != ["label", "lat", "lon"]:
             raise MalformedRow(f"line {header_no}: header must be label,lat,lon,<providers>")
-        providers = columns[3:]
-        try:
-            _check_provider_names(providers)
-        except ValueError as exc:
-            raise MalformedRow(f"line {header_no}: {exc}") from None
+        providers = tuple(columns[3:])
+        for name in providers:
+            if not name or not _QUOTED_CHARS.isdisjoint(name):
+                raise MalformedRow(f"line {header_no}: provider name {name!r} is empty or "
+                                   "holds a comma, quote, CR or LF")
+        if len(set(providers)) != len(providers):
+            raise MalformedRow(f"line {header_no}: duplicate provider column")
 
         width = len(columns)
         labels, latitudes, longitudes, rows = [], [], [], []
         seen: set[str] = set()
         for number, raw in lines:
-            fields = _split(raw)
+            fields = _split(number, raw)
             if len(fields) != width:
                 raise MalformedRow(f"line {number}: expected {width} fields, got {len(fields)}")
             label = fields[0].strip()
@@ -275,9 +227,28 @@ class RouteDb:
             rows.append(dbms)
         if len(rows) < 2:
             raise EmptyDatabase(f"need at least 2 data rows, got {len(rows)}")
-        db = cls.__new__(cls)
-        db._index(providers, tuple(labels), tuple(latitudes), tuple(longitudes),
-                  dict(zip(providers, zip(*rows))), bad_threshold_dbm)
+
+        threshold = float(bad_threshold_dbm)
+        # NaN would mark no point bad and inf every point: a run with no
+        # threats, or nothing but threats, rather than an error.
+        if not math.isfinite(threshold):
+            raise ValueError(f"bad_threshold_dbm must be finite, got {bad_threshold_dbm}")
+        cumulative = tuple(accumulate(_hops_m(latitudes, longitudes), initial=0.0))
+        for k in range(1, len(cumulative)):
+            if cumulative[k] <= cumulative[k - 1]:
+                raise MalformedRow(f"consecutive points {labels[k - 1]!r} and {labels[k]!r} "
+                                   "coincide; route order broken")
+        db = cls()
+        db.bad_threshold_dbm, db.providers, db.cumulative_m = threshold, providers, cumulative
+        db.labels, db.latitudes, db.longitudes = tuple(labels), tuple(latitudes), tuple(longitudes)
+        db.readings = MappingProxyType(dict(zip(providers, zip(*rows))))
+        # provider -> (positions, indices) of its BSSPs in drive order;
+        # positions ascend because ``cumulative_m`` does.
+        db._bssps = {}
+        every_index = range(len(cumulative))
+        for p, column in db.readings.items():
+            indices = list(compress(every_index, map(le, column, repeat(threshold))))
+            db._bssps[p] = ([cumulative[i] for i in indices], indices)
         return db
 
     # -- queries -----------------------------------------------------------

@@ -12,6 +12,7 @@ import functools
 import io
 import math
 import random
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -188,6 +189,15 @@ def reference_route(text: str, bad_threshold_dbm: float) -> dict:
            for p, column in readings.items()}
     return {"providers": providers, "labels": [row[0] for row in body], "latitudes": lats,
             "longitudes": lons, "readings": readings, "cumulative_m": cumulative, "bad": bad}
+
+
+def route_csv(providers: Sequence[str], rows: list[tuple]) -> str:
+    """Survey CSV text with a ``label,lat,lon,<providers>`` header and one
+    line per ``(label, lat, lon, *readings)`` row.  Every number is written
+    by ``repr``, so a float loads back as the very value given."""
+    lines = [",".join(["label", "lat", "lon", *providers])]
+    lines += [",".join([label, *map(repr, numbers)]) for label, *numbers in rows]
+    return "\n".join(lines) + "\n"
 
 
 # -- tick pipeline ----------------------------------------------------------------

@@ -541,10 +541,16 @@ class TestValidateCommand:
         ("[fuzzy:ig]\nrules =\n", "[fuzzy:ig] rules = '': at least one rule required\n"),
         ("[fuzzy:ig]\nrules = # none\n", "[fuzzy:ig] rules = '': at least one rule required\n"),
         ("[fuzzy:ig]\nrules =;\n", "[fuzzy:ig] rules = ';': at least one rule required\n"),
+        # ``path ; note`` once read as ``path``: refused, not taken as the path.
+        ("[route]\nsource = builtin:survey ; note\n",
+         "[route] source = 'builtin:survey ; note': only '#' starts an inline comment\n"),
+        ("[output]\ndir = out\t; note\n",
+         "[output] dir = 'out\\t; note': only '#' starts an inline comment\n"),
     ], ids=["sim", "fear", "pdfa", "timing", "unknown-section", "duplicate-section",
             "no-section-header", "slotless-initial-provider", "unknown-initial-provider",
             "stop-past-route", "start-at-stop", "step-below-spacing", "empty-rules",
-            "comment-only-rules", "semicolon-only-rules"])
+            "comment-only-rules", "semicolon-only-rules", "semicolon-note-in-source",
+            "semicolon-note-in-dir"])
     def test_error_names_the_scenario_once(self, tmp_path, capsys, text, detail):
         path = _write(tmp_path, "s.ini", text)
         assert main(["validate", "--scenario", str(path)]) == 2
@@ -558,6 +564,27 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: [sim] stop_m = '5%': ")
         assert err.count("\n") == 1
+
+    def test_semicolon_note_in_the_output_dir_writes_nothing(self, tmp_path, monkeypatch):
+        path = _write(tmp_path, "s.ini", "[sim]\nstop_m = 40\n[output]\ndir = out ; note\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.ini"]
+
+    def test_semicolon_without_whitespace_stays_in_a_path(self, tmp_path, monkeypatch):
+        path = _write(tmp_path, "s.ini", "[sim]\nstop_m = 40\n[output]\ndir = out;1\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--scenario", str(path)]) == 0
+        assert (tmp_path / "out;1" / "runlog.csv").is_file()
+
+    def test_long_quoted_route_field_exits_2(self, tmp_path, capsys):
+        """A field past ``csv``'s size limit is a route error naming its line."""
+        route = _write(tmp_path, "route.csv", 'label,lat,lon,SP1\n"' + "A" * 140_000
+                       + '",33.0,73.0,-90\nB,33.001,73.0,-50\n')
+        path = _write(tmp_path, "s.ini", "[route]\nsource = route.csv\n")
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: {route}: line 2: field larger than field limit (131072)\n")
 
     def test_percent_in_a_directory_name_is_kept(self, tmp_path, monkeypatch, capsys):
         path = _write(tmp_path, "s.ini", "[sim]\nstop_m = 40\n[output]\ndir = out%(x)s\n")

@@ -17,7 +17,7 @@ from fearover.route import (
     haversine_m,
 )
 
-from oracles import reference_great_circle_m, reference_route
+from oracles import reference_great_circle_m, reference_route, route_csv
 
 MINI_CSV = """\
 label,lat,lon,SP1,SP2
@@ -169,6 +169,11 @@ class TestCsvRefusals:
         pytest.param(_with_refusal("B,33.1444,73.7456", "B,33.1445,73.7457"), MalformedRow,
                      "consecutive points 'A' and 'B' coincide; route order broken",
                      id="coinciding"),
+        # ``csv`` refuses a field longer than its limit of 131,072 characters.
+        pytest.param(_with_refusal("SP2", '"' + "S" * 140_000 + '"'), MalformedRow,
+                     "line 1: field larger than field limit (131072)", id="long-quoted-name"),
+        pytest.param(_with_refusal("A,", '"' + "A" * 140_000 + '",'), MalformedRow,
+                     "line 2: field larger than field limit (131072)", id="long-quoted-label"),
         pytest.param("# nothing\n\n", EmptyDatabase, "no rows at all", id="no-rows"),
         pytest.param("label,lat,lon,SP1\n",
                      EmptyDatabase, "need at least 2 data rows, got 0", id="header-only"),
@@ -187,18 +192,6 @@ class TestCsvRefusals:
             RouteDb.from_csv(MINI_CSV, bad_threshold_dbm=threshold)
         assert type(info.value) is ValueError
         assert str(info.value) == f"bad_threshold_dbm must be finite, got {threshold}"
-
-
-class TestConstructorRefusals:
-    def test_point_without_a_reading(self):
-        # Refused as a ValueError, as every other malformed input is, not
-        # as the KeyError of an unknown provider.
-        points = [SurveyPoint("A", GeoPoint(33.1445, 73.7457), {"P1": -60.0, "P2": -70.0}),
-                  SurveyPoint("B", GeoPoint(33.1444, 73.7456), {"P1": -60.0})]
-        with pytest.raises(ValueError) as info:
-            RouteDb(["P1", "P2"], points)
-        assert not isinstance(info.value, KeyError)
-        assert str(info.value) == "point 'B' has no 'P2' reading"
 
 
 class TestColumns:
@@ -231,13 +224,21 @@ class TestColumns:
             for provider in db.providers:
                 assert point.signals[provider] is db.readings[provider][k]
 
-    def test_constructor_columns_hold_the_points_objects(self):
-        source = RouteDb.from_csv(MINI_CSV).points
-        db = RouteDb(["SP2", "SP1"], list(source))
-        assert db.points == source and db.points[0] is source[0]
-        assert db.readings["SP2"][1] is source[1].signals["SP2"]
-        assert list(db.readings) == ["SP2", "SP1"]
-        assert db.cumulative_m == RouteDb.from_csv(MINI_CSV).cumulative_m
+    @given(rows=st.lists(st.tuples(st.floats(-180, 180), st.floats(-120, 0),
+                                   st.floats(-120, 0)), min_size=2, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_columns_hold_the_floats_given(self, rows):
+        """A number written by ``repr`` loads as the very float, -0.0 too."""
+        rows = [(f"R{k}", 33.0 + 0.001 * k, *row) for k, row in enumerate(rows)]
+        rows[0] = (*rows[0][:3], -0.0, 0.0)
+        db = RouteDb.from_csv(route_csv(["SP1", "SP2"], rows))
+        given_columns = list(zip(*rows))[1:]
+        loaded_columns = [db.latitudes, db.longitudes, *db.readings.values()]
+        assert [list(map(repr, c)) for c in loaded_columns] == [
+            list(map(repr, c)) for c in given_columns]
+
+    def test_from_csv_is_the_only_constructor(self):
+        assert "__init__" not in vars(RouteDb)
 
     def test_quoted_labels_load(self):
         text = MINI_CSV.replace("A,", '"Mirpur, gate ""A""",', 1).replace("B,", '"B",', 1)
@@ -338,20 +339,7 @@ class TestReadingRange:
 
 class TestProviderNames:
     """A provider name becomes a ``runlog.csv`` field, which is never quoted:
-    a name that would need quoting is refused when the route is built."""
-
-    @pytest.mark.parametrize("name", ["", "S,P", 'S"P', "S\rP", "S\nP"])
-    def test_constructor_rejects(self, name):
-        points = [SurveyPoint(label, GeoPoint(lat, 73.7457), {"SP1": -60.0, name: -70.0})
-                  for label, lat in (("A", 33.1445), ("B", 33.1444))]
-        with pytest.raises(ValueError, match=r"provider name .* is empty or holds"):
-            RouteDb(["SP1", name], points)
-
-    def test_constructor_rejects_a_duplicate(self):
-        points = [SurveyPoint(label, GeoPoint(lat, 73.7457), {"SP1": -60.0})
-                  for label, lat in (("A", 33.1445), ("B", 33.1444))]
-        with pytest.raises(ValueError, match="duplicate provider"):
-            RouteDb(["SP1", "SP1"], points)
+    a name that would need quoting is refused when the header is read."""
 
     @pytest.mark.parametrize("column", ["", '"S,P"', 'S"P'])
     def test_csv_header_names_its_line(self, column):

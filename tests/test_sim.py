@@ -24,7 +24,7 @@ from fearover.crsite import (
     time_left,
 )
 from fearover.fear import FearInputs, FearModel, FearParams
-from fearover.route import GeoPoint, RouteDb, SurveyPoint, load_builtin
+from fearover.route import RouteDb, load_builtin
 from fearover.sim import (
     MAX_RUN_TICKS,
     RUNLOG_COLUMNS,
@@ -48,6 +48,7 @@ from oracles import (
     reference_rectified_subsystem,
     reference_run,
     reference_runlog_csv,
+    route_csv,
 )
 
 REMAP_CSV = """\
@@ -731,13 +732,13 @@ class TestRunLogBytes:
         assert parse_runlog_csv(text) == log.events
 
     def test_equal_readings_keep_their_own_spellings(self, fear_model):
-        """0.0 == -0.0 and -90 == -90.0, but each spells differently: an
-        export that spelled equal values alike would write one for both."""
-        readings = [0.0, -0.0, -90, -90.0, -0.0, 0.0, -90.0, -90]
-        points = [SurveyPoint(f"Z{k}", GeoPoint(33.0 + 20.0 * k / TestRandomWorlds.M_PER_DEG_LAT,
-                                                 73.5), {"A": dbm, "B": -110.0})
-                  for k, dbm in enumerate(readings)]
-        log = run(SimConfig(), RouteDb(["A", "B"], points), fear_model)
+        """0.0 == -0.0, but each spells differently: an export that spelled
+        equal values alike would write one for both.  (A route holds only
+        floats; ``TestRunLogCsvQuietRows`` covers -90 against -90.0.)"""
+        readings = [0.0, -0.0, -90.0, -0.0, 0.0, -90.0]
+        rows = [(f"Z{k}", 33.0 + 20.0 * k / TestRandomWorlds.M_PER_DEG_LAT, 73.5, dbm, -110.0)
+                for k, dbm in enumerate(readings)]
+        log = run(SimConfig(), RouteDb.from_csv(route_csv(["A", "B"], rows)), fear_model)
         text = runlog_to_csv(log)
         assert text == reference_runlog_csv(log.events)
         assert parse_runlog_csv(text) == log.events
@@ -746,9 +747,9 @@ class TestRunLogBytes:
         def spellings(column):
             return {row[RUNLOG_COLUMNS.index(column)] for row in rows}
 
-        assert spellings("signal_now_dbm") == {"0.0", "-0.0", "-90", "-90.0"}
-        assert spellings("signal_future_dbm") == {"0.0", "-0.0", "-90", "-90.0"}
-        assert spellings("threat_dbm") == {"", "-90", "-90.0"}
+        assert spellings("signal_now_dbm") == {"0.0", "-0.0", "-90.0"}
+        assert spellings("signal_future_dbm") == {"0.0", "-0.0", "-90.0"}
+        assert spellings("threat_dbm") == {"", "-90.0"}
 
 
 class TestColumnReads:
@@ -764,8 +765,10 @@ class TestColumnReads:
         check_all_invariants(log)
         sense(db, db.route_length_m / 2.0)
         assert "points" not in vars(db)
+        rows = [(pt.label, pt.point.latitude, pt.point.longitude, *pt.signals.values())
+                for pt in db.points]
         assert run(SimConfig(), db, fear_model).events == run(
-            SimConfig(), RouteDb(db.providers, db.points), fear_model).events
+            SimConfig(), RouteDb.from_csv(route_csv(db.providers, rows)), fear_model).events
 
 
 class TestParsedRunLog:
@@ -811,10 +814,9 @@ def _quiet_stretch_db():
     rows = [(0.0, -60, -60, -60), (400.0, -75, -50, -65), (420.0, -95, -50, -90),
             (900.0, -60, -60, -60), (1500.0, -60, -85, -60), (1520.0, -60, -60, -60),
             (2000.0, -60, -60, -60)]
-    points = [SurveyPoint(f"S{k}", GeoPoint(33.0 + at / TestRandomWorlds.M_PER_DEG_LAT, 73.5),
-                          dict(zip("ABC", dbms)))
-              for k, (at, *dbms) in enumerate(rows)]
-    return RouteDb(["A", "B", "C"], points)
+    return RouteDb.from_csv(route_csv("ABC", [
+        (f"S{k}", 33.0 + at / TestRandomWorlds.M_PER_DEG_LAT, 73.5, *dbms)
+        for k, (at, *dbms) in enumerate(rows)]))
 
 
 class TestCoasting:
@@ -885,10 +887,9 @@ class TestCoasting:
         bad point at 1,500 m, a point at 1,520 m and the end at 2 km."""
         stretch = [(900.0 * k / n, -50 - 5 * (k % 4), -60 - 5 * (k % 3)) for k in range(n + 1)]
         rows = stretch + [(1500.0, -95, -60), (1520.0, -60, -55), (2000.0, -60, -60)]
-        points = [SurveyPoint(f"O{k}", GeoPoint(33.0 + at / TestRandomWorlds.M_PER_DEG_LAT,
-                                                 73.5), {"A": a, "B": b})
-                  for k, (at, a, b) in enumerate(rows)]
-        return RouteDb(["A", "B"], points)
+        return RouteDb.from_csv(route_csv("AB", [
+            (f"O{k}", 33.0 + at / TestRandomWorlds.M_PER_DEG_LAT, 73.5, a, b)
+            for k, (at, a, b) in enumerate(rows)]))
 
     def test_crossing_an_ordinary_point_stays_in_the_coast(self, fear_model):
         """A quiet tick that reaches a survey point other than the target
@@ -916,10 +917,10 @@ class TestCoasting:
     def test_run_raises_at_its_bound_inside_a_coast(self, fear_model):
         """On a route with no bad point the first tick is the only one
         ``tick`` runs; the bound of 10 falls inside the coast after it."""
-        points = [SurveyPoint(f"E{k}", GeoPoint(33.0 + at / TestRandomWorlds.M_PER_DEG_LAT,
-                                                 73.5), {"A": -60.0})
-                  for k, at in enumerate((0.0, 1000.0))]
-        sim = self.CountingSimulation(SimConfig(), RouteDb(["A"], points), fear_model)
+        db = RouteDb.from_csv(route_csv("A", [
+            (f"E{k}", 33.0 + at / TestRandomWorlds.M_PER_DEG_LAT, 73.5, -60.0)
+            for k, at in enumerate((0.0, 1000.0))]))
+        sim = self.CountingSimulation(SimConfig(), db, fear_model)
         sim.tick_bound = 10
         with pytest.raises(RuntimeError, match="bound of 10 ticks"):
             sim.run()
@@ -1129,18 +1130,37 @@ class TestRunLogCsvQuietRows:
         not in spelling, and no point is bad, so the run stays quiet: a row
         after a crossing equals the row before in every field but tick,
         position and distance, by value, yet not in its text."""
-        readings = [0.0, -0.0, 0.0, -0.0, -60, -60.0, -60, -60.0]
-        points = [SurveyPoint(f"Z{k}", GeoPoint(33.0 + 20.0 * k / TestRandomWorlds.M_PER_DEG_LAT,
-                                                 73.5), {"A": dbm, "B": -110.0})
-                  for k, dbm in enumerate(readings)]
-        log = run(SimConfig(), RouteDb(["A", "B"], points), fear_model)
+        readings = [0.0, -0.0, 0.0, -0.0]
+        rows = [(f"Z{k}", 33.0 + 20.0 * k / TestRandomWorlds.M_PER_DEG_LAT, 73.5, dbm, -110.0)
+                for k, dbm in enumerate(readings)]
+        log = run(SimConfig(), RouteDb.from_csv(route_csv(["A", "B"], rows)), fear_model)
         assert not log.attempts and not log.stays and not log.losses
         text = runlog_to_csv(log)
         assert text == reference_runlog_csv(log.events)
         assert parse_runlog_csv(text) == log.events
         now = RUNLOG_COLUMNS.index("signal_now_dbm")
-        assert {line.split(",")[now] for line in text.splitlines()[1:]} == {
-            "0.0", "-0.0", "-60", "-60.0"}
+        assert {line.split(",")[now] for line in text.splitlines()[1:]} == {"0.0", "-0.0"}
+
+    def test_equal_int_and_float_readings_keep_their_own_spellings(self):
+        """-90 == -90.0 and -60 == -60.0, but each spells differently.  A
+        route holds only floats, so the log is built by hand: quiet rows in
+        runs of two, each run's readings equal the last run's in value but
+        not in type, and the export reuses a row's text only for the very
+        objects it was spelled from."""
+        readings = [(-90, -60), (-90.0, -60.0), (-90, -60.0), (-90.0, -60), (-90, -60)]
+        events = [TickEvent(k, 2.0 * k, "A", "1", 0.0, FearBand.B0, MobilitySymbol.SELF,
+                            CsmAction.KEEP_CURRENT, 100.0 - 2.0 * k, threat, threat, future)
+                  for k, (threat, future) in enumerate(
+                      pair for pair in readings for _ in range(2))]
+        text = runlog_to_csv(RunLog(events=events))
+        assert text == reference_runlog_csv(events)
+        assert parse_runlog_csv(text) == events
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        for column, spelled in [("threat_dbm", 0), ("signal_now_dbm", 0),
+                                ("signal_future_dbm", 1)]:
+            index = RUNLOG_COLUMNS.index(column)
+            assert [row[index] for row in rows] == [
+                repr(pair[spelled]) for pair in readings for _ in range(2)]
 
     def test_quiet_rows_after_an_attempt_a_stay_a_loss_and_a_remap_round_trip(self):
         """Each quiet row holds the very objects of the marked row before it,
