@@ -105,6 +105,10 @@ CATALOGUE = (
            "    if not rules:\n",
            "    if False:\n",
            ("tests/test_cli.py",)),
+    Mutant("uncovered-rule-base-accepted", "src/fearover/cli.py",
+           "if (gap := system.uncovered()) is not None:",
+           "if False and (gap := system.uncovered()) is not None:",
+           ("tests/test_cli.py",)),
     Mutant("horizon-inclusive", "src/fearover/fear.py",
            "return distance_m < self.params.distance_horizon_m",
            "return distance_m <= self.params.distance_horizon_m",
@@ -129,46 +133,47 @@ CATALOGUE = (
            "if self.fear_model.in_horizon(distance):",
            "if distance < cfg.fear.distance_horizon_m:",
            ("tests/test_sim.py",)),
-    Mutant("export-reuse-by-value", "src/fearover/sim.py",
-           "if not (fear is last_fear and now_dbm is last_now and future_dbm is last_future\n"
-           "                and threat_dbm is last_threat",
-           "if not (fear == last_fear and now_dbm == last_now and future_dbm == last_future\n"
-           "                and threat_dbm == last_threat",
+    Mutant("export-stretch-text-by-value", "src/fearover/sim.py",
+           "    for e in log.entries:\n"
+           "        attempt_s = _NO_ATTEMPT",
+           "    seen = None\n"
+           "    for e in log.entries:\n"
+           "        key = (e.__class__, e.provider, e.state, e.threat_dbm, e.signal_now_dbm,\n"
+           "               e.signal_future_dbm)\n"
+           "        if e.__class__ is QuietStretch and key == seen:\n"
+           "            lines += [f\"{k},{q!r}{mid}{'' if e.target_m is None else repr(e.target_m - q)}\"\n"
+           "                      f\"{tail}\" for k, q in enumerate(e.positions, e.first)]\n"
+           "            continue\n"
+           "        seen = key\n"
+           "        attempt_s = _NO_ATTEMPT",
            ("tests/test_sim.py",)),
-    Mutant("export-reuse-ignores-marks", "src/fearover/sim.py",
-           " and attempt is None and stay is None\n"
-           "                and not loss and not remapped):",
-           "):",
-           ("tests/test_sim.py",)),
-    Mutant("export-reuse-after-marked-row", "src/fearover/sim.py",
-           "            if attempt is not None or stay is not None or loss or remapped:\n"
-           "                last_fear = nothing\n",
-           "",
+    Mutant("invariant1-counts-every-stretch-pair", "src/fearover/sim.py",
+           "pairs += sum(map(gt, distances, islice(distances, 1, None)))",
+           "pairs += len(distances) - 1",
            ("tests/test_sim.py",)),
     Mutant("coast-crossing-strict", "src/fearover/sim.py",
-           "if q >= end:",
-           "if q > end:",
+           "cut = bisect_left(positions, end)",
+           "cut = __import__(\"bisect\").bisect_right(positions, end)",
            ("tests/test_sim.py",)),
     Mutant("coast-horizon-at-old-position", "src/fearover/sim.py",
-           "if in_horizon(distance):",
-           "if in_horizon(target_m - position):",
+           "(lambda q: in_horizon(target_m - q))",
+           "(lambda q: in_horizon(target_m - q + step_m))",
            ("tests/test_sim.py",)),
     Mutant("coast-at-raised-alert", "src/fearover/sim.py",
-           "if self.provider != last.provider or self.state.alert is not Alert.BASE:",
-           "if self.provider != last.provider:",
+           "if self.provider == last.provider and self.state.alert is Alert.BASE:",
+           "if self.provider == last.provider:",
            ("tests/test_sim.py",)),
     Mutant("coast-after-handover", "src/fearover/sim.py",
-           "if self.provider != last.provider or self.state.alert is not Alert.BASE:",
-           "if self.state.alert is not Alert.BASE:",
+           "if self.provider == last.provider and self.state.alert is Alert.BASE:",
+           "if self.state.alert is Alert.BASE:",
            ("tests/test_sim.py",)),
     Mutant("coast-keeps-readings-across-a-point", "src/fearover/sim.py",
-           "                now_dbm = readings[passed]\n"
-           "                future_dbm = readings[ahead]\n",
+           "            now_dbm, future_dbm = readings[passed], readings[ahead]\n",
            "",
            ("tests/test_sim.py",)),
     Mutant("coast-runs-past-the-target", "src/fearover/sim.py",
-           "if in_horizon(distance):",
-           "if distance > 0.0 and in_horizon(distance):",
+           "(lambda q: in_horizon(target_m - q))",
+           "(lambda q: 0.0 < target_m - q and in_horizon(target_m - q))",
            ("tests/test_sim.py",)),
     Mutant("appraiser-kept-across-targets", "src/fearover/sim.py",
            'loss = self._resolution != "stay"\n'
@@ -177,8 +182,12 @@ CATALOGUE = (
            "            self._target = self._resolution = None",
            ("tests/test_sim.py",)),
     Mutant("coast-ignores-bound", "src/fearover/sim.py",
-           "while len(events) < bound:",
-           "while True:",
+           "count = min(bound - ticks, int(max((end - position) / step_m, 0.0)) + 2)",
+           "count = int(max((end - position) / step_m, 0.0)) + 2",
+           ("tests/test_sim.py",)),
+    Mutant("coast-stretch-past-the-bound", "src/fearover/sim.py",
+           "count = min(bound - ticks, ",
+           "count = min(bound - ticks + 1, ",
            ("tests/test_sim.py",)),
     Mutant("tick-bound-short-by-one", "src/fearover/sim.py",
            "self.tick_bound = -((a * t - s * b) * 2 * f * v // (t * b * (2 * e * v - u * f)))",

@@ -175,7 +175,7 @@ def parse_fuzzy_section(parser: configparser.ConfigParser, section: str,
     resolution = _get(parser, section, "grid_resolution", int, template.grid_resolution)
     monotone = template.monotone if _get(parser, section, "monotone", _bool, True) else None
     try:
-        return FuzzySystem(
+        system = FuzzySystem(
             inputs=inputs,
             output=output,
             rule_base=rule_base,
@@ -184,6 +184,19 @@ def parse_fuzzy_section(parser: configparser.ConfigParser, section: str,
         )
     except ValueError as exc:
         raise ScenarioError(f"[{section}]: {exc}") from None
+    # A point that fires no rule would grade 0.0 without a word.
+    if (gap := system.uncovered()) is not None:
+        point, held = gap
+        at = ", ".join(f"{var.name} = {x!r}" for var, x in zip(inputs, point))
+        if () in held:
+            why = f"no {inputs[held.index(())].name} term holds"
+        else:
+            why = (f"no rule {','.join(str(terms[0]) for terms in held)}->k for "
+                   + ", ".join(repr(var.terms[terms[0]][0]) for var, terms in zip(inputs, held)))
+        rules = parser.get(section, "rules", fallback=None)
+        key = f"[{section}]" if rules is None else f"[{section}] rules = {rules!r}"
+        raise ScenarioError(f"{key}: no rule fires at {at} ({why})")
+    return system
 
 
 def _ini_fields(cls) -> dict[str, tuple[str, object]]:
@@ -384,7 +397,7 @@ def _load_and_run(args: argparse.Namespace):
         return None, None, 2
     if (log := _logger()) is not None:
         log.info("run finished: %d ticks, %d attempts, %d stays, %d losses",
-                 len(log_.events), len(log_.attempts), len(log_.stays), len(log_.losses))
+                 log_.ticks, len(log_.attempts), len(log_.stays), len(log_.losses))
     return scenario, log_, 0
 
 

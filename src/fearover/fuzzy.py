@@ -59,6 +59,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import cached_property, reduce
+from itertools import product
 from operator import add
 from typing import Sequence
 
@@ -196,6 +197,27 @@ class FuzzySystem:
                 raise ValueError("monotone needs exactly two inputs, one polarity each")
             if any(p not in (-1, 1) for p in self.monotone):
                 raise ValueError("polarities must be +1 or -1")
+
+    def uncovered(self) -> tuple[tuple[float, ...], tuple[tuple[int, ...], ...]] | None:
+        """A point of the input universes at which no rule fires, with the
+        indices of each input's terms that hold there (membership above 0),
+        or ``None`` if some rule fires everywhere.  Exact, and numpy-free:
+        which terms hold changes only at breakpoints, so the breakpoints and
+        one point between each two neighbours stand for every input."""
+        # Per input: each set of terms that holds somewhere -> its first point.
+        where: list[dict[tuple[int, ...], float]] = []
+        for var in self.inputs:
+            cuts = sorted({var.lo, var.hi,
+                           *(p for _, mf in var.terms for p in (mf.a, mf.b, mf.c, mf.d))})
+            first: dict[tuple[int, ...], float] = {}
+            for x in sorted({*cuts, *(u / 2 + v / 2 for u, v in zip(cuts, cuts[1:]))}):
+                first.setdefault(tuple(i for i, (_, mf) in enumerate(var.terms) if mf(x) > 0.0), x)
+            where.append(first)
+        antecedents = {ant for ant, _ in self.rule_base.rules}
+        for held in product(*where):
+            if antecedents.isdisjoint(product(*held)):
+                return tuple(points[h] for points, h in zip(where, held)), held
+        return None
 
     @cached_property
     def _tables(self) -> tuple:

@@ -4,7 +4,7 @@ Each tick advances the vehicle, appraises fear against the next bad-signal
 point of the in-use provider (only inside the fear model's own horizon;
 beyond it fear is 0.0), steps the automaton, dispatches the CSM
 action and performs at most one handover decision per threat episode.
-The run log is one event per tick, exportable to CSV byte-stably, plus the
+The run log holds every tick, exportable to CSV byte-stably, plus the
 white-space pool each decision (a handover attempt or a stay) sensed,
 keyed by its tick.  Attempts, stays and losses live only in their events.
 
@@ -12,9 +12,9 @@ Quiet ticks coast: most ticks change nothing but the position.  At base
 alert, with the target outside the fear horizon and stop not reached, a
 tick's fear is 0.0, its band B0, its step a self-loop and its action
 keep_current; one that reaches an ordinary survey point only reads it.
-``Simulation.run`` appends such ticks directly and calls ``tick``, the one
-place that appraises, steps, senses and decides, for every other tick.
-The log is the same either way.
+``Simulation.run`` logs the quiet ticks between two survey points as one
+``QuietStretch`` and calls ``tick``, the one place that appraises, steps,
+senses and decides, for every other tick.  The events are the same.
 
 Fear wiring: the appraised signal is the in-use provider's reading at the
 targeted bad-signal point, so within one approach episode fear responds to
@@ -27,7 +27,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import defaultdict
+from itertools import accumulate, islice, repeat
+from operator import gt
 from typing import NamedTuple
 
 from ._records import field, record
@@ -57,9 +60,9 @@ from .crsite import (
 )
 from .fear import FearInputs, FearModel, FearParams
 
-# The most ticks a ``Simulation.run`` may be bound to.  A run log holds about
-# 260 bytes a tick, so this caps its log near 260 MB: about a 100 km route at
-# 0.1 m a tick.  The bundled survey takes 4,220 ticks.
+# The most ticks a ``Simulation.run`` may be bound to, and so its time.  A log
+# holds about 265 bytes a pipelined tick and 37 a quiet one: at most 265 MB, near
+# 50 MB on a long survey route (19 ticks in 20 quiet).  The survey takes 4,220.
 MAX_RUN_TICKS = 1_000_000
 
 
@@ -146,35 +149,86 @@ class TickEvent(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-@record
+class QuietStretch(NamedTuple):
+    """Quiet ticks in a row, logged as one entry: tick ``first + k`` is at
+    ``positions[k]``, and its distance is ``target_m - positions[k]``
+    (``None`` with no bad point ahead).  The rest they share; the class
+    attributes are what every quiet tick implies."""
+
+    first: int
+    positions: list[float]
+    provider: str
+    state: str
+    threat_dbm: float | None
+    signal_now_dbm: float
+    signal_future_dbm: float
+    target_m: float | None
+
+    fear, band, symbol, action = 0.0, FearBand.B0, MobilitySymbol.SELF, CsmAction.KEEP_CURRENT
+    attempt, stay, loss, slot_remapped = None, None, False, False
+
+
 class RunLog:
-    """A run: its tick events and the pool each decision sensed.
+    """A run: its ticks and the pool each decision sensed.
 
-    A decision is a tick whose event carries an attempt or a stay;
-    ``pools`` maps its tick to the pool ``sense`` returned there.
-    ``attempts``, ``stays`` and ``losses`` are views over the events."""
+    ``entries`` holds the run in tick order, a ``TickEvent`` per pipelined
+    tick and a ``QuietStretch`` per run of quiet ticks, and the export,
+    the checks and the summary read them.  ``events`` (one ``TickEvent`` a
+    tick) is built from them on first read and extended as the run goes on;
+    a log built from ``events`` holds them as its entries.  ``pools`` maps
+    the tick of each decision (an attempt or a stay) to the pool ``sense``
+    gave there.  Logs with equal events and pools are equal."""
 
-    events: list[TickEvent] = field(default_factory=list)
-    pools: dict[int, dict[str, PoolEntry]] = field(default_factory=dict)
+    def __init__(self, events: list[TickEvent] | None = None,
+                 pools: dict[int, dict[str, PoolEntry]] | None = None) -> None:
+        self.entries: list[TickEvent | QuietStretch] = [] if events is None else events
+        self.pools = {} if pools is None else pools
+        # The events built so far, from the first ``_built`` entries.
+        self._events: list[TickEvent] = []
+        self._built = 0
+
+    @property
+    def events(self) -> list[TickEvent]:
+        # ``tuple.__new__`` skips the NamedTuple's argument binding.
+        new = tuple.__new__
+        for e in self.entries[self._built:]:
+            self._events += (e,) if e.__class__ is TickEvent else [new(TickEvent, (
+                k, q, e.provider, e.state, 0.0, e.band, e.symbol, e.action,
+                None if e.target_m is None else e.target_m - q, e.threat_dbm,
+                e.signal_now_dbm, e.signal_future_dbm, None, None, False, False))
+                for k, q in enumerate(e.positions, e.first)]
+        self._built = len(self.entries)
+        return self._events
+
+    @property
+    def ticks(self) -> int:
+        return sum(1 if e.__class__ is TickEvent else len(e.positions) for e in self.entries)
+
+    def __eq__(self, other: object) -> bool:
+        return ((self.events, self.pools) == (other.events, other.pools)
+                if other.__class__ is RunLog else NotImplemented)
+
+    def __repr__(self) -> str:
+        return f"RunLog(events={self.events!r}, pools={self.pools!r})"
 
     @property
     def attempts(self) -> list[TickEvent]:
-        return [e for e in self.events if e.attempt is not None]
+        return [e for e in self.entries if e.attempt is not None]
 
     @property
     def stays(self) -> list[TickEvent]:
-        return [e for e in self.events if e.stay is not None]
+        return [e for e in self.entries if e.stay is not None]
 
     @property
     def losses(self) -> list[TickEvent]:
-        return [e for e in self.events if e.loss]
+        return [e for e in self.entries if e.loss]
 
     def summary_text(self, timing: TimingModel) -> str:
         """``summary.txt``.  Its time lines price the logged ticks with the
         run's ``timing``; a task that was never paid is not printed."""
         spent: defaultdict[str, float] = defaultdict(float)
         sensing, optimizer = CsmAction.INITIATE_SENSING, CsmAction.INITIATE_OPTIMIZER
-        for event in self.events:
+        for event in self.entries:
             action = event.action
             decision = event.attempt is not None or event.stay is not None
             if decision or action is sensing or action is optimizer:
@@ -187,7 +241,7 @@ class RunLog:
         stays = self.stays
         successes = sum(1 for e in attempts if e.attempt.success)
         lines = [
-            f"ticks: {len(self.events)}",
+            f"ticks: {self.ticks}",
             f"handover attempts: {len(attempts)}"
             f" (successful: {successes}, failed: {len(attempts) - successes})",
             f"stay episodes: {len(stays)}",
@@ -250,9 +304,9 @@ class Simulation:
     episode was decided: ``None`` until then, ``"stay"`` or ``"failed"``.
     ``_appraise`` is its ``FearModel.approach``, built at its first
     in-horizon tick and dropped with ``_target``.
-    A successful handover ends the episode without a resolution.  The tick
-    count is ``len(log.events)``, and the run is over once ``position_m``
-    reaches ``stop_m``.
+    A successful handover ends the episode without a resolution.
+    ``_ticks`` counts the ticks logged so far, and the run is over once
+    ``position_m`` reaches ``stop_m``.
     """
 
     def __init__(self, config: SimConfig, db, fear_model: FearModel | None = None) -> None:
@@ -272,6 +326,7 @@ class Simulation:
         self._target: int | None = None
         self._resolution: str | None = None
         self._appraise = None
+        self._ticks = 0
         self.log = RunLog()
 
     # -- the tick pipeline --------------------------------------------------
@@ -320,11 +375,11 @@ class Simulation:
         if symbol is MobilitySymbol.HANDOVER and self._resolution is None:
             attempt, stay, remapped = self._decide_handover(provider, distance)
 
-        events = self.log.events
-        event = TickEvent(len(events), position, provider, stepped.label, fear, band,
+        event = TickEvent(self._ticks, position, provider, stepped.label, fear, band,
                           symbol, action, distance, threat_dbm, signal_now, signal_future,
                           attempt, stay, loss, remapped)
-        events.append(event)
+        self.log.entries.append(event)
+        self._ticks += 1
 
         if self.provider == provider:
             self._target = target_index
@@ -335,7 +390,7 @@ class Simulation:
     def _decide_handover(self, provider: str,
                          distance: float) -> tuple[HandoverAttempt | None, StayEpisode | None, bool]:
         pool = sense(self.db, self.position_m)
-        self.log.pools[len(self.log.events)] = pool
+        self.log.pools[self._ticks] = pool
         choice = select_whitespace(pool, provider)
         if choice == provider:
             entry = pool[provider]
@@ -352,54 +407,53 @@ class Simulation:
         return attempt, None, False
 
     def _coast(self, last: TickEvent) -> None:
-        """Append the quiet ticks that follow ``last`` without the pipeline.
+        """Log the quiet ticks that follow ``last`` without the pipeline.
 
         A tick is quiet when the automaton is at base alert on the provider
-        ``last`` was logged on and the tick does not reach stop and leaves
-        the target outside the fear horizon.  Such a tick appraises fear
-        0.0, classifies B0, self-loops (S) and keeps the current white
-        space: only its position, distance and readings move.  A tick that
-        reaches a survey point reads it; that point is not the target, as
-        any position at or past the target is inside the horizon.  Stops at
-        the tick bound, so that ``run`` raises there."""
-        if self.provider != last.provider or self.state.alert is not Alert.BASE:
-            return
+        ``last`` was logged on (``run`` calls this only then) and the tick
+        does not reach stop and leaves the target outside the fear horizon.
+        Such a tick appraises fear 0.0, classifies B0, self-loops (S) and
+        keeps the current white space: only its position, distance and
+        readings move.  A tick that reaches a survey point reads it; that
+        point is not the target, as any position at or past the target is
+        inside the horizon.  Stops at the tick bound, so ``run`` raises there."""
         db, stop = self.db, self.stop_m
         cumulative, segment = db.cumulative_m, db.segment
         step_m = self.config.speed_mps * self.config.tick_s
-        position = self.position_m
-        # Short of stop, ``tick``'s ``min(position + step, stop)`` is
-        # ``position + step``, and the target and threat stay those of ``last``.
-        end = min(cumulative[segment(position)[1]], stop)
+        position, ticks, bound = self.position_m, self._ticks, self.tick_bound
         target_m = None if self._target is None else cumulative[self._target]
         in_horizon = self.fear_model.in_horizon
-        events, bound = self.log.events, self.tick_bound
+        # A tick at q is ``near`` when its target is inside the horizon: it ends
+        # a stretch, and none starts just before one.  Short of stop, ``tick``'s
+        # ``min(position + step, stop)`` is ``position + step``; target and threat stay.
+        near = (lambda q: False) if target_m is None else (lambda q: in_horizon(target_m - q))
+        if near(position + step_m):
+            return
+        end = min(cumulative[segment(position)[1]], stop)
         provider, state, threat_dbm = last.provider, last.state, last.threat_dbm
         readings = db.readings[provider]
         now_dbm, future_dbm = last.signal_now_dbm, last.signal_future_dbm
-        band, symbol, action = FearBand.B0, MobilitySymbol.SELF, CsmAction.KEEP_CURRENT
-        # ``tuple.__new__`` builds the event without the NamedTuple's
-        # argument binding, at about half the cost.
-        new = tuple.__new__
-        while len(events) < bound:
-            q = position + step_m
-            distance = None
-            if target_m is not None:
-                distance = target_m - q
-                if in_horizon(distance):
-                    break
-            if q >= end:
-                if q >= stop:
-                    break
-                passed, ahead = segment(q)
-                now_dbm = readings[passed]
-                future_dbm = readings[ahead]
-                end = min(cumulative[ahead], stop)
-            events.append(new(TickEvent, (len(events), q, provider, state, 0.0, band, symbol,
-                                          action, distance, threat_dbm, now_dbm, future_dbm,
-                                          None, None, False, False)))
-            position = q
-        self.position_m = position
+        while ticks < bound:
+            # Enough of ``tick``'s additions to pass ``end``, none past the bound.
+            count = min(bound - ticks, int(max((end - position) / step_m, 0.0)) + 2)
+            positions = list(islice(accumulate(repeat(step_m, count), initial=position), 1, None))
+            cut = bisect_left(positions, end)
+            if cut and near(positions[cut - 1]):
+                cut = bisect_left(positions, True, 0, cut - 1, key=near)
+            q = positions[cut] if cut < count else None
+            del positions[cut:]
+            if positions:
+                self.log.entries.append(tuple.__new__(QuietStretch, (
+                    ticks, positions, provider, state, threat_dbm, now_dbm, future_dbm, target_m)))
+                ticks, position = ticks + cut, positions[-1]
+            if q is None:
+                continue
+            if q >= stop or near(q):
+                break
+            passed, ahead = segment(q)
+            now_dbm, future_dbm = readings[passed], readings[ahead]
+            end = min(cumulative[ahead], stop)
+        self.position_m, self._ticks = position, ticks
 
     def run(self) -> RunLog:
         """Tick to stop.  Refuses, before its first tick, a run bound to more
@@ -409,12 +463,13 @@ class Simulation:
                 f"step speed_mps * tick_s = {self.config.speed_mps * self.config.tick_s!r} m "
                 f"over {self.position_m!r} .. {self.stop_m!r} m bounds the run at "
                 f"{self.tick_bound} ticks, above the cap of {MAX_RUN_TICKS}")
-        events = self.log.events
         while self.position_m < self.stop_m:
-            if len(events) >= self.tick_bound:
+            if self._ticks >= self.tick_bound:
                 raise RuntimeError(
                     f"run exceeded its bound of {self.tick_bound} ticks at {self.position_m!r} m")
-            self._coast(self.tick())
+            last = self.tick()
+            if self.provider == last.provider and self.state.alert is Alert.BASE:
+                self._coast(last)
         return self.log
 
 
@@ -445,23 +500,26 @@ class InvariantReport:
 
 def check_invariant1(log: RunLog) -> InvariantReport:
     """While the distance to the threat strictly shrinks and no handover
-    happens, fear must not drop."""
+    happens, fear must not drop.  A quiet stretch's ticks share provider
+    and fear and attempt nothing, so only its ends meet other ticks."""
     violations = []
     pairs = 0
-    for prev, cur in zip(log.events, log.events[1:]):
-        if prev.distance_to_bssp_m is None or cur.distance_to_bssp_m is None:
-            continue
-        if prev.provider != cur.provider:
-            continue
-        if prev.attempt is not None or cur.attempt is not None:
-            continue
-        if not cur.distance_to_bssp_m < prev.distance_to_bssp_m:
-            continue
-        pairs += 1
-        if cur.fear < prev.fear - _FP_EPS:
-            violations.append(
-                f"tick {cur.tick}: fear fell {prev.fear!r} -> {cur.fear!r} "
-                f"while distance fell {prev.distance_to_bssp_m!r} -> {cur.distance_to_bssp_m!r}")
+    prev = before = None  # the entry before and its last distance
+    for e in log.entries:
+        if e.__class__ is TickEvent:
+            tick, distances = e.tick, [e.distance_to_bssp_m]
+        else:
+            tick = e.first
+            distances = [None] if e.target_m is None else [e.target_m - q for q in e.positions]
+            pairs += sum(map(gt, distances, islice(distances, 1, None)))
+        distance = distances[0]
+        if (before is not None and distance is not None and prev.provider == e.provider
+                and prev.attempt is None and e.attempt is None and distance < before):
+            pairs += 1
+            if e.fear < prev.fear - _FP_EPS:
+                violations.append(f"tick {tick}: fear fell {prev.fear!r} -> {e.fear!r} "
+                                  f"while distance fell {before!r} -> {distance!r}")
+        prev, before = e, distances[-1]
     return InvariantReport("Invariant1", not violations, tuple(violations),
                            {"approaching_pairs": pairs})
 
@@ -473,7 +531,7 @@ def check_invariant2(log: RunLog) -> InvariantReport:
     a provider it names, cannot be judged and is itself a violation."""
     violations = []
     handovers = stays = 0
-    for event in log.events:
+    for event in log.entries:
         a, stay = event.attempt, event.stay
         if a is None and stay is None:
             continue
@@ -563,55 +621,37 @@ def _spell(value) -> str:
 
 
 def runlog_to_csv(log: RunLog) -> str:
-    """The run log as CSV, one row per tick event, each line ending in ``\\n``.
+    """The run log as CSV, one row per tick, each line ending in ``\\n``.
 
     Fields are spelled as ``csv.writer`` spells them (see ``_spell``);
     booleans are ``true``/``false``.  No field is ever quoted, because none
     needs it: states, bands, symbols, actions and booleans are fixed tokens,
     a number's spelling holds no comma, and ``RouteDb`` refuses a provider
-    name holding ``,``, ``"``, CR or LF.
-
-    Most rows repeat the row before them but for tick, position and
-    distance: a coasted tick holds the very objects of the tick before.  A
-    row with no attempt, stay, loss or remap whose provider, state, fear,
-    band, symbol, action, threat and both readings are the objects the last
-    spelled row held reuses that row's middle text (``,provider,…,action,``)
-    and tail text (``,threat,…,slot_remapped``) and spells only its tick,
-    position and distance.  The comparison is by identity, never by value:
-    0.0 == -0.0 and -90 == -90.0, but their spellings differ."""
+    name holding ``,``, ``"``, CR or LF.  The rows of a quiet stretch differ
+    only in tick, position and distance: the rest of their text, the middle
+    (``,provider,…,action,``) and the tail (``,threat,…,slot_remapped``), is
+    spelled once, from the stretch's own objects."""
     lines = [_HEADER]
-    append = lines.append
-    # The objects ``mid`` and ``tail`` were spelled from.  ``nothing`` is no
-    # event's field, so the first row, and the row after one with an
-    # attempt, stay, loss or remap, is spelled in full.
-    nothing = object()
-    last_provider = last_state = last_fear = last_band = last_symbol = last_action = nothing
-    last_threat = last_now = last_future = nothing
-    for (tick, position_m, provider, state, fear, band, symbol, action, distance_m,
-         threat_dbm, now_dbm, future_dbm, attempt, stay, loss, remapped) in log.events:
-        if not (fear is last_fear and now_dbm is last_now and future_dbm is last_future
-                and threat_dbm is last_threat and provider is last_provider
-                and state is last_state and band is last_band and symbol is last_symbol
-                and action is last_action and attempt is None and stay is None
-                and not loss and not remapped):
-            attempt_s = _NO_ATTEMPT if attempt is None else (
-                f"{attempt.from_provider},{attempt.to_provider},{_spell(attempt.required_s)},"
-                f"{_spell(attempt.time_left_s)},{_BOOL_TEXT[attempt.success]}")
-            stay_s = _NO_STAY if stay is None else (
-                f"{stay.provider},{_spell(stay.current_dbm)},{_spell(stay.future_dbm)}")
-            mid = (f",{provider},{state},{_spell(fear)},{band._name_},{symbol._value_},"
-                   f"{action._value_},")
-            tail = (f",{_spell(threat_dbm)},{_spell(now_dbm)},{_spell(future_dbm)},"
-                    f"{attempt_s},{stay_s},{_BOOL_TEXT[loss]},{_BOOL_TEXT[remapped]}")
-            last_provider, last_state, last_fear, last_band, last_symbol, last_action = (
-                provider, state, fear, band, symbol, action)
-            last_threat, last_now, last_future = threat_dbm, now_dbm, future_dbm
-            if attempt is not None or stay is not None or loss or remapped:
-                last_fear = nothing
-        append(f"{tick},{repr(position_m) if type(position_m) is float else _spell(position_m)}"
-               f"{mid}{repr(distance_m) if type(distance_m) is float else _spell(distance_m)}"
-               f"{tail}")
-    append("")
+    for e in log.entries:
+        attempt_s = _NO_ATTEMPT if (a := e.attempt) is None else (
+            f"{a.from_provider},{a.to_provider},{_spell(a.required_s)},"
+            f"{_spell(a.time_left_s)},{_BOOL_TEXT[a.success]}")
+        stay_s = _NO_STAY if (stay := e.stay) is None else (
+            f"{stay.provider},{_spell(stay.current_dbm)},{_spell(stay.future_dbm)}")
+        mid = (f",{e.provider},{e.state},{_spell(e.fear)},{e.band._name_},{e.symbol._value_},"
+               f"{e.action._value_},")
+        tail = (f",{_spell(e.threat_dbm)},{_spell(e.signal_now_dbm)},"
+                f"{_spell(e.signal_future_dbm)},{attempt_s},{stay_s},"
+                f"{_BOOL_TEXT[e.loss]},{_BOOL_TEXT[e.slot_remapped]}")
+        if e.__class__ is TickEvent:
+            lines.append(f"{e.tick},{_spell(e.position_m)}{mid}"
+                         f"{_spell(e.distance_to_bssp_m)}{tail}")
+        elif (target_m := e.target_m) is None:
+            lines += [f"{k},{q!r}{mid}{tail}" for k, q in enumerate(e.positions, e.first)]
+        else:
+            lines += [f"{k},{q!r}{mid}{target_m - q!r}{tail}"
+                      for k, q in enumerate(e.positions, e.first)]
+    lines.append("")
     return "\n".join(lines)
 
 

@@ -191,12 +191,44 @@ class TestScenarioLoading:
         path = _write(tmp_path, "s.ini", "\n".join([
             "[fuzzy:likelihood]",
             "input1_terms = A:0,0,0.5,0.6 ; B:0.4,0.5,1,1",
-            "rules = 0,0->4 ; 0,1->4; 1,1->3",
+            "rules = 0,0->4 ; 0,1->4; 0,2->4 ; 0,3->4; 0,4->4 ; "
+            "1,0->3; 1,1->3 ; 1,2->3; 1,3->3 ; 1,4->3",
             "",
         ]))
         system = load_scenario(path).fear_model.likelihood_system
         assert tuple(label for label, _ in system.inputs[0].terms) == ("A", "B")
-        assert len(system.rule_base.rules) == 3
+        assert len(system.rule_base.rules) == 10
+
+    @pytest.mark.parametrize("rules, point, pair", [
+        ("4,4->4", "distance = 0.0, signal = 0.0", "no rule 0,0->k for 'V-Near', 'Absent'"),
+        ("0,0->0; 1,1->1; 2,2->2; 3,3->3; 4,4->4", "distance = 0.0, signal = 0.24",
+         "no rule 0,1->k for 'V-Near', 'Bad'"),
+    ], ids=["single-rule", "diagonal"])
+    def test_rule_base_leaving_inputs_ungraded_refused(self, tmp_path, capsys, rules, point,
+                                                       pair):
+        """Where no rule fires a subsystem grades 0.0, so a rule base that
+        leaves part of the input square bare is refused at load, naming a
+        point there and a term pair no rule covers."""
+        path = _write(tmp_path, "s.ini", f"[fuzzy:likelihood]\nrules = {rules}\n")
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: [fuzzy:likelihood] rules = {rules!r}: "
+            f"no rule fires at {point} ({pair})\n")
+
+    @pytest.mark.parametrize("rules, key", [
+        ("\nrules = " + "; ".join(f"{i},{j}->0" for i in range(5) for j in range(5)),
+         "[fuzzy:ig] rules = '0,0->0; "),
+        ("", "[fuzzy:ig]: "),
+    ], ids=["with-rules", "default-rules"])
+    def test_terms_leaving_an_input_bare_refused(self, tmp_path, rules, key):
+        path = _write(tmp_path, "s.ini", "[fuzzy:ig]\ninput1_terms = "
+                      "A:0.1,0.2,0.3; B:0.2,0.3,0.4; C:0.3,0.4,0.5; D:0.4,0.5,0.6; E:0.5,0.6,1,1"
+                      + rules + "\n")
+        with pytest.raises(ScenarioError) as refused:
+            load_scenario(path)
+        assert str(refused.value).startswith(key)
+        assert str(refused.value).endswith(
+            ": no rule fires at sor = 0.0, vtp = 0.0 (no sor term holds)")
 
     def test_malformed_terms(self, tmp_path):
         path = _write(tmp_path, "s.ini", "[fuzzy:ig]\ninput1_terms = broken\n")

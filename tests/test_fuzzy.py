@@ -476,6 +476,48 @@ def _seeded_likelihood(polarity: tuple[int, int]) -> FuzzySystem:
     return replace(load_scenario(scenario).fear_model.likelihood_system, monotone=polarity)
 
 
+class TestCoverage:
+    """``uncovered`` finds a point of the input universes where no rule
+    fires, or proves there is none, exactly: the clip levels there are all
+    0.0, and with ``None`` every point of a fine grid fires a rule."""
+
+    @staticmethod
+    def _check(system: FuzzySystem) -> None:
+        gap = system.uncovered()
+        if gap is not None:
+            point, held = gap
+            assert max(system._point_levels(point)) == 0.0
+            for var, x, terms in zip(system.inputs, point, held):
+                assert terms == tuple(i for i, (_, mf) in enumerate(var.terms) if mf(x) > 0.0)
+            return
+        axes = [sorted({*np.linspace(var.lo, var.hi, 101).tolist(),
+                        *(p for _, mf in var.terms for p in (mf.a, mf.b, mf.c, mf.d))})
+                for var in system.inputs]
+        for x in axes[0]:
+            for y in axes[1]:
+                assert max(system._point_levels((x, y))) > 0.0, (x, y)
+
+    def test_default_systems_are_covered(self):
+        model = fear.FearModel()
+        for system in (model.likelihood_system, model.undesirability_system,
+                       model.global_intensity_system):
+            assert system.uncovered() is None
+            self._check(system)
+
+    def test_systems_built_in_code_may_leave_points_bare(self):
+        point, held = _partial_rules().uncovered()
+        assert point == (0.0, 0.0) and held == ((0,), (0,))
+        self._check(_partial_rules())
+
+    @given(keep=st.lists(st.booleans(), min_size=25, max_size=25))
+    @settings(max_examples=60, deadline=None)
+    def test_any_subset_of_the_likelihood_grid(self, keep):
+        system = fear.likelihood_system()
+        rules = tuple(rule for rule, kept in zip(system.rule_base.rules, keep) if kept)
+        if rules:
+            self._check(replace(system, rule_base=RuleBase(rules), monotone=None))
+
+
 class TestSurfacePins:
     """The sha256 of each fresh system's rectified surface, as
     ``fear._surface_table_bytes`` lays it out: how ``_surface`` is computed
